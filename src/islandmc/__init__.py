@@ -6,7 +6,7 @@ transition kernels, plus a communication-free island layer that
 combines independent runs through their evidence estimates.
 """
 
-from . import ais, diagnostics, harness, islands, kernels, mcmc, smc, targets
+from . import ais, diagnostics, harness, islands, kernels, mcmc, seeds, smc, targets
 from .ais import AisConfig, ais_estimate, make_neal_schedule, run_ais
 from .diagnostics import iact, mse_and_se, posterior_mean
 from .islands import (

@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
+from .seeds import check_seed
 from .targets import EvalCounter
 
 
@@ -88,9 +89,7 @@ def run_ais(cfg, target, seed):
         Final positions ``(n, d)``, unnormalized log importance weights
         ``(n,)``, and the evaluation tally.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    seed = check_seed(seed)
     counter = EvalCounter()
     stats = KernelStats()
     base_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))

@@ -32,6 +32,7 @@ from .ais import AisConfig
 from .diagnostics import posterior_mean
 from .kernels import HmcConfig, PcnConfig
 from .mcmc import McmcConfig
+from .seeds import derive_seed
 from .smc import SmcConfig
 
 CSV_COLUMNS = [
@@ -153,6 +154,8 @@ def build_target(spec):
     if kind == "gmm":
         d = _as_int(_require(spec, "d", "target"), "target.d", 1)
         if "means" in spec:
+            if "weights" not in spec:
+                raise ConfigError("target.weights: required when target.means is given")
             return targets_mod.GmmTarget(spec["weights"], spec["means"])
         return targets_mod.make_bimodal_gmm(d, weight=float(spec.get("weight", 0.2)))
     if kind == "logistic":
@@ -207,7 +210,7 @@ def _smc_config(method_spec, point, kernel):
         mutation_steps=point.M,
         kernel=kernel,
         ess_fraction=float(method_spec.get("ess_fraction", 0.5)),
-        max_stages=int(method_spec.get("max_stages", 1000)),
+        max_stages=_as_int(method_spec.get("max_stages", 1000), "method.max_stages", 1),
         resampling=method_spec.get("resampling", "multinomial"),
         schedule=method_spec.get("schedule"),
         adapt_steps=bool(method_spec.get("adapt_steps", True)),
@@ -242,8 +245,7 @@ def _check_point(method_spec, point, target):
 
 def run_seed(master_seed, sweep_index, replicate) -> int:
     """Seed for one (sweep point, replicate) cell, hash-split from the master."""
-    ss = np.random.SeedSequence((int(master_seed), int(sweep_index), int(replicate)))
-    return int(ss.generate_state(2, np.uint64)[0])
+    return derive_seed(master_seed, sweep_index, replicate)
 
 
 def _run_cell(method_spec, point, target, seed):

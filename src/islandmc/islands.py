@@ -9,17 +9,16 @@ combination degenerates to the plain average of island means.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import mcmc as mcmc_mod
 from . import smc as smc_mod
 from .kernels import KernelStats
+from .seeds import derive_seed
 from .smc import DegenerateWeightsError, IslandResult, LogZAccumulator, SmcConfig
 from .targets import EvalCounter
 
@@ -37,14 +36,8 @@ class IslandEnsemble:
 
 
 def island_seed(master_seed, index) -> int:
-    """Derive island ``index``'s seed by hash-splitting the master seed.
-
-    Uses ``numpy.random.SeedSequence((master_seed, index))``, whose
-    entropy mixing is documented and stable, so the same master seed
-    always yields the same island seeds.
-    """
-    ss = np.random.SeedSequence((int(master_seed), int(index)))
-    return int(ss.generate_state(2, np.uint64)[0])
+    """Island ``index``'s seed, hash-split from ``(master_seed, index)``."""
+    return derive_seed(master_seed, index)
 
 
 def _run_island(cfg, target, seed):
@@ -54,10 +47,7 @@ def _run_island(cfg, target, seed):
     if cfg.mode == "serial":
         samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed, stats=stats)
     else:
-        chain_seeds = [
-            int(np.random.SeedSequence((seed, 1, c)).generate_state(2, np.uint64)[0])
-            for c in range(cfg.n_samples)
-        ]
+        chain_seeds = [derive_seed(seed, 1, c) for c in range(cfg.n_samples)]
         samples, per_chain = mcmc_mod.run_chains_parallel(cfg, target, chain_seeds, stats=stats)
         counter = EvalCounter()
         for c in per_chain:
@@ -66,23 +56,15 @@ def _run_island(cfg, target, seed):
     return IslandResult(samples, LogZAccumulator(), [1.0], counter, stats)
 
 
-def _island_worker(args):
-    cfg, target, seed, path = args
-    result = _run_island(cfg, target, seed)
-    write_island_json(result, seed, path)
-    return path
-
-
-def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1, mode="thread", workdir=None):
+def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     """Run ``n_islands`` independent islands and collect their results.
 
     Island ``p`` runs with the derived seed :func:`island_seed`
-    ``(master_seed, p)``, so the ensemble is reproducible and identical
-    for every ``parallelism`` level.  ``mode="thread"`` runs islands in
-    process with a bounded thread pool; ``mode="process"`` runs one
-    island per OS process, each writing its result as JSON into
-    ``workdir`` (a temporary directory by default) before the parent
-    merges them.
+    ``(master_seed, p)``.  With ``parallelism == 1`` the islands run one
+    after another in this process; with ``parallelism > 1`` they run on
+    a pool of up to ``parallelism`` worker processes, each island's
+    :class:`IslandResult` returned whole.  Both paths give identical
+    results.
     """
     if n_islands < 1:
         raise ValueError("n_islands must be positive")
@@ -90,29 +72,11 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1, mode=
         raise ValueError("parallelism must be positive")
     seeds = [island_seed(master_seed, p) for p in range(n_islands)]
     tag = "smc" if isinstance(island_cfg, SmcConfig) else "mcmc"
-    if mode == "thread":
-        if parallelism == 1:
-            results = [_run_island(island_cfg, target, s) for s in seeds]
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                results = list(pool.map(lambda s: _run_island(island_cfg, target, s), seeds))
-    elif mode == "process":
-        own_dir = workdir is None
-        workdir = tempfile.mkdtemp(prefix="islands_") if own_dir else workdir
-        paths = [os.path.join(workdir, f"island_{p}.json") for p in range(n_islands)]
-        args = [(island_cfg, target, s, p) for s, p in zip(seeds, paths)]
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(_island_worker, args))
-        results = []
-        for path in paths:
-            result, _ = read_island_json(path)
-            results.append(result)
-            if own_dir:
-                os.unlink(path)
-        if own_dir:
-            os.rmdir(workdir)
+    if parallelism == 1:
+        results = [_run_island(island_cfg, target, s) for s in seeds]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        with ProcessPoolExecutor(max_workers=min(parallelism, n_islands)) as pool:
+            results = list(pool.map(_run_island, repeat(island_cfg), repeat(target), seeds))
     return IslandEnsemble(results, seeds, tag)
 
 
@@ -171,7 +135,7 @@ def _island_means(ensemble, phi):
 
 
 def island_to_json(result, seed) -> dict:
-    """Serialize one island result to the JSON wire schema."""
+    """Serialize one island result to the JSON export schema."""
     return {
         "seed": int(seed),
         "schedule": [float(v) for v in result.schedule],
@@ -186,7 +150,7 @@ def island_to_json(result, seed) -> dict:
 
 
 def island_from_json(payload):
-    """Rebuild ``(IslandResult, seed)`` from the JSON wire schema."""
+    """Rebuild ``(IslandResult, seed)`` from the JSON export schema."""
     result = IslandResult(
         samples=np.asarray(payload["samples"], dtype=float),
         logz=LogZAccumulator(payload["logz_offset"], payload["logz_residual"]),
@@ -195,13 +159,3 @@ def island_from_json(payload):
         kernel_stats=KernelStats(),
     )
     return result, int(payload["seed"])
-
-
-def write_island_json(result, seed, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(island_to_json(result, seed), fh)
-
-
-def read_island_json(path):
-    with open(path) as fh:
-        return island_from_json(json.load(fh))

@@ -17,7 +17,7 @@ likelihood evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,11 +146,6 @@ def needs_gradient(cfg) -> bool:
     return isinstance(cfg, HmcConfig)
 
 
-def likelihood_cost_per_step(cfg) -> int:
-    """Fresh likelihood evaluations per kernel step with warm caches."""
-    return 1
-
-
 def gradient_cost_per_step(cfg) -> int:
     """Fresh gradient evaluations per kernel step with warm caches."""
     return cfg.leapfrog_steps if isinstance(cfg, HmcConfig) else 0
@@ -254,9 +249,9 @@ def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=N
     """Dispatch one kernel sweep; ``step_size`` overrides the config value."""
     if step_size is not None:
         if isinstance(cfg, PcnConfig):
-            cfg = PcnConfig(step_size, cfg.use_scaling, cfg.scaling_floor, cfg.target_accept)
+            cfg = replace(cfg, beta=step_size)
         else:
-            cfg = HmcConfig(step_size, cfg.leapfrog_steps, cfg.mass, cfg.target_accept)
+            cfg = replace(cfg, step_size=step_size)
     if isinstance(cfg, PcnConfig):
         if scaling is None:
             scaling = np.ones(pop.theta.shape[1])

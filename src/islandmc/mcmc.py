@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
+from .seeds import check_seed
 from .targets import EvalCounter
 
 
@@ -80,7 +81,7 @@ def run_chain_serial(cfg, target, seed, stats=None):
     until ``cfg.n_samples`` are collected.  All randomness comes from
     ``numpy.random.default_rng(seed)``.
     """
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     counter = EvalCounter()
     if stats is None:
@@ -126,7 +127,7 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
     (samples, epochs_per_chain)
         Final states ``(len(seeds), d)`` and one EvalCounter per chain.
     """
-    seeds = [_check_seed(s) for s in seeds]
+    seeds = [check_seed(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     n = len(seeds)
@@ -156,7 +157,7 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
         kernels.population_step(
             pop, 1.0, cfg.kernel, target, normals[step], log_u[step], counter, stats
         )
-    per_chain_lik = b * kernels.likelihood_cost_per_step(cfg.kernel) + 1
+    per_chain_lik = b + 1
     per_chain_grad = b * kernels.gradient_cost_per_step(cfg.kernel)
     if use_hmc and b > 0:
         per_chain_grad += 1
@@ -164,10 +165,3 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
     assert counter.gradient == n * per_chain_grad
     per_chain = [EvalCounter(per_chain_lik, per_chain_grad) for _ in range(n)]
     return pop.theta, per_chain
-
-
-def _check_seed(seed):
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seeds must be non-negative integers")
-    return seed

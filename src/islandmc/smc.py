@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
+from .seeds import check_seed
 from .targets import EvalCounter
 
 
@@ -238,7 +239,7 @@ def run_smc(cfg, target, seed):
     ScheduleOverflowError
         If the exponent has not reached 1 after ``max_stages`` stages.
     """
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     counter = EvalCounter()
     stats = KernelStats()
     base_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
@@ -279,10 +280,3 @@ def run_smc(cfg, target, seed):
         if lam == 1.0:
             return IslandResult(pop.theta, acc, schedule, counter, stats, stage_ess)
     raise ScheduleOverflowError(schedule)
-
-
-def _check_seed(seed):
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return seed

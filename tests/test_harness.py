@@ -64,6 +64,8 @@ def test_parse_config_type_checks():
         parse_config(base_config(master_seed=-1))
     with pytest.raises(ConfigError, match=r"sweep\[0\]\.N"):
         parse_config(base_config(sweep=[{"N": True}]))
+    with pytest.raises(ConfigError, match=r"method\.max_stages"):
+        parse_config(base_config(method={"kind": "smc", "max_stages": None}))
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():
@@ -95,6 +97,8 @@ def test_build_target_kinds():
     assert isinstance(logistic, LogisticTarget)
     with pytest.raises(ConfigError, match="target.kind"):
         build_target({"kind": "cauchy"})
+    with pytest.raises(ConfigError, match=r"target\.weights"):
+        build_target({"kind": "gmm", "d": 2, "means": [[0.0, 0.0], [1.0, 1.0]]})
 
 
 def test_build_target_logistic_csv(tmp_path):

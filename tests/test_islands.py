@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,9 +13,7 @@ from islandmc.islands import (
     island_to_json,
     island_weights,
     log_mean_evidence,
-    read_island_json,
     run_islands,
-    write_island_json,
 )
 from islandmc.kernels import KernelStats, PcnConfig
 from islandmc.mcmc import McmcConfig
@@ -115,24 +114,16 @@ def test_run_islands_parallelism_invariant():
     cfg = SmcConfig(n_particles=16, mutation_steps=2)
     a = run_islands(4, cfg, target, master_seed=5, parallelism=1)
     b = run_islands(4, cfg, target, master_seed=5, parallelism=4)
+    assert a.seeds == b.seeds
     for ra, rb in zip(a.results, b.results):
         assert np.array_equal(ra.samples, rb.samples)
         assert ra.logz == rb.logz
         assert ra.schedule == rb.schedule
-
-
-def test_run_islands_process_mode_matches_thread_mode(tmp_path):
-    target = make_gaussian_target(2, 4, 1.0, seed=1)
-    cfg = SmcConfig(n_particles=16, mutation_steps=1)
-    a = run_islands(3, cfg, target, master_seed=8, mode="thread")
-    b = run_islands(3, cfg, target, master_seed=8, parallelism=3, mode="process",
-                    workdir=str(tmp_path))
-    for ra, rb in zip(a.results, b.results):
-        assert np.allclose(ra.samples, rb.samples, atol=0, rtol=0)
-        assert ra.logz.total == pytest.approx(rb.logz.total, abs=1e-15)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "island_0.json", "island_1.json", "island_2.json",
-    ]
+        assert ra.epochs == rb.epochs
+        assert ra.kernel_stats == rb.kernel_stats
+        assert ra.kernel_stats.proposals > 0
+        assert ra.stage_ess == rb.stage_ess
+        assert len(ra.stage_ess) == len(ra.schedule)
 
 
 def test_run_islands_smoke_many_islands():
@@ -174,17 +165,13 @@ def test_run_islands_validation():
         run_islands(0, cfg, target, master_seed=1)
     with pytest.raises(ValueError):
         run_islands(1, cfg, target, master_seed=1, parallelism=0)
-    with pytest.raises(ValueError):
-        run_islands(1, cfg, target, master_seed=1, mode="mpi")
 
 
-def test_island_json_round_trip(tmp_path):
+def test_island_json_round_trip():
     target = make_gaussian_target(3, 6, 1.0, seed=5)
     cfg = SmcConfig(n_particles=8, mutation_steps=1)
     result = run_smc(cfg, target, seed=13)
-    path = tmp_path / "island.json"
-    write_island_json(result, 13, path)
-    loaded, seed = read_island_json(path)
+    loaded, seed = island_from_json(json.loads(json.dumps(island_to_json(result, 13))))
     assert seed == 13
     assert np.array_equal(loaded.samples, result.samples)
     assert loaded.logz == result.logz

@@ -13,7 +13,6 @@ from islandmc.kernels import (
     gradient_cost_per_step,
     hmc_step,
     leapfrog,
-    likelihood_cost_per_step,
     mutate,
     needs_gradient,
     pcn_step,
@@ -61,7 +60,6 @@ def test_config_validation():
 def test_cost_helpers():
     pcn, hmc = PcnConfig(), HmcConfig(leapfrog_steps=7)
     assert not needs_gradient(pcn) and needs_gradient(hmc)
-    assert likelihood_cost_per_step(pcn) == likelihood_cost_per_step(hmc) == 1
     assert gradient_cost_per_step(pcn) == 0
     assert gradient_cost_per_step(hmc) == 7
 

@@ -83,6 +83,12 @@ def _as_int(value, path, minimum=None):
     return value
 
 
+def _as_float(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(payload) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(payload, dict):
@@ -209,7 +215,7 @@ def _smc_config(method_spec, point, kernel):
         n_particles=point.N,
         mutation_steps=point.M,
         kernel=kernel,
-        ess_fraction=float(method_spec.get("ess_fraction", 0.5)),
+        ess_fraction=_as_float(method_spec.get("ess_fraction", 0.5), "method.ess_fraction"),
         max_stages=_as_int(method_spec.get("max_stages", 1000), "method.max_stages", 1),
         resampling=method_spec.get("resampling", "multinomial"),
         schedule=method_spec.get("schedule"),

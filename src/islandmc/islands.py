@@ -146,6 +146,11 @@ def island_to_json(result, seed) -> dict:
             "likelihood": int(result.epochs.likelihood),
             "gradient": int(result.epochs.gradient),
         },
+        "kernel_stats": {
+            "proposals": int(result.kernel_stats.proposals),
+            "accepts": int(result.kernel_stats.accepts),
+        },
+        "stage_ess": [float(v) for v in result.stage_ess],
     }
 
 
@@ -156,6 +161,8 @@ def island_from_json(payload):
         logz=LogZAccumulator(payload["logz_offset"], payload["logz_residual"]),
         schedule=list(payload["schedule"]),
         epochs=EvalCounter(payload["epochs"]["likelihood"], payload["epochs"]["gradient"]),
-        kernel_stats=KernelStats(),
+        kernel_stats=KernelStats(payload["kernel_stats"]["proposals"],
+                                 payload["kernel_stats"]["accepts"]),
+        stage_ess=list(payload["stage_ess"]),
     )
     return result, int(payload["seed"])

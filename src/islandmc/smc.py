@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
 from .seeds import check_seed
-from .targets import EvalCounter
+from .targets import EvalCounter, NumericalDomainError
 
 
 class DegenerateWeightsError(ValueError):
@@ -118,27 +117,35 @@ class LogZAccumulator:
         return self.offset_sum + self.residual_log
 
 
+def _max_shift(log_weights):
+    """Return ``m = max(lw)`` and the weights ``exp(lw - m)``, largest exactly 1."""
+    lw = np.asarray(log_weights, dtype=float)
+    m = float(np.max(lw))
+    if m == -np.inf:
+        raise DegenerateWeightsError("all weights are zero")
+    return m, np.exp(lw - m)
+
+
 def update_logz(acc, stage_log_weights):
     """Fold one stage's unnormalized log-weights into the accumulator.
 
     The stage factor is ``log mean(exp(w))``, stored as the max
     log-weight plus the log mean of the max-shifted weights.
     """
-    lw = np.asarray(stage_log_weights, dtype=float)
-    m = float(np.max(lw))
-    if m == -np.inf:
-        raise DegenerateWeightsError("all stage weights are zero")
-    residual = float(np.log(np.mean(np.exp(lw - m))))
+    m, w = _max_shift(stage_log_weights)
+    residual = float(np.log(np.mean(w)))
     return LogZAccumulator(acc.offset_sum + m, acc.residual_log + residual)
 
 
 def ess(log_weights):
-    """Effective sample size 1 / sum(w^2) of normalized weights."""
-    lw = np.asarray(log_weights, dtype=float)
-    norm = logsumexp(lw)
-    if norm == -np.inf:
-        raise DegenerateWeightsError("all weights are zero")
-    return float(np.exp(-logsumexp(2.0 * (lw - norm))))
+    """Effective sample size 1 / sum(w^2) of normalized weights.
+
+    Computed as ``sum(w)^2 / sum(w^2)`` on max-shifted weights, which
+    is invariant to the shift and cannot overflow.
+    """
+    _, w = _max_shift(log_weights)
+    s = w.sum()
+    return float(s * s / np.dot(w, w))
 
 
 def next_temperature(loglik, lambda_prev, cfg):
@@ -176,12 +183,8 @@ def resample(log_weights, cfg, rng):
     places one stratified point per offspring slot, giving each index
     exactly one copy under uniform weights when N divides evenly.
     """
-    lw = np.asarray(log_weights, dtype=float)
-    norm = logsumexp(lw)
-    if norm == -np.inf:
-        raise DegenerateWeightsError("all weights are zero")
-    w = np.exp(lw - norm)
-    w = w / w.sum()
+    _, w = _max_shift(log_weights)
+    w /= w.sum()
     n = w.shape[0]
     if cfg.resampling == "multinomial":
         return rng.choice(n, size=n, replace=True, p=w)
@@ -238,6 +241,8 @@ def run_smc(cfg, target, seed):
     ------
     ScheduleOverflowError
         If the exponent has not reached 1 after ``max_stages`` stages.
+    NumericalDomainError
+        If any particle's log-likelihood is NaN at the start of a stage.
     """
     seed = check_seed(seed)
     counter = EvalCounter()
@@ -253,6 +258,13 @@ def run_smc(cfg, target, seed):
     stage_ess: list = []
     step_size = cfg.kernel.beta if isinstance(cfg.kernel, PcnConfig) else cfg.kernel.step_size
     for stage in range(1, cfg.max_stages + 1):
+        bad = np.isnan(pop.loglik)
+        if bad.any():
+            raise NumericalDomainError(
+                f"stage {stage}: log-likelihood is NaN for {int(bad.sum())} "
+                f"of {cfg.n_particles} particles (lambda={lam})",
+                theta=pop.theta[bad], lam=lam,
+            )
         if cfg.schedule is not None:
             lam_new = cfg.schedule[len(schedule)]
         else:

@@ -21,7 +21,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class NumericalDomainError(ValueError):
-    """Raised when a tempered gradient evaluates to a non-finite value."""
+    """Raised when a likelihood or tempered gradient is non-finite."""
 
     def __init__(self, message, theta=None, lam=None):
         super().__init__(message)
@@ -403,7 +403,15 @@ class LogisticTarget(_GaussianPriorTarget):
 
     def _log_likelihood(self, theta):
         z = theta @ self.X.T
-        return z @ self.y - np.sum(np.logaddexp(0.0, z), axis=-1)
+        fit = z @ self.y
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|)), built in place in z
+        t = np.abs(z)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(z, 0.0, out=z)
+        z += t
+        return fit - z.sum(-1)
 
     def _grad_log_likelihood(self, theta):
         z = theta @ self.X.T

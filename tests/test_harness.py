@@ -66,6 +66,9 @@ def test_parse_config_type_checks():
         parse_config(base_config(sweep=[{"N": True}]))
     with pytest.raises(ConfigError, match=r"method\.max_stages"):
         parse_config(base_config(method={"kind": "smc", "max_stages": None}))
+    for bad in (None, "a", True, [0.5]):
+        with pytest.raises(ConfigError, match=r"method\.ess_fraction"):
+            parse_config(base_config(method={"kind": "smc", "ess_fraction": bad}))
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():

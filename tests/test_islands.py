@@ -171,18 +171,21 @@ def test_island_json_round_trip():
     target = make_gaussian_target(3, 6, 1.0, seed=5)
     cfg = SmcConfig(n_particles=8, mutation_steps=1)
     result = run_smc(cfg, target, seed=13)
+    assert result.kernel_stats.proposals > 0 and result.stage_ess
     loaded, seed = island_from_json(json.loads(json.dumps(island_to_json(result, 13))))
     assert seed == 13
+    assert set(vars(loaded)) == set(vars(result))
     assert np.array_equal(loaded.samples, result.samples)
     assert loaded.logz == result.logz
     assert loaded.schedule == result.schedule
-    assert loaded.epochs.likelihood == result.epochs.likelihood
-    assert loaded.epochs.gradient == result.epochs.gradient
+    assert loaded.epochs == result.epochs
+    assert loaded.kernel_stats == result.kernel_stats
+    assert loaded.stage_ess == result.stage_ess
 
 
 def test_island_json_schema_fields():
     result = IslandResult(np.zeros((1, 2)), LogZAccumulator(1.5, -0.5), [1.0],
-                          EvalCounter(7, 3), KernelStats())
+                          EvalCounter(7, 3), KernelStats(8, 5), [3.5])
     payload = island_to_json(result, 99)
     assert payload == {
         "seed": 99,
@@ -191,6 +194,8 @@ def test_island_json_schema_fields():
         "logz_residual": -0.5,
         "samples": [[0.0, 0.0]],
         "epochs": {"likelihood": 7, "gradient": 3},
+        "kernel_stats": {"proposals": 8, "accepts": 5},
+        "stage_ess": [3.5],
     }
     rebuilt, seed = island_from_json(payload)
     assert seed == 99

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from islandmc import smc
 from islandmc.kernels import HmcConfig, KernelStats, PcnConfig
 from islandmc.smc import (
     DegenerateWeightsError,
@@ -16,7 +18,18 @@ from islandmc.smc import (
     run_smc,
     update_logz,
 )
-from islandmc.targets import EvalCounter, make_gaussian_target
+from islandmc.targets import EvalCounter, NumericalDomainError, make_gaussian_target
+
+# log-weight vectors for checking the max-shift numerics against scipy:
+# huge offsets either way, zero weights, a lone finite weight
+ORACLE_LOG_WEIGHTS = [
+    np.array([-1.0, 0.5, 2.0, -3.0]) + 700.0,
+    np.array([-1.0, 0.5, 2.0, -3.0]) - 700.0,
+    np.array([710.0, 0.0, -710.0, 705.0]),
+    np.array([-np.inf, 1.5, -np.inf, 0.25, -2.0]),
+    np.array([-np.inf, -np.inf, 3.0, -np.inf]),
+    np.random.default_rng(4).standard_normal(64) * 40.0,
+]
 
 
 def mini_cfg(**kw):
@@ -65,6 +78,12 @@ def test_ess_shift_invariant():
 def test_ess_degenerate():
     with pytest.raises(DegenerateWeightsError):
         ess(np.full(3, -np.inf))
+
+
+@pytest.mark.parametrize("lw", ORACLE_LOG_WEIGHTS)
+def test_ess_matches_logsumexp_oracle(lw):
+    oracle = math.exp(-logsumexp(2.0 * (lw - logsumexp(lw))))
+    assert ess(lw) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_next_temperature_equal_logliks_jumps_to_one():
@@ -149,6 +168,27 @@ def test_resample_multinomial_unbiased():
     freq = counts / (4 * trials)
     se = np.sqrt(w * (1 - w) / (4 * trials))
     assert np.all(np.abs(freq - w) < 5 * se)
+
+
+@pytest.mark.parametrize("lw", ORACLE_LOG_WEIGHTS)
+def test_resample_weights_match_logsumexp_oracle(lw):
+    oracle = np.exp(lw - logsumexp(lw))
+    _, w = smc._max_shift(lw)
+    w /= w.sum()
+    assert np.allclose(w, oracle, rtol=1e-12, atol=0.0)
+    n = lw.shape[0]
+    for scheme in ("multinomial", "systematic"):
+        cfg = mini_cfg(n_particles=n, resampling=scheme)
+        for seed in range(5):
+            idx = resample(lw, cfg, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            if scheme == "multinomial":
+                expect = rng.choice(n, size=n, replace=True, p=oracle)
+            else:
+                cum = np.cumsum(oracle)
+                cum[-1] = 1.0
+                expect = np.searchsorted(cum, (rng.random() + np.arange(n)) / n, side="right")
+            assert np.array_equal(idx, expect)
 
 
 def test_resample_degenerate():
@@ -257,6 +297,33 @@ def test_run_smc_stage_budget_overflow():
     sched = err.value.schedule
     assert len(sched) == 2
     assert 0.0 < sched[-1] < 1.0
+
+
+class _NanLikelihood:
+    """Gaussian target whose log-likelihood is NaN for chosen batch rows."""
+
+    def __init__(self, base, rows):
+        self.base = base
+        self.rows = rows
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def log_likelihood(self, theta, counter=None):
+        ll = np.array(self.base.log_likelihood(theta, counter), dtype=float)
+        if ll.ndim == 1:
+            ll[self.rows] = np.nan
+        return ll
+
+
+def test_run_smc_nan_likelihood_raises_domain_error():
+    target = _NanLikelihood(make_gaussian_target(2, 4, 1.0, seed=0), [1, 5])
+    for resampling in ("multinomial", "systematic"):
+        cfg = SmcConfig(n_particles=8, mutation_steps=1, resampling=resampling)
+        with pytest.raises(NumericalDomainError, match=r"stage 1: .* NaN for 2 of 8") as err:
+            run_smc(cfg, target, seed=0)
+        assert err.value.lam == 0.0
+        assert err.value.theta.shape == (2, 2)
 
 
 def test_run_smc_rejects_bad_seed():

@@ -236,6 +236,40 @@ def test_logistic_loglik_stable_at_extreme_theta():
     assert np.isfinite(value)
 
 
+def _logaddexp_loglik(target, theta):
+    z = np.asarray(theta, dtype=float) @ target.X.T
+    return z @ target.y - np.sum(np.logaddexp(0.0, z), axis=-1)
+
+
+def test_logistic_loglik_matches_logaddexp_oracle():
+    target = make_logistic_target(4, 50, seed=2)
+    rng = np.random.default_rng(6)
+    batch = np.vstack([
+        np.zeros(4),  # z = 0 in every row
+        [800.0, 0.0, 0.0, 0.0],  # z = 800
+        [-800.0, 0.0, 0.0, 0.0],  # z = -800
+        [0.0, 300.0, -300.0, 250.0],  # |z| well past 700 in most rows
+        rng.standard_normal((12, 4)) * 3.0,
+    ])
+    assert np.abs(batch @ target.X.T).max() > 700.0
+    got = target.log_likelihood(batch)
+    assert got.shape == (batch.shape[0],)
+    assert np.allclose(got, _logaddexp_loglik(target, batch), rtol=1e-12, atol=0.0)
+    for theta in batch:
+        one = target.log_likelihood(theta)
+        assert np.ndim(one) == 0
+        assert one == pytest.approx(_logaddexp_loglik(target, theta), rel=1e-12)
+
+
+def test_logistic_loglik_leaves_theta_unmodified():
+    target = make_logistic_target(3, 20, seed=1)
+    theta = np.random.default_rng(2).standard_normal((5, 3)) * 4.0
+    before = theta.copy()
+    target.log_likelihood(theta)
+    target.log_likelihood(theta[0])
+    assert np.array_equal(theta, before)
+
+
 def test_make_logistic_target_shapes():
     target = make_logistic_target(15, 690, seed=1)
     assert target.X.shape == (690, 15)

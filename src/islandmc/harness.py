@@ -33,7 +33,7 @@ from .diagnostics import posterior_mean
 from .kernels import HmcConfig, PcnConfig
 from .mcmc import McmcConfig
 from .seeds import derive_seed
-from .smc import SmcConfig
+from .smc import RESAMPLING_SCHEMES, SmcConfig
 
 CSV_COLUMNS = [
     "method", "N", "P", "M", "B", "T", "replicate",
@@ -87,6 +87,18 @@ def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
+
+
+def _as_bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
+def _as_choice(value, path, choices):
+    if value not in choices:
+        raise ConfigError(f"{path}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def parse_config(payload) -> ExperimentConfig:
@@ -153,7 +165,7 @@ def build_target(spec):
         return targets_mod.make_gaussian_target(
             d=_as_int(_require(spec, "d", "target"), "target.d", 1),
             m=_as_int(_require(spec, "m", "target"), "target.m", 0),
-            sigma=float(spec.get("sigma", 1.0)),
+            sigma=_as_float(spec.get("sigma", 1.0), "target.sigma"),
             seed=_as_int(spec.get("seed", 0), "target.seed", 0),
             theta_star=spec.get("theta_star"),
         )
@@ -163,9 +175,9 @@ def build_target(spec):
             if "weights" not in spec:
                 raise ConfigError("target.weights: required when target.means is given")
             return targets_mod.GmmTarget(spec["weights"], spec["means"])
-        return targets_mod.make_bimodal_gmm(d, weight=float(spec.get("weight", 0.2)))
+        return targets_mod.make_bimodal_gmm(d, weight=_as_float(spec.get("weight", 0.2), "target.weight"))
     if kind == "logistic":
-        prior_var = float(spec.get("prior_var", 100.0))
+        prior_var = _as_float(spec.get("prior_var", 100.0), "target.prior_var")
         if "csv" in spec:
             return targets_mod.load_logistic_csv(spec["csv"], prior_var=prior_var)
         return targets_mod.make_logistic_target(
@@ -217,9 +229,10 @@ def _smc_config(method_spec, point, kernel):
         kernel=kernel,
         ess_fraction=_as_float(method_spec.get("ess_fraction", 0.5), "method.ess_fraction"),
         max_stages=_as_int(method_spec.get("max_stages", 1000), "method.max_stages", 1),
-        resampling=method_spec.get("resampling", "multinomial"),
+        resampling=_as_choice(method_spec.get("resampling", "multinomial"), "method.resampling",
+                              RESAMPLING_SCHEMES),
         schedule=method_spec.get("schedule"),
-        adapt_steps=bool(method_spec.get("adapt_steps", True)),
+        adapt_steps=_as_bool(method_spec.get("adapt_steps", True), "method.adapt_steps"),
     )
 
 

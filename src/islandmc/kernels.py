@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
+from .seeds import stream_words
 from .targets import EvalCounter
 
 
@@ -259,27 +261,43 @@ def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=N
     return _hmc_population_step(pop, lam, cfg, target, normals, log_u, counter, stats)
 
 
+class _StreamSeed(ISeedSequence):
+    """Precomputed PCG64 seed words of one stream from :func:`seeds.stream_words`."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("stream seed holds exactly 4 uint64 words")
+        return self.words
+
+
 def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None, scaling=None, step_size=None):
     """Apply ``n_steps`` kernel sweeps to the whole population.
 
     Particle ``i`` consumes noise from its own stream seeded by
-    ``(seed, stage, i + 1)``: first an ``(n_steps, d)`` standard-normal
-    block, then ``n_steps`` uniforms.  Results therefore do not depend
-    on the order particles are processed in.
+    ``SeedSequence((seed, stage, i + 1))``: first an ``(n_steps, d)``
+    standard-normal block, then ``n_steps`` uniforms.  Results therefore
+    do not depend on the order particles are processed in.  The stream
+    seeds of all particles come from one batch hash,
+    :func:`seeds.stream_words`, which gives numpy's values exactly.
 
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
     n, d = pop.theta.shape
-    normals = np.empty((n_steps, n, d))
-    log_u = np.empty((n_steps, n))
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
-        normals[:, i, :] = rng.standard_normal((n_steps, d))
-        log_u[:, i] = np.log(rng.random(n_steps))
+    normals = np.empty((n, n_steps, d))
+    log_u = np.empty((n, n_steps))
+    for i, words in enumerate(stream_words(seed, stage, n)):
+        rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+        rng.standard_normal(out=normals[i])
+        rng.random(out=log_u[i])
+    np.log(log_u, out=log_u)
+    log_u = log_u.T
     accepted = 0
-    for s in range(n_steps):
+    for s, step_normals in enumerate(normals.transpose(1, 0, 2)):
         accepted += population_step(
-            pop, lam, cfg, target, normals[s], log_u[s], counter, stats, scaling, step_size
+            pop, lam, cfg, target, step_normals, log_u[s], counter, stats, scaling, step_size
         )
     return accepted
 

@@ -23,6 +23,9 @@ from .seeds import check_seed
 from .targets import EvalCounter, NumericalDomainError
 
 
+RESAMPLING_SCHEMES = ("multinomial", "systematic")
+
+
 class DegenerateWeightsError(ValueError):
     """All weights are zero: the population cannot be normalized."""
 
@@ -88,7 +91,7 @@ class SmcConfig:
             raise ValueError("ess_fraction must lie in (0, 1)")
         if self.max_stages < 1:
             raise ValueError("max_stages must be positive")
-        if self.resampling not in ("multinomial", "systematic"):
+        if self.resampling not in RESAMPLING_SCHEMES:
             raise ValueError(f"unknown resampling scheme {self.resampling!r}")
         if self.schedule is not None:
             sched = tuple(float(v) for v in self.schedule)

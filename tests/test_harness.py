@@ -69,6 +69,15 @@ def test_parse_config_type_checks():
     for bad in (None, "a", True, [0.5]):
         with pytest.raises(ConfigError, match=r"method\.ess_fraction"):
             parse_config(base_config(method={"kind": "smc", "ess_fraction": bad}))
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_config(method={"kind": "smc", "adapt_steps": "false"}))
+    assert str(err.value) == "method.adapt_steps: expected true or false, got 'false'"
+    for bad in (0, 1, None):
+        with pytest.raises(ConfigError, match=r"method\.adapt_steps"):
+            parse_config(base_config(method={"kind": "smc", "adapt_steps": bad}))
+    for bad in (None, "stratified", ["systematic"]):
+        with pytest.raises(ConfigError, match=r"^method\.resampling: "):
+            parse_config(base_config(method={"kind": "smc_par", "resampling": bad}))
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():
@@ -102,6 +111,15 @@ def test_build_target_kinds():
         build_target({"kind": "cauchy"})
     with pytest.raises(ConfigError, match=r"target\.weights"):
         build_target({"kind": "gmm", "d": 2, "means": [[0.0, 0.0], [1.0, 1.0]]})
+    bad_floats = [
+        ({"kind": "gaussian", "d": 2, "m": 3, "sigma": "a"}, "sigma"),
+        ({"kind": "gmm", "d": 2, "weight": None}, "weight"),
+        ({"kind": "logistic", "d": 2, "m": 5, "prior_var": [1.0]}, "prior_var"),
+        ({"kind": "logistic", "d": 2, "m": 5, "prior_var": True}, "prior_var"),
+    ]
+    for spec, field in bad_floats:
+        with pytest.raises(ConfigError, match=rf"^target\.{field}: expected a number"):
+            build_target(spec)
 
 
 def test_build_target_logistic_csv(tmp_path):

@@ -8,6 +8,7 @@ from islandmc.kernels import (
     KernelStats,
     PcnConfig,
     Population,
+    _StreamSeed,
     adapt_step_size,
     estimate_scaling,
     gradient_cost_per_step,
@@ -289,6 +290,47 @@ def test_mutate_multi_step_noise_layout():
         rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
         block = rng_i.standard_normal((steps, 2))
         assert np.array_equal(pop.theta[i], block[-1])
+
+
+def _reference_stream_noise(seed, stage, n, n_steps, d):
+    """Per-particle loop over ``SeedSequence((seed, stage, i + 1))`` streams."""
+    normals = np.empty((n_steps, n, d))
+    log_u = np.empty((n_steps, n))
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
+        normals[:, i, :] = rng.standard_normal((n_steps, d))
+        log_u[:, i] = np.log(rng.random(n_steps))
+    return normals, log_u
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 16])
+def test_mutate_matches_reference_stream_loop(n_steps):
+    # batch-derived streams must reproduce the per-particle loop bit for bit
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    cfg = PcnConfig(beta=0.4)
+    seed, stage, lam, n = 2**64 - 59, 2**32 + 3, 0.7, 37
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
+    pop = Population.initialize(target, rng, n)
+    ref = Population(pop.theta.copy(), pop.loglik.copy())
+    stats, ref_stats = KernelStats(), KernelStats()
+    accepted = mutate(pop, lam, n_steps, cfg, target, seed, stage, stats=stats)
+    normals, log_u = _reference_stream_noise(seed, stage, n, n_steps, 3)
+    ref_accepted = sum(
+        population_step(ref, lam, cfg, target, normals[s], log_u[s], stats=ref_stats)
+        for s in range(n_steps)
+    )
+    assert accepted == ref_accepted
+    assert (stats.proposals, stats.accepts) == (ref_stats.proposals, ref_stats.accepts)
+    assert np.array_equal(pop.theta, ref.theta)
+    assert np.array_equal(pop.loglik, ref.loglik)
+
+
+def test_stream_seed_serves_only_pcg64_request():
+    words = np.arange(4, dtype=np.uint64)
+    assert _StreamSeed(words).generate_state(4, np.uint64) is words
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError):
+            _StreamSeed(words).generate_state(n_words, dtype)
 
 
 def test_mutate_accept_count_and_stats():

@@ -89,6 +89,14 @@ def _as_float(value, path):
     return float(value)
 
 
+def _as_vector(value, path, length=None):
+    """A non-empty list of numbers (of ``length`` entries, when given) as floats."""
+    if not isinstance(value, list) or not value or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise ConfigError(f"{path}: expected a list of {size}numbers, got {value!r}")
+    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _as_bool(value, path):
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
@@ -162,24 +170,39 @@ def build_target(spec):
         raise ConfigError("target: expected an object")
     kind = _require(spec, "kind", "target")
     if kind == "gaussian":
+        d = _as_int(_require(spec, "d", "target"), "target.d", 1)
+        theta_star = spec.get("theta_star")
         return targets_mod.make_gaussian_target(
-            d=_as_int(_require(spec, "d", "target"), "target.d", 1),
+            d=d,
             m=_as_int(_require(spec, "m", "target"), "target.m", 0),
             sigma=_as_float(spec.get("sigma", 1.0), "target.sigma"),
             seed=_as_int(spec.get("seed", 0), "target.seed", 0),
-            theta_star=spec.get("theta_star"),
+            theta_star=None if theta_star is None else _as_vector(theta_star, "target.theta_star", d),
         )
     if kind == "gmm":
         d = _as_int(_require(spec, "d", "target"), "target.d", 1)
         if "means" in spec:
             if "weights" not in spec:
                 raise ConfigError("target.weights: required when target.means is given")
-            return targets_mod.GmmTarget(spec["weights"], spec["means"])
+            means = spec["means"]
+            if not isinstance(means, list) or not means:
+                raise ConfigError(f"target.means: expected a list of points, got {means!r}")
+            means = [_as_vector(m, f"target.means[{k}]", d) for k, m in enumerate(means)]
+            weights = _as_vector(spec["weights"], "target.weights", len(means))
+            try:
+                return targets_mod.GmmTarget(weights, means)
+            except ValueError as exc:
+                raise ConfigError(f"target.weights: {exc}") from exc
         return targets_mod.make_bimodal_gmm(d, weight=_as_float(spec.get("weight", 0.2), "target.weight"))
     if kind == "logistic":
         prior_var = _as_float(spec.get("prior_var", 100.0), "target.prior_var")
         if "csv" in spec:
-            return targets_mod.load_logistic_csv(spec["csv"], prior_var=prior_var)
+            if not isinstance(spec["csv"], str):
+                raise ConfigError(f"target.csv: expected a file path, got {spec['csv']!r}")
+            try:
+                return targets_mod.load_logistic_csv(spec["csv"], prior_var=prior_var)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"target.csv: {exc}") from exc
         return targets_mod.make_logistic_target(
             d=_as_int(_require(spec, "d", "target"), "target.d", 1),
             m=_as_int(_require(spec, "m", "target"), "target.m", 1),
@@ -231,7 +254,8 @@ def _smc_config(method_spec, point, kernel):
         max_stages=_as_int(method_spec.get("max_stages", 1000), "method.max_stages", 1),
         resampling=_as_choice(method_spec.get("resampling", "multinomial"), "method.resampling",
                               RESAMPLING_SCHEMES),
-        schedule=method_spec.get("schedule"),
+        schedule=None if method_spec.get("schedule") is None
+        else _as_vector(method_spec["schedule"], "method.schedule"),
         adapt_steps=_as_bool(method_spec.get("adapt_steps", True), "method.adapt_steps"),
     )
 
@@ -240,6 +264,8 @@ def _ais_config(method_spec, point, kernel):
     sched = method_spec.get("schedule", "neal")
     if sched == "neal":
         sched = ais_mod.make_neal_schedule()
+    else:
+        sched = _as_vector(sched, "method.schedule")
     return AisConfig(
         n_samples=point.N,
         schedule=sched,
@@ -251,6 +277,11 @@ def _ais_config(method_spec, point, kernel):
 def _check_point(method_spec, point, target):
     kind = _method_kind(method_spec)
     kernel = build_kernel(method_spec.get("kernel"))
+    if isinstance(kernel, HmcConfig) and np.ndim(kernel.mass) != 0 and np.shape(kernel.mass) != (target.dim,):
+        raise ConfigError(
+            f"method.kernel.mass: expected a number or a list of {target.dim} numbers "
+            f"(target.dim), got {kernel.mass!r}"
+        )
     if kind in ("smc", "mcmc") and point.P != 1:
         raise ConfigError(f"method {kind!r} requires P = 1 (use {kind}_par for islands)")
     if kind in ("smc", "smc_par"):

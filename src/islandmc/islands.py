@@ -60,11 +60,13 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     """Run ``n_islands`` independent islands and collect their results.
 
     Island ``p`` runs with the derived seed :func:`island_seed`
-    ``(master_seed, p)``.  With ``parallelism == 1`` the islands run one
-    after another in this process; with ``parallelism > 1`` they run on
-    a pool of up to ``parallelism`` worker processes, each island's
-    :class:`IslandResult` returned whole.  Both paths give identical
-    results.
+    ``(master_seed, p)``.  With ``parallelism == 1`` the islands run in
+    this process: SMC islands advance in lockstep through
+    :func:`smc.run_smc_islands`, one stacked kernel sweep per stage, and
+    MCMC islands run one after another.  With ``parallelism > 1`` they
+    run on a pool of up to ``parallelism`` worker processes, each
+    island's :class:`IslandResult` returned whole.  Both paths give
+    identical results.
     """
     if n_islands < 1:
         raise ValueError("n_islands must be positive")
@@ -72,7 +74,9 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
         raise ValueError("parallelism must be positive")
     seeds = [island_seed(master_seed, p) for p in range(n_islands)]
     tag = "smc" if isinstance(island_cfg, SmcConfig) else "mcmc"
-    if parallelism == 1:
+    if parallelism == 1 and tag == "smc":
+        results = smc_mod.run_smc_islands(island_cfg, target, seeds)
+    elif parallelism == 1:
         results = [_run_island(island_cfg, target, s) for s in seeds]
     else:
         with ProcessPoolExecutor(max_workers=min(parallelism, n_islands)) as pool:

@@ -17,7 +17,7 @@ likelihood evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -134,6 +134,15 @@ class Population:
             grad_ll = target.grad_log_likelihood(theta, counter)
         return cls(theta, loglik, logprior, grad_ll)
 
+    @classmethod
+    def stack(cls, blocks):
+        """One population holding the rows of ``blocks`` in order."""
+        def cat(name):
+            arrays = [getattr(b, name) for b in blocks]
+            return None if arrays[0] is None else np.concatenate(arrays)
+
+        return cls(cat("theta"), cat("loglik"), cat("logprior"), cat("grad_ll"))
+
     def take(self, idx) -> None:
         """Reindex every array in place (resampling)."""
         self.theta = self.theta[idx]
@@ -162,7 +171,7 @@ def _mass_vector(cfg, d):
     return mass
 
 
-def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None):
+def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step_size=None):
     """Integrate Hamiltonian dynamics for ``cfg.leapfrog_steps`` steps.
 
     Uses the kick-drift-kick scheme: a half momentum update, a full
@@ -170,6 +179,8 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None):
     the gradient shared between adjacent steps.  Costs exactly
     ``leapfrog_steps`` gradient evaluations when the starting
     log-likelihood gradient ``grad_ll`` is supplied, one more otherwise.
+    ``lam`` and ``step_size`` (default ``cfg.step_size``) are scalars or
+    per-row ``(n, 1)`` columns.
 
     Returns
     -------
@@ -180,7 +191,7 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None):
     theta = np.asarray(theta, dtype=float)
     momentum = np.asarray(momentum, dtype=float)
     mass = _mass_vector(cfg, theta.shape[-1])
-    dt = cfg.step_size
+    dt = cfg.step_size if step_size is None else step_size
     steps = cfg.leapfrog_steps
     if grad_ll is None:
         grad_ll = target.grad_log_likelihood(theta, counter)
@@ -194,10 +205,21 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None):
     return theta, momentum, grad_ll
 
 
-def _pcn_population_step(pop, lam, cfg, scaling, target, delta, log_u, counter, stats):
-    """One pCN sweep over the population with pre-drawn noise."""
-    beta = cfg.beta
-    keep = 1.0 - beta**2 * scaling
+def _rows(x):
+    """A per-row ``(n, 1)`` column as an ``(n,)`` vector; scalars pass through."""
+    return x[:, 0] if np.ndim(x) == 2 else x
+
+
+# Python squares a float with libm's pow, numpy by one multiplication; the
+# two differ in the last bit for about one value in a thousand.  Per-row
+# step sizes are squared the way a scalar step size is.
+_py_square = np.frompyfunc(lambda x: x**2, 1, 1)
+
+
+def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter):
+    """One pCN sweep over the population with pre-drawn noise; returns the accept mask."""
+    beta_sq = beta**2 if np.ndim(beta) == 0 else _py_square(beta).astype(float)
+    keep = 1.0 - beta_sq * scaling
     if np.any(keep < -1e-12):
         raise ValueError("scaling entries must satisfy beta^2 * D <= 1")
     keep = np.maximum(keep, 0.0)
@@ -205,21 +227,18 @@ def _pcn_population_step(pop, lam, cfg, scaling, target, delta, log_u, counter, 
     u_new = np.sqrt(keep) * u + beta * np.sqrt(scaling) * delta
     theta_new = target.unwhiten(u_new)
     ll_new = np.atleast_1d(target.log_likelihood(theta_new, counter))
-    if lam == 0.0:
-        accept = np.ones(pop.theta.shape[0], dtype=bool)
-    else:
-        with np.errstate(invalid="ignore"):
-            log_ratio = lam * (ll_new - pop.loglik)
-        accept = log_u <= log_ratio
+    lam = _rows(lam)
+    with np.errstate(invalid="ignore"):
+        log_ratio = lam * (ll_new - pop.loglik)
+    # at lam == 0 the prior-invariant proposal is always accepted
+    accept = (log_u <= log_ratio) | (lam == 0.0)
     pop.theta[accept] = theta_new[accept]
     pop.loglik[accept] = ll_new[accept]
-    if stats is not None:
-        stats.record(accept.size, accept.sum())
-    return int(accept.sum())
+    return accept
 
 
-def _hmc_population_step(pop, lam, cfg, target, z, log_u, counter, stats):
-    """One HMC sweep over the population with pre-drawn noise.
+def _hmc_population_step(pop, lam, cfg, dt, target, z, log_u, counter):
+    """One HMC sweep over the population with pre-drawn noise; returns the accept mask.
 
     ``z`` holds standard-normal draws; momenta are ``sqrt(mass) * z``.
     Non-finite trajectories reject rather than raise.
@@ -228,37 +247,47 @@ def _hmc_population_step(pop, lam, cfg, target, z, log_u, counter, stats):
     mass = _mass_vector(cfg, d)
     momentum = np.sqrt(mass) * z
     kinetic0 = 0.5 * np.sum(momentum * momentum / mass, axis=-1)
-    h0 = -(lam * pop.loglik + pop.logprior) + kinetic0
+    lam_rows = _rows(lam)
+    h0 = -(lam_rows * pop.loglik + pop.logprior) + kinetic0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         theta_new, momentum_new, grad_new = leapfrog(
-            pop.theta, momentum, lam, cfg, target, counter, grad_ll=pop.grad_ll
+            pop.theta, momentum, lam, cfg, target, counter, grad_ll=pop.grad_ll, step_size=dt
         )
         ll_new = np.atleast_1d(target.log_likelihood(theta_new, counter))
         lp_new = np.atleast_1d(target.log_prior(theta_new))
         kinetic1 = 0.5 * np.sum(momentum_new * momentum_new / mass, axis=-1)
-        log_ratio = h0 - (-(lam * ll_new + lp_new) + kinetic1)
+        log_ratio = h0 - (-(lam_rows * ll_new + lp_new) + kinetic1)
     accept = log_u <= log_ratio
     pop.theta[accept] = theta_new[accept]
     pop.loglik[accept] = ll_new[accept]
     pop.logprior[accept] = lp_new[accept]
     pop.grad_ll[accept] = grad_new[accept]
-    if stats is not None:
-        stats.record(accept.size, accept.sum())
-    return int(accept.sum())
+    return accept
 
 
 def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=None, scaling=None, step_size=None):
-    """Dispatch one kernel sweep; ``step_size`` overrides the config value."""
-    if step_size is not None:
-        if isinstance(cfg, PcnConfig):
-            cfg = replace(cfg, beta=step_size)
-        else:
-            cfg = replace(cfg, step_size=step_size)
+    """Dispatch one kernel sweep and return the number of accepted proposals.
+
+    ``lam`` and ``step_size`` (pCN ``beta`` or HMC ``step_size``; the
+    config value when omitted) are scalars or per-row ``(n, 1)`` columns.
+    The pCN ``scaling`` is ``(d,)`` or per-row ``(n, d)``, unit when
+    omitted.  ``stats`` is one :class:`KernelStats` or a sequence of
+    them, one per equal block of rows.
+    """
     if isinstance(cfg, PcnConfig):
+        beta = cfg.beta if step_size is None else step_size
         if scaling is None:
             scaling = np.ones(pop.theta.shape[1])
-        return _pcn_population_step(pop, lam, cfg, scaling, target, normals, log_u, counter, stats)
-    return _hmc_population_step(pop, lam, cfg, target, normals, log_u, counter, stats)
+        accept = _pcn_population_step(pop, lam, beta, scaling, target, normals, log_u, counter)
+    else:
+        dt = cfg.step_size if step_size is None else step_size
+        accept = _hmc_population_step(pop, lam, cfg, dt, target, normals, log_u, counter)
+    if isinstance(stats, KernelStats):
+        stats.record(accept.size, accept.sum())
+    elif stats is not None:
+        for block_stats, block in zip(stats, accept.reshape(len(stats), -1)):
+            block_stats.record(block.size, block.sum())
+    return int(accept.sum())
 
 
 class _StreamSeed(ISeedSequence):
@@ -273,6 +302,16 @@ class _StreamSeed(ISeedSequence):
         return self.words
 
 
+def _per_row(values, n_blocks, block_rows):
+    """One value, or one per block, as a scalar or a per-row ``(n, 1)`` column."""
+    if np.ndim(values) == 0:
+        return values
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n_blocks,):
+        raise ValueError(f"expected one value per block ({n_blocks}), got shape {values.shape}")
+    return np.repeat(values, block_rows)[:, None]
+
+
 def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None, scaling=None, step_size=None):
     """Apply ``n_steps`` kernel sweeps to the whole population.
 
@@ -283,13 +322,30 @@ def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None
     seeds of all particles come from one batch hash,
     :func:`seeds.stream_words`, which gives numpy's values exactly.
 
+    A population stacked from B equal blocks of rows (independent
+    populations advanced in one sweep) takes a sequence of B seeds: row
+    ``i`` of block ``b`` then draws from the stream keyed
+    ``(seed[b], stage, i + 1)``.  ``lam`` and ``step_size`` are then one
+    value or one per block, ``scaling`` is ``(d,)`` or ``(B, d)``, and
+    ``stats`` one :class:`KernelStats` or one per block.
+
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
     n, d = pop.theta.shape
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    n_blocks = len(seeds)
+    if n_blocks == 0 or n % n_blocks:
+        raise ValueError(f"{n} rows do not split into {n_blocks} equal blocks")
+    block_rows = n // n_blocks
+    lam = _per_row(lam, n_blocks, block_rows)
+    step_size = None if step_size is None else _per_row(step_size, n_blocks, block_rows)
+    if scaling is not None and np.ndim(scaling) == 2:
+        scaling = np.repeat(scaling, block_rows, axis=0)
     normals = np.empty((n, n_steps, d))
     log_u = np.empty((n, n_steps))
-    for i, words in enumerate(stream_words(seed, stage, n)):
-        rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+    words = np.concatenate([stream_words(s, stage, block_rows) for s in seeds])
+    for i, row_words in enumerate(words):
+        rng = np.random.Generator(np.random.PCG64(_StreamSeed(row_words)))
         rng.standard_normal(out=normals[i])
         rng.random(out=log_u[i])
     np.log(log_u, out=log_u)
@@ -331,9 +387,9 @@ def pcn_step(theta, lam, cfg, scaling, target, rng, counter=None, loglik=None, s
     pop = Population(theta[None, :].copy(), np.atleast_1d(np.float64(loglik)))
     delta = rng.standard_normal(theta.shape[0])
     log_u = np.log(rng.random())
-    n_acc = _pcn_population_step(
-        pop, lam, cfg, np.asarray(scaling, dtype=float), target,
-        delta[None, :], np.atleast_1d(log_u), counter, stats,
+    n_acc = population_step(
+        pop, lam, cfg, target, delta[None, :], np.atleast_1d(log_u), counter, stats,
+        np.asarray(scaling, dtype=float),
     )
     return pop.theta[0], bool(n_acc), float(pop.loglik[0])
 
@@ -365,9 +421,7 @@ def hmc_step(theta, lam, cfg, target, rng, counter=None, loglik=None, grad_ll=No
     )
     z = rng.standard_normal(theta.shape[0])
     log_u = np.log(rng.random())
-    n_acc = _hmc_population_step(
-        pop, lam, cfg, target, z[None, :], np.atleast_1d(log_u), counter, stats
-    )
+    n_acc = population_step(pop, lam, cfg, target, z[None, :], np.atleast_1d(log_u), counter, stats)
     return pop.theta[0], bool(n_acc), float(pop.loglik[0]), pop.grad_ll[0]
 
 

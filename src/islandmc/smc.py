@@ -9,6 +9,13 @@ resamples, and applies a fixed number of kernel sweeps targeting the
 new exponent.  The returned evidence estimate is unbiased when the
 schedule and the kernel settings are fixed in advance; tuning either
 from the live population perturbs the mean at order 1/N.
+
+Independent runs (islands) share nothing but the target, so
+:func:`run_smc_islands` advances several of them in lockstep: every
+stage stacks the populations of the runs still below exponent 1 and
+mutates them in one kernel sweep, while each run keeps its own ladder,
+evidence, resampling and kernel tuning.  :func:`run_smc` is its
+one-seed call.
 """
 
 from __future__ import annotations
@@ -232,6 +239,22 @@ class IslandResult:
                 raise ValueError("schedule must be strictly increasing from above 0")
 
 
+@dataclass
+class _Island:
+    """The per-island state of the stage loop."""
+
+    seed: int
+    rng: np.random.Generator
+    counter: EvalCounter
+    step_size: float
+    lam: float = 0.0
+    logz: LogZAccumulator = LogZAccumulator()
+    stats: KernelStats = field(default_factory=KernelStats)
+    schedule: list = field(default_factory=list)
+    stage_ess: list = field(default_factory=list)
+    result: IslandResult | None = None
+
+
 def run_smc(cfg, target, seed):
     """Run one SMC island to the posterior and return its result.
 
@@ -247,51 +270,104 @@ def run_smc(cfg, target, seed):
     NumericalDomainError
         If any particle's log-likelihood is NaN at the start of a stage.
     """
-    seed = check_seed(seed)
-    counter = EvalCounter()
-    stats = KernelStats()
-    base_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
-    pop = Population.initialize(
-        target, base_rng, cfg.n_particles, counter,
-        needs_grad=kernels.needs_gradient(cfg.kernel),
-    )
-    lam = 0.0
-    acc = LogZAccumulator()
-    schedule: list = []
-    stage_ess: list = []
-    step_size = cfg.kernel.beta if isinstance(cfg.kernel, PcnConfig) else cfg.kernel.step_size
+    return run_smc_islands(cfg, target, [seed])[0]
+
+
+def run_smc_islands(cfg, target, seeds):
+    """Run one independent SMC island per seed, all in lockstep.
+
+    Island ``p`` gives exactly the result of ``run_smc(cfg, target,
+    seeds[p])``: it has its own base stream, tempering ladder, evidence
+    accumulator, resampling, pCN scaling, step size, kernel statistics
+    and evaluation tally.  Only the kernel sweeps are shared: each stage
+    mutates the islands still below exponent 1 as one stacked
+    population in one :func:`kernels.mutate` call, with island ``p``'s
+    rows drawing noise from the streams of ``seeds[p]``.  An island
+    leaves the stack once it reaches exponent 1.
+
+    Returns the :class:`IslandResult` of each seed, in seed order.  When
+    islands fail, the error of the first one to fail (by stage, then by
+    seed order) is raised, as :func:`run_smc` raises it.
+    """
+    seeds = [check_seed(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    n = cfg.n_particles
+    pcn = isinstance(cfg.kernel, PcnConfig)
+    step_size = cfg.kernel.beta if pcn else cfg.kernel.step_size
+    islands = [
+        _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), EvalCounter(), step_size)
+        for seed in seeds
+    ]
+    pop = Population.stack([
+        Population.initialize(target, island.rng, n, island.counter,
+                              needs_grad=kernels.needs_gradient(cfg.kernel))
+        for island in islands
+    ])
+    active = list(islands)
+
+    def rows(b):
+        """The rows of block ``b`` of ``pop``, which holds ``active[b]``."""
+        return slice(b * n, (b + 1) * n)
+
     for stage in range(1, cfg.max_stages + 1):
-        bad = np.isnan(pop.loglik)
-        if bad.any():
-            raise NumericalDomainError(
-                f"stage {stage}: log-likelihood is NaN for {int(bad.sum())} "
-                f"of {cfg.n_particles} particles (lambda={lam})",
-                theta=pop.theta[bad], lam=lam,
-            )
-        if cfg.schedule is not None:
-            lam_new = cfg.schedule[len(schedule)]
-        else:
-            lam_new = next_temperature(pop.loglik, lam, cfg)
-        stage_lw = (lam_new - lam) * pop.loglik
-        acc = update_logz(acc, stage_lw)
-        stage_ess.append(ess(stage_lw))
-        pop.take(resample(stage_lw, cfg, base_rng))
+        ancestors, lams = [], []
+        for b, island in enumerate(active):
+            loglik = pop.loglik[rows(b)]
+            bad = np.isnan(loglik)
+            if bad.any():
+                raise NumericalDomainError(
+                    f"stage {stage}: log-likelihood is NaN for {int(bad.sum())} "
+                    f"of {n} particles (lambda={island.lam})",
+                    theta=pop.theta[rows(b)][bad], lam=island.lam,
+                )
+            if cfg.schedule is not None:
+                lam_new = cfg.schedule[len(island.schedule)]
+            else:
+                lam_new = next_temperature(loglik, island.lam, cfg)
+            stage_lw = (lam_new - island.lam) * loglik
+            island.logz = update_logz(island.logz, stage_lw)
+            island.stage_ess.append(ess(stage_lw))
+            ancestors.append(resample(stage_lw, cfg, island.rng) + b * n)
+            lams.append(lam_new)
+        pop.take(np.concatenate(ancestors))
         scaling = None
-        if isinstance(cfg.kernel, PcnConfig) and cfg.kernel.use_scaling:
-            scaling = kernels.estimate_scaling(pop.theta, cfg.kernel.scaling_floor)
-        accepted = kernels.mutate(
-            pop, lam_new, cfg.mutation_steps, cfg.kernel, target,
-            seed, stage, counter, stats, scaling, step_size,
+        if pcn and cfg.kernel.use_scaling:
+            scaling = np.stack([
+                kernels.estimate_scaling(pop.theta[rows(b)], cfg.kernel.scaling_floor)
+                for b in range(len(active))
+            ])
+        stage_stats = [KernelStats() for _ in active]
+        stage_counter = EvalCounter()
+        kernels.mutate(
+            pop, lams, cfg.mutation_steps, cfg.kernel, target,
+            [island.seed for island in active], stage, stage_counter, stage_stats,
+            scaling, [island.step_size for island in active],
         )
-        if cfg.adapt_steps and cfg.mutation_steps > 0:
-            rate = accepted / (cfg.n_particles * cfg.mutation_steps)
-            step_size = kernels.adapt_step_size(
-                step_size, rate, cfg.kernel.target_accept, stage - 1
-            )
-            if isinstance(cfg.kernel, PcnConfig):
-                step_size = min(step_size, 1.0)
-        lam = lam_new
-        schedule.append(lam)
-        if lam == 1.0:
-            return IslandResult(pop.theta, acc, schedule, counter, stats, stage_ess)
-    raise ScheduleOverflowError(schedule)
+        keep = []
+        for b, (island, stats, lam_new) in enumerate(zip(active, stage_stats, lams)):
+            # every evaluation of the sweep covers all blocks alike
+            island.counter.add_likelihood(stage_counter.likelihood // len(active))
+            island.counter.add_gradient(stage_counter.gradient // len(active))
+            island.stats.record(stats.proposals, stats.accepts)
+            if cfg.adapt_steps and cfg.mutation_steps > 0:
+                island.step_size = kernels.adapt_step_size(
+                    island.step_size, stats.last_rate, cfg.kernel.target_accept, stage - 1
+                )
+                if pcn:
+                    island.step_size = min(island.step_size, 1.0)
+            island.lam = lam_new
+            island.schedule.append(lam_new)
+            if lam_new == 1.0:
+                island.result = IslandResult(
+                    pop.theta[rows(b)].copy(), island.logz, island.schedule,
+                    island.counter, island.stats, island.stage_ess,
+                )
+            else:
+                keep.append(b)
+        if not keep:
+            return [island.result for island in islands]
+        if len(keep) < len(active):
+            pop.take(np.concatenate([np.arange(n * b, n * (b + 1)) for b in keep]))
+            active = [active[b] for b in keep]
+    raise ScheduleOverflowError(active[0].schedule)

@@ -78,6 +78,16 @@ def test_parse_config_type_checks():
     for bad in (None, "stratified", ["systematic"]):
         with pytest.raises(ConfigError, match=r"^method\.resampling: "):
             parse_config(base_config(method={"kind": "smc_par", "resampling": bad}))
+    for kind, bad in (("smc", 5), ("smc", "abc"), ("smc", [0.5, "1"]), ("smc", []),
+                      ("ais", None), ("ais", "abc"), ("ais", 5), ("ais", [0.0, True])):
+        with pytest.raises(ConfigError, match=r"^method\.schedule(\[\d\])?: expected "):
+            parse_config(base_config(method={"kind": kind, "schedule": bad}))
+    assert parse_config(base_config(method={"kind": "smc", "schedule": None}))
+    assert parse_config(base_config(method={"kind": "ais", "schedule": [0.0, 0.5, 1.0]}))
+    for mass in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
+        with pytest.raises(ConfigError, match=r"^method\.kernel\.mass: expected "):
+            parse_config(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}}))
+    assert parse_config(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": [1.0, 2.0]}}))
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():
@@ -111,6 +121,21 @@ def test_build_target_kinds():
         build_target({"kind": "cauchy"})
     with pytest.raises(ConfigError, match=r"target\.weights"):
         build_target({"kind": "gmm", "d": 2, "means": [[0.0, 0.0], [1.0, 1.0]]})
+    for theta_star in ([1.0], [1.0, 2.0, 3.0], "ones", [1.0, None]):
+        with pytest.raises(ConfigError, match=r"^target\.theta_star(\[\d\])?: expected "):
+            build_target({"kind": "gaussian", "d": 2, "m": 3, "theta_star": theta_star})
+    assert build_target({"kind": "gaussian", "d": 2, "m": 3, "theta_star": [1.0, -1.0]}).dim == 2
+    bad_mixtures = [
+        ({"weights": [0.5, 0.5], "means": [[0.0, 0.0]]}, "weights"),
+        ({"weights": [1.0], "means": [[0.0, 0.0], [1.0, 1.0]]}, "weights"),
+        ({"weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0]]}, r"means\[1\]"),
+        ({"weights": [0.5, 0.5], "means": [[0.0], [1.0]]}, r"means\[0\]"),
+        ({"weights": [0.5, 0.5], "means": []}, "means"),
+        ({"weights": [0.7, 0.7], "means": [[0.0, 0.0], [1.0, 1.0]]}, "weights"),
+    ]
+    for spec, field in bad_mixtures:
+        with pytest.raises(ConfigError, match=rf"^target\.{field}: "):
+            build_target({"kind": "gmm", "d": 2, **spec})
     bad_floats = [
         ({"kind": "gaussian", "d": 2, "m": 3, "sigma": "a"}, "sigma"),
         ({"kind": "gmm", "d": 2, "weight": None}, "weight"),
@@ -127,6 +152,10 @@ def test_build_target_logistic_csv(tmp_path):
     path.write_text("x1,label\n0.5,1\n-1.0,0\n")
     target = build_target({"kind": "logistic", "csv": str(path)})
     assert target.X.shape == (2, 2)
+    (tmp_path / "labels_only.csv").write_text("label\n1\n")
+    for csv_path in (str(tmp_path / "missing.csv"), str(tmp_path / "labels_only.csv"), 3):
+        with pytest.raises(ConfigError, match=r"^target\.csv: "):
+            build_target({"kind": "logistic", "csv": csv_path})
 
 
 def test_build_kernel_kinds():

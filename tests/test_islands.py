@@ -15,16 +15,17 @@ from islandmc.islands import (
     log_mean_evidence,
     run_islands,
 )
-from islandmc.kernels import KernelStats, PcnConfig
+from islandmc.kernels import HmcConfig, KernelStats, PcnConfig
 from islandmc.mcmc import McmcConfig
 from islandmc.smc import (
     DegenerateWeightsError,
     IslandResult,
     LogZAccumulator,
+    ScheduleOverflowError,
     SmcConfig,
     run_smc,
 )
-from islandmc.targets import EvalCounter, make_gaussian_target
+from islandmc.targets import EvalCounter, make_gaussian_target, make_logistic_target
 
 
 def stub_ensemble(sample_sets, logzs):
@@ -200,3 +201,48 @@ def test_island_json_schema_fields():
     rebuilt, seed = island_from_json(payload)
     assert seed == 99
     assert rebuilt.logz.total == 1.0
+
+
+def assert_same_island(got, want):
+    assert set(vars(got)) == set(vars(want))
+    assert np.array_equal(got.samples, want.samples)
+    assert got.logz == want.logz
+    assert got.schedule == want.schedule
+    assert got.epochs == want.epochs
+    assert got.kernel_stats == want.kernel_stats
+    assert got.stage_ess == want.stage_ess
+
+
+# in-process SMC islands advance as one stacked population; each must
+# still equal its own one-island run bit for bit
+STACKED_CASES = {
+    "pcn_scaling_adapted": (PcnConfig(beta=0.5), {}),
+    "pcn_unit_scaling_fixed_steps": (PcnConfig(beta=0.4, use_scaling=False), {"adapt_steps": False}),
+    "pcn_fixed_schedule": (PcnConfig(beta=0.3), {"schedule": (0.05, 0.3, 1.0)}),
+    "pcn_systematic": (PcnConfig(beta=0.5), {"resampling": "systematic"}),
+    "hmc_vector_mass": (HmcConfig(step_size=0.2, leapfrog_steps=3, mass=[1.0, 2.0, 0.5, 1.5, 1.0]), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_stacked_islands_equal_one_island_runs(name):
+    kernel, options = STACKED_CASES[name]
+    target = make_logistic_target(5, 100, seed=1)
+    cfg = SmcConfig(n_particles=16, mutation_steps=2, kernel=kernel, **options)
+    ens = run_islands(4, cfg, target, master_seed=1)
+    assert ens.seeds == [island_seed(1, p) for p in range(4)]
+    for seed, got in zip(ens.seeds, ens.results):
+        assert_same_island(got, run_smc(cfg, target, seed))
+    if "schedule" not in options:
+        # islands finish at different stages and leave the stack early
+        assert len({len(r.schedule) for r in ens.results}) > 1
+
+
+def test_stacked_islands_overflow_names_first_unfinished_island():
+    target = make_gaussian_target(4, 64, 0.05, seed=8)
+    cfg = SmcConfig(n_particles=16, mutation_steps=1, max_stages=2)
+    with pytest.raises(ScheduleOverflowError) as err:
+        run_islands(3, cfg, target, master_seed=5)
+    with pytest.raises(ScheduleOverflowError) as want:
+        run_smc(cfg, target, island_seed(5, 0))
+    assert err.value.schedule == want.value.schedule

@@ -325,6 +325,53 @@ def test_mutate_matches_reference_stream_loop(n_steps):
     assert np.array_equal(pop.loglik, ref.loglik)
 
 
+def _block_population(target, seed, n, needs_grad):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
+    return Population.initialize(target, rng, n, needs_grad=needs_grad)
+
+
+@pytest.mark.parametrize("cfg, step_sizes, scaling", [
+    (PcnConfig(), [0.35, 0.8], [[1.0, 0.5, 0.25], [0.3, 1.0, 0.6]]),
+    (PcnConfig(), [0.6, 0.2], None),
+    (HmcConfig(leapfrog_steps=4, mass=[1.0, 2.0, 0.5]), [0.15, 0.3], None),
+])
+def test_mutate_stacked_blocks_equal_separate_calls(cfg, step_sizes, scaling):
+    # one sweep over two stacked blocks with their own seed, lam, step
+    # size and scaling gives each block exactly its own mutate call
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    seeds, lams, n, stage, steps = [11, 2**63 + 5], [0.3, 0.9], 8, 3, 2
+    grad = needs_gradient(cfg)
+    blocks = [_block_population(target, s, n, grad) for s in seeds]
+    stacked = Population.stack(blocks)
+    counter, stats = EvalCounter(), [KernelStats(), KernelStats()]
+    accepted = mutate(stacked, lams, steps, cfg, target, seeds, stage, counter, stats,
+                      None if scaling is None else np.array(scaling), step_sizes)
+    assert isinstance(accepted, int)
+    assert accepted == stats[0].accepts + stats[1].accepts
+    for b, block in enumerate(blocks):
+        block_counter, block_stats = EvalCounter(), KernelStats()
+        mutate(block, lams[b], steps, cfg, target, seeds[b], stage, block_counter, block_stats,
+               None if scaling is None else np.array(scaling[b]), step_sizes[b])
+        rows = slice(b * n, (b + 1) * n)
+        assert np.array_equal(stacked.theta[rows], block.theta)
+        assert np.array_equal(stacked.loglik[rows], block.loglik)
+        if grad:
+            assert np.array_equal(stacked.logprior[rows], block.logprior)
+            assert np.array_equal(stacked.grad_ll[rows], block.grad_ll)
+        assert stats[b] == block_stats
+        assert counter.likelihood == 2 * block_counter.likelihood
+        assert counter.gradient == 2 * block_counter.gradient
+
+
+def test_mutate_rejects_unequal_blocks():
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    pop = _block_population(target, 1, 5, False)
+    with pytest.raises(ValueError, match="equal blocks"):
+        mutate(pop, [0.5, 0.5], 1, PcnConfig(), target, [1, 2], 1)
+    with pytest.raises(ValueError, match="one value per block"):
+        mutate(_block_population(target, 1, 4, False), [0.5, 0.5, 0.5], 1, PcnConfig(), target, [1, 2], 1)
+
+
 def test_stream_seed_serves_only_pcg64_request():
     words = np.arange(4, dtype=np.uint64)
     assert _StreamSeed(words).generate_state(4, np.uint64) is words

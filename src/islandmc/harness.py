@@ -245,8 +245,19 @@ def _method_kind(method_spec):
     return kind
 
 
+def _method_config(cls, **fields):
+    """``cls(**fields)``, with its schedule shape errors naming ``method.schedule``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        if str(exc).startswith("schedule "):
+            raise ConfigError(f"method.schedule: {exc}") from exc
+        raise
+
+
 def _smc_config(method_spec, point, kernel):
-    return SmcConfig(
+    return _method_config(
+        SmcConfig,
         n_particles=point.N,
         mutation_steps=point.M,
         kernel=kernel,
@@ -266,7 +277,8 @@ def _ais_config(method_spec, point, kernel):
         sched = ais_mod.make_neal_schedule()
     else:
         sched = _as_vector(sched, "method.schedule")
-    return AisConfig(
+    return _method_config(
+        AisConfig,
         n_samples=point.N,
         schedule=sched,
         kernel=kernel,

@@ -285,6 +285,14 @@ def run_smc_islands(cfg, target, seeds):
     rows drawing noise from the streams of ``seeds[p]``.  An island
     leaves the stack once it reaches exponent 1.
 
+    The equality holds by construction when the target's likelihood
+    block height (see ``targets._GaussianPriorTarget``) divides
+    ``n_particles``: island ``p``'s rows then fill whole blocks of the
+    stack, and each block is evaluated as in the one-island run.
+    Otherwise a block mixes rows of several islands, and the equality
+    rests on BLAS giving each row of a product the same value whatever
+    the product's row count.
+
     Returns the :class:`IslandResult` of each seed, in seed order.  When
     islands fail, the error of the first one to fail (by stage, then by
     seed order) is raised, as :func:`run_smc` raises it.

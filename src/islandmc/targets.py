@@ -19,6 +19,10 @@ from scipy.special import expit, logsumexp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
+# float64 entries of one per-row likelihood temporary in a row block
+# (256 KiB, well inside a 2 MiB per-core L2 cache)
+_BLOCK_FLOATS = 32768
+
 
 class NumericalDomainError(ValueError):
     """Raised when a likelihood or tempered gradient is non-finite."""
@@ -110,10 +114,31 @@ class _GaussianPrior:
         return self.unwhiten(rng.standard_normal(shape))
 
 
+def _block_height(width):
+    """Rows per likelihood block for per-row temporaries ``width`` floats wide.
+
+    The largest power of two that keeps one ``(rows, width)`` float64
+    array within ``_BLOCK_FLOATS``, and at least one row.
+    """
+    return 1 << max((_BLOCK_FLOATS // max(width, 1)).bit_length() - 1, 0)
+
+
 class _GaussianPriorTarget:
-    """Shared prior plumbing for the concrete targets below."""
+    """Shared prior plumbing for the concrete targets below.
+
+    The public likelihood and gradient methods check the input, charge
+    the counter once for the whole batch, and evaluate the subclass's
+    ``_log_likelihood``/``_grad_log_likelihood`` in row blocks of at most
+    ``_block_rows`` rows.  Each subclass sets ``_block_rows`` once, with
+    :func:`_block_height` of the width of its widest per-row temporary,
+    so that those temporaries stay in the per-core cache however wide the
+    batch.  A single vector or a batch of at most ``_block_rows`` rows is
+    one call.  A row's value depends only on its own block, so two calls
+    whose blocks hold the same rows return the same values for them.
+    """
 
     _prior: _GaussianPrior
+    _block_rows: int
 
     @property
     def dim(self) -> int:
@@ -144,13 +169,19 @@ class _GaussianPriorTarget:
         theta = self._check(theta)
         if counter is not None:
             counter.add_likelihood(1 if theta.ndim == 1 else theta.shape[0])
-        return self._log_likelihood(theta)
+        return self._in_blocks(self._log_likelihood, theta)
 
     def grad_log_likelihood(self, theta, counter: EvalCounter | None = None):
         theta = self._check(theta)
         if counter is not None:
             counter.add_gradient(1 if theta.ndim == 1 else theta.shape[0])
-        return self._grad_log_likelihood(theta)
+        return self._in_blocks(self._grad_log_likelihood, theta)
+
+    def _in_blocks(self, evaluate, theta):
+        h = self._block_rows
+        if theta.ndim == 1 or theta.shape[0] <= h:
+            return evaluate(theta)
+        return np.concatenate([evaluate(theta[i:i + h]) for i in range(0, theta.shape[0], h)])
 
     def _check(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -218,6 +249,7 @@ class GaussianLinearModel(_GaussianPriorTarget):
         self.X = X
         self.y = y
         self.sigma = float(sigma)
+        self._block_rows = _block_height(m)
         mu0 = np.zeros(d) if mu0 is None else np.asarray(mu0, dtype=float)
         if mu0.shape != (d,):
             raise ValueError(f"mu0 has shape {mu0.shape}, expected ({d},)")
@@ -335,6 +367,7 @@ class GmmTarget(_GaussianPriorTarget):
         self.means = means
         self._log_weights = np.log(weights)
         self._prior = _GaussianPrior(np.zeros(means.shape[1]), std=1.0)
+        self._block_rows = _block_height(means.size)
 
     def mixture_mean(self) -> np.ndarray:
         return self.weights @ self.means
@@ -400,6 +433,7 @@ class LogisticTarget(_GaussianPriorTarget):
         self.y = y
         self.prior_var = float(prior_var)
         self._prior = _GaussianPrior(np.zeros(X.shape[1]), std=float(np.sqrt(prior_var)))
+        self._block_rows = _block_height(X.shape[0])
 
     def _log_likelihood(self, theta):
         z = theta @ self.X.T
@@ -415,7 +449,9 @@ class LogisticTarget(_GaussianPriorTarget):
 
     def _grad_log_likelihood(self, theta):
         z = theta @ self.X.T
-        return (self.y - expit(z)) @ self.X
+        expit(z, out=z)
+        np.subtract(self.y, z, out=z)
+        return z @ self.X
 
 
 def load_logistic_csv(path, prior_var=100.0):

@@ -84,6 +84,18 @@ def test_parse_config_type_checks():
             parse_config(base_config(method={"kind": kind, "schedule": bad}))
     assert parse_config(base_config(method={"kind": "smc", "schedule": None}))
     assert parse_config(base_config(method={"kind": "ais", "schedule": [0.0, 0.5, 1.0]}))
+    for kind, bad, message in (
+        ("smc", [0.5, 0.4, 1.0], "schedule must be strictly increasing"),
+        ("smc_par", [0.5, 0.9], "schedule must start above 0 and end at exactly 1"),
+        ("ais", [0.0, 0.5, 0.9], "schedule must start at exactly 0 and end at exactly 1"),
+        ("ais", [0.0, 0.6, 0.5, 1.0], "schedule must be strictly increasing"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(method={"kind": kind, "schedule": bad}))
+        assert str(err.value) == f"method.schedule: {message}"
+    # other config errors still name the sweep point
+    with pytest.raises(ConfigError, match=r"^sweep\[0\]: n_particles "):
+        parse_config(base_config(method={"kind": "smc", "schedule": [0.5, 1.0]}, sweep=[{"N": 1}]))
     for mass in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
         with pytest.raises(ConfigError, match=r"^method\.kernel\.mass: expected "):
             parse_config(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}}))

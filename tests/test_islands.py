@@ -221,14 +221,22 @@ STACKED_CASES = {
     "pcn_fixed_schedule": (PcnConfig(beta=0.3), {"schedule": (0.05, 0.3, 1.0)}),
     "pcn_systematic": (PcnConfig(beta=0.5), {"resampling": "systematic"}),
     "hmc_vector_mass": (HmcConfig(step_size=0.2, leapfrog_steps=3, mass=[1.0, 2.0, 0.5, 1.5, 1.0]), {}),
+    # m = 1100 data rows give 16-row likelihood blocks, so the 16-particle
+    # islands of the stack are evaluated in the products of their own runs
+    "pcn_blocked_rows": (PcnConfig(beta=0.5), {"m": 1100}),
+    "hmc_blocked_rows": (HmcConfig(step_size=0.1, leapfrog_steps=3), {"m": 1100}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_CASES))
 def test_stacked_islands_equal_one_island_runs(name):
     kernel, options = STACKED_CASES[name]
-    target = make_logistic_target(5, 100, seed=1)
+    options = dict(options)
+    m = options.pop("m", 100)
+    target = make_logistic_target(5, m, seed=1)
     cfg = SmcConfig(n_particles=16, mutation_steps=2, kernel=kernel, **options)
+    if m == 1100:
+        assert target._block_rows == 16  # the 4-island stack spans 4 blocks
     ens = run_islands(4, cfg, target, master_seed=1)
     assert ens.seeds == [island_seed(1, p) for p in range(4)]
     for seed, got in zip(ens.seeds, ens.results):

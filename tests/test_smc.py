@@ -18,7 +18,7 @@ from islandmc.smc import (
     run_smc,
     update_logz,
 )
-from islandmc.targets import EvalCounter, NumericalDomainError, make_gaussian_target
+from islandmc.targets import EvalCounter, GaussianLinearModel, NumericalDomainError, make_gaussian_target
 
 # log-weight vectors for checking the max-shift numerics against scipy:
 # huge offsets either way, zero weights, a lone finite weight
@@ -324,6 +324,33 @@ def test_run_smc_nan_likelihood_raises_domain_error():
             run_smc(cfg, target, seed=0)
         assert err.value.lam == 0.0
         assert err.value.theta.shape == (2, 2)
+
+
+class _NanInSecondBlock(GaussianLinearModel):
+    """Linear model whose log-likelihood is NaN at rows 1 and 3 of a call's second row block."""
+
+    def log_likelihood(self, theta, counter=None):
+        self.blocks_seen = 0
+        return super().log_likelihood(theta, counter)
+
+    def _log_likelihood(self, theta):
+        ll = super()._log_likelihood(theta)
+        self.blocks_seen += 1
+        if self.blocks_seen == 2:
+            ll[[1, 3]] = np.nan
+        return ll
+
+
+def test_run_smc_nan_likelihood_in_second_block_raises_domain_error():
+    base = make_gaussian_target(2, 4096, 1.0, seed=0)
+    target = _NanInSecondBlock(base.X, base.y, base.sigma)
+    assert target._block_rows == 8
+    cfg = SmcConfig(n_particles=16, mutation_steps=1)
+    with pytest.raises(NumericalDomainError, match=r"stage 1: .* NaN for 2 of 16") as err:
+        run_smc(cfg, target, seed=0)
+    assert err.value.lam == 0.0
+    assert err.value.theta.shape == (2, 2)
+    assert target.blocks_seen == 2
 
 
 def test_run_smc_rejects_bad_seed():

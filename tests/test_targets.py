@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from islandmc.targets import (
     EvalCounter,
@@ -211,6 +212,74 @@ def test_counter_charges_one_per_vector():
     model.grad_log_likelihood(np.zeros((4, 2)), counter)
     assert counter.gradient == 4
     assert counter.epochs == 10
+
+
+def test_block_height_keeps_one_temporary_in_cache():
+    # 32768 floats (256 KiB) per (rows, width) temporary, rounded down to a power of two
+    assert make_logistic_target(15, 690, seed=0)._block_rows == 32
+    assert make_logistic_target(5, 1100, seed=0)._block_rows == 16
+    assert make_gaussian_target(16, 32, 1.0, seed=0)._block_rows == 1024
+    assert make_gaussian_target(2, 0, 1.0, seed=0)._block_rows == 32768
+    assert make_gaussian_target(1, 40000, 1.0, seed=0)._block_rows == 1
+    assert GmmTarget([0.5, 0.5], np.zeros((2, 1024)))._block_rows == 16
+
+
+def _blocked_targets():
+    """One target of each kind whose block height is 16 rows."""
+    rng = np.random.default_rng(4)
+    return {
+        "gaussian": make_gaussian_target(3, 2048, 1.0, seed=5),
+        "logistic": make_logistic_target(4, 1100, seed=5),
+        "gmm": GmmTarget(np.full(4, 0.25), rng.standard_normal((4, 512))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic", "gmm"])
+@pytest.mark.parametrize("method", ["log_likelihood", "grad_log_likelihood"])
+def test_blocked_evaluation_matches_blocks_and_one_call(kind, method):
+    target = _blocked_targets()[kind]
+    h = target._block_rows
+    assert h == 16
+    evaluate, unblocked = getattr(target, method), getattr(target, "_" + method)
+    rng = np.random.default_rng(7)
+    for n in (h - 1, h, h + 1, 3 * h + 5):
+        theta = 0.3 * rng.standard_normal((n, target.dim))
+        got = evaluate(theta)
+        per_block = np.concatenate([evaluate(theta[i:i + h]) for i in range(0, n, h)])
+        assert np.array_equal(got, per_block)
+        one = unblocked(theta)
+        assert got.shape == one.shape
+        assert np.allclose(got, one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
+    theta = 0.3 * rng.standard_normal(target.dim)
+    assert np.array_equal(evaluate(theta), unblocked(theta))
+    assert np.shape(evaluate(theta)) == np.shape(unblocked(theta))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "logistic", "gmm"])
+def test_counter_charges_once_per_row_whatever_the_block_count(kind):
+    target = _blocked_targets()[kind]
+    theta = np.zeros((3 * target._block_rows + 5, target.dim))
+    counter = EvalCounter()
+    target.log_likelihood(theta, counter)
+    assert (counter.likelihood, counter.gradient) == (theta.shape[0], 0)
+    target.grad_log_likelihood(theta, counter)
+    assert (counter.likelihood, counter.gradient) == (theta.shape[0], theta.shape[0])
+
+
+def test_logistic_grad_in_place_equals_old_expression():
+    target = _blocked_targets()["logistic"]
+    h = target._block_rows
+    rng = np.random.default_rng(9)
+
+    def old(theta):
+        return (target.y - expit(theta @ target.X.T)) @ target.X
+
+    for n in (1, h - 1, h + 1, 3 * h + 5):
+        theta = 0.5 * rng.standard_normal((n, target.dim))
+        assert np.array_equal(target._grad_log_likelihood(theta), old(theta))
+        blocks = np.concatenate([old(theta[i:i + h]) for i in range(0, n, h)])
+        assert np.array_equal(target.grad_log_likelihood(theta), blocks)
+    assert np.array_equal(target.grad_log_likelihood(theta[0]), old(theta[0]))
 
 
 def test_counter_merge_and_copy():

@@ -109,6 +109,10 @@ def _as_choice(value, path, choices):
     return value
 
 
+# method config fields set from a sweep point, by the name their errors start with
+_POINT_FIELDS = {"n_particles": "N", "n_samples": "N", "mutation_steps": "M", "burn_in": "B", "thin": "T"}
+
+
 def parse_config(payload) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(payload, dict):
@@ -152,7 +156,8 @@ def parse_config(payload) -> ExperimentConfig:
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
-            raise ConfigError(f"sweep[{i}]: {exc}") from exc
+            field = _POINT_FIELDS.get(str(exc).split(" ", 1)[0])
+            raise ConfigError(f"sweep[{i}]{'.' + field if field else ''}: {exc}") from exc
     return cfg
 
 

@@ -40,48 +40,55 @@ def island_seed(master_seed, index) -> int:
     return derive_seed(master_seed, index)
 
 
-def _run_island(cfg, target, seed):
-    if isinstance(cfg, SmcConfig):
-        return smc_mod.run_smc(cfg, target, seed)
-    stats = KernelStats()
-    if cfg.mode == "serial":
-        samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed, stats=stats)
-    else:
-        chain_seeds = [derive_seed(seed, 1, c) for c in range(cfg.n_samples)]
-        samples, per_chain = mcmc_mod.run_chains_parallel(cfg, target, chain_seeds, stats=stats)
-        counter = EvalCounter()
-        for c in per_chain:
-            counter.merge(c)
-    # MCMC targets the posterior directly; its evidence estimate is defined as 1
-    return IslandResult(samples, LogZAccumulator(), [1.0], counter, stats)
+def _run_mcmc_islands(cfg, target, seeds):
+    """One MCMC island per seed, run one after another."""
+    results = []
+    for seed in seeds:
+        stats = KernelStats()
+        if cfg.mode == "serial":
+            samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed, stats=stats)
+        else:
+            chain_seeds = [derive_seed(seed, 1, c) for c in range(cfg.n_samples)]
+            samples, per_chain = mcmc_mod.run_chains_parallel(cfg, target, chain_seeds, stats=stats)
+            counter = EvalCounter()
+            for c in per_chain:
+                counter.merge(c)
+        # MCMC targets the posterior directly; its evidence estimate is defined as 1
+        results.append(IslandResult(samples, LogZAccumulator(), [1.0], counter, stats))
+    return results
 
 
 def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     """Run ``n_islands`` independent islands and collect their results.
 
     Island ``p`` runs with the derived seed :func:`island_seed`
-    ``(master_seed, p)``.  With ``parallelism == 1`` the islands run in
-    this process: SMC islands advance in lockstep through
-    :func:`smc.run_smc_islands`, one stacked kernel sweep per stage, and
-    MCMC islands run one after another.  With ``parallelism > 1`` they
-    run on a pool of up to ``parallelism`` worker processes, each
-    island's :class:`IslandResult` returned whole.  Both paths give
-    identical results.
+    ``(master_seed, p)``.  SMC islands advance in lockstep through
+    :func:`smc.run_smc_islands`, one stacked block pass per stage; MCMC
+    islands run one after another.  With ``parallelism == 1`` everything
+    runs in this process.  With ``parallelism > 1`` the islands run on
+    ``min(parallelism, n_islands)`` worker processes: each worker makes
+    one stacked SMC run on a contiguous share of the seeds, or runs
+    MCMC islands one task per island.  Results come back in seed order
+    and are identical either way.
     """
     if n_islands < 1:
         raise ValueError("n_islands must be positive")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
     seeds = [island_seed(master_seed, p) for p in range(n_islands)]
-    tag = "smc" if isinstance(island_cfg, SmcConfig) else "mcmc"
-    if parallelism == 1 and tag == "smc":
-        results = smc_mod.run_smc_islands(island_cfg, target, seeds)
-    elif parallelism == 1:
-        results = [_run_island(island_cfg, target, s) for s in seeds]
+    smc = isinstance(island_cfg, SmcConfig)
+    run = smc_mod.run_smc_islands if smc else _run_mcmc_islands
+    if parallelism == 1:
+        results = run(island_cfg, target, seeds)
     else:
-        with ProcessPoolExecutor(max_workers=min(parallelism, n_islands)) as pool:
-            results = list(pool.map(_run_island, repeat(island_cfg), repeat(target), seeds))
-    return IslandEnsemble(results, seeds, tag)
+        workers = min(parallelism, n_islands)
+        if smc:
+            shares = [seeds[w * n_islands // workers:(w + 1) * n_islands // workers] for w in range(workers)]
+        else:
+            shares = [[seed] for seed in seeds]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = [r for share in pool.map(run, repeat(island_cfg), repeat(target), shares) for r in share]
+    return IslandEnsemble(results, seeds, "smc" if smc else "mcmc")
 
 
 def island_weights(logz_totals):

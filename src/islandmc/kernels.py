@@ -441,11 +441,13 @@ def estimate_scaling(population, floor=1e-8):
     """Diagonal pCN proposal scaling from a particle population.
 
     Coordinate-wise sample variances (ddof 1), floored below by
-    ``floor`` and normalized so the largest entry is exactly 1.
+    ``floor`` and normalized so the largest entry is exactly 1.  A
+    ``(P, n, d)`` stack of P populations gives the ``(P, d)`` scalings
+    of its populations, each equal to that of its own ``(n, d)`` block.
     """
     population = np.asarray(population, dtype=float)
-    if population.ndim != 2 or population.shape[0] < 2:
+    if population.ndim not in (2, 3) or population.shape[-2] < 2:
         raise ValueError("need at least two particles to estimate scaling")
-    var = population.var(axis=0, ddof=1)
+    var = population.var(axis=-2, ddof=1)
     var = np.maximum(var, floor)
-    return var / var.max()
+    return var / var.max(axis=-1, keepdims=True)

@@ -158,32 +158,103 @@ def ess(log_weights):
     return float(s * s / np.dot(w, w))
 
 
+def _ess_rows(log_weights, top):
+    """:func:`ess` of every row of a ``(..., N)`` block with row maxima ``top``.
+
+    Each value equals ``ess`` of its row bit for bit: the same shift,
+    ``exp`` and row sum, and the stacked matmul makes the same BLAS dot
+    as ``np.dot`` (``np.einsum`` sums in another order).
+    """
+    w = log_weights - top[..., None]
+    np.exp(w, out=w)
+    s = w.sum(axis=-1)
+    return s * s / (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+# bisection steps settled per block evaluation, and the iteration cap
+_ROUND_STEPS = 4
+_MAX_BISECTIONS = 200
+_GRID = 1 << _ROUND_STEPS  # intervals of one round's grid
+# (midpoint, left, right) grid indices, coarsest level first
+_GRID_MIDPOINTS = [
+    (left + half, left, left + 2 * half)
+    for half in (_GRID >> k for k in range(1, _ROUND_STEPS + 1))
+    for left in range(0, _GRID, 2 * half)
+]
+
+
+def _bisection_grid(lo, hi):
+    """The points the next ``_ROUND_STEPS`` bisection steps of ``[lo, hi]`` can reach.
+
+    Returns the ``_GRID + 1`` breakpoints in increasing order, each
+    midpoint computed as ``0.5 * (left + right)`` of its neighbours one
+    level up, exactly as the sequential search computes it.
+    """
+    grid = [lo] * (_GRID + 1)
+    grid[-1] = hi
+    for mid, left, right in _GRID_MIDPOINTS:
+        grid[mid] = 0.5 * (grid[left] + grid[right])
+    return grid
+
+
 def next_temperature(loglik, lambda_prev, cfg):
     """Choose the next tempering exponent by pinning the stage ESS.
 
     Finds the increment ``h`` with ``ESS(h * loglik) = ess_fraction * N``
-    by bisection (absolute tolerance 1e-10 in ``h``, at most 200
-    iterations).  Returns exactly 1.0 when the full remaining increment
-    already satisfies the ESS constraint.
+    by bisection of ``[0, 1 - lambda_prev]`` (absolute tolerance 1e-10
+    in ``h``, at most 200 iterations).  Returns exactly 1.0 when the
+    full remaining increment already satisfies the ESS constraint.
+
+    ``loglik`` is one island's ``(N,)`` vector, giving one exponent, or
+    a ``(P, N)`` block of P islands, giving an array of P exponents;
+    ``lambda_prev`` is then one exponent or P of them.  Each row gets
+    exactly the exponent of its own bisection, with its own stopping
+    step.  The rows are bisected together in rounds: one block pass
+    evaluates the ESS at the 15 points the next 4 steps of each row can
+    visit, then each row walks its path through them.
     """
     loglik = np.asarray(loglik, dtype=float)
-    n = loglik.shape[0]
-    target_ess = cfg.ess_fraction * n
-    hi = 1.0 - lambda_prev
-    if hi <= 0.0:
-        raise ValueError("lambda_prev must be below 1")
-    if ess(hi * loglik) >= target_ess:
-        return 1.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if ess(mid * loglik) >= target_ess:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10:
+    block = loglik.reshape(-1, loglik.shape[-1])
+    lam_prev = np.broadcast_to(np.asarray(lambda_prev, dtype=float), block.shape[:1]).tolist()
+    if not all(0.0 <= lam < 1.0 for lam in lam_prev):
+        raise ValueError("lambda_prev must lie in [0, 1)")
+    target_ess = cfg.ess_fraction * block.shape[1]
+    top = block.max(axis=1)
+    if (top == -np.inf).any():
+        raise DegenerateWeightsError("all weights are zero")
+    new = [1.0] * len(lam_prev)
+    live = [(p, 0.0, 1.0 - lam) for p, lam in enumerate(lam_prev)]  # (row, lo, hi)
+    for r in range(_MAX_BISECTIONS // _ROUND_STEPS):
+        if not live:
             break
-    return lambda_prev + 0.5 * (lo + hi)
+        grids = [_bisection_grid(lo, hi) for _, lo, hi in live]
+        # the first round also tests the full increment, each grid's end
+        points = np.array(grids)[:, 1:] if r == 0 else np.array(grids)[:, 1:-1]
+        rows = [p for p, _, _ in live]
+        ll, tp = (block, top) if len(rows) == len(block) else (block[rows], top[rows])
+        # h > 0 scales monotonically, so max(h * loglik) is h * max(loglik)
+        passes = (_ess_rows(points[:, :, None] * ll[:, None, :], points * tp[:, None])
+                  >= target_ess).tolist()
+        still = []
+        for (p, _, _), grid, ok in zip(live, grids, passes):
+            if r == 0 and ok[-1]:
+                continue  # clamps to 1
+            i, s = 0, _GRID
+            while True:
+                s >>= 1
+                if ok[i + s - 1]:
+                    i += s
+                stop = grid[i + s] - grid[i] <= 1e-10
+                if stop or s == 1:
+                    break
+            if stop:
+                new[p] = lam_prev[p] + 0.5 * (grid[i] + grid[i + s])
+            else:
+                still.append((p, grid[i], grid[i + 1]))
+        live = still
+    for p, lo, hi in live:  # out of iterations
+        new[p] = lam_prev[p] + 0.5 * (lo + hi)
+    return new[0] if loglik.ndim == 1 else np.array(new)
 
 
 def resample(log_weights, cfg, rng):
@@ -279,11 +350,14 @@ def run_smc_islands(cfg, target, seeds):
     Island ``p`` gives exactly the result of ``run_smc(cfg, target,
     seeds[p])``: it has its own base stream, tempering ladder, evidence
     accumulator, resampling, pCN scaling, step size, kernel statistics
-    and evaluation tally.  Only the kernel sweeps are shared: each stage
-    mutates the islands still below exponent 1 as one stacked
-    population in one :func:`kernels.mutate` call, with island ``p``'s
-    rows drawing noise from the streams of ``seeds[p]``.  An island
-    leaves the stack once it reaches exponent 1.
+    and evaluation tally.  Only the block passes are shared: each stage
+    bisects the next exponents of the islands still below exponent 1 in
+    one :func:`next_temperature` call on their ``(P, N)`` log-likelihood
+    block, computes their stage ESS and pCN scalings in one pass each,
+    and mutates them as one stacked population in one
+    :func:`kernels.mutate` call, with island ``p``'s rows drawing noise
+    from the streams of ``seeds[p]``.  Evidence and resampling stay per
+    island.  An island leaves the stack once it reaches exponent 1.
 
     The equality holds by construction when the target's likelihood
     block height (see ``targets._GaussianPriorTarget``) divides
@@ -319,41 +393,49 @@ def run_smc_islands(cfg, target, seeds):
         return slice(b * n, (b + 1) * n)
 
     for stage in range(1, cfg.max_stages + 1):
-        ancestors, lams = [], []
-        for b, island in enumerate(active):
-            loglik = pop.loglik[rows(b)]
-            bad = np.isnan(loglik)
-            if bad.any():
-                raise NumericalDomainError(
-                    f"stage {stage}: log-likelihood is NaN for {int(bad.sum())} "
-                    f"of {n} particles (lambda={island.lam})",
-                    theta=pop.theta[rows(b)][bad], lam=island.lam,
-                )
-            if cfg.schedule is not None:
-                lam_new = cfg.schedule[len(island.schedule)]
-            else:
-                lam_new = next_temperature(loglik, island.lam, cfg)
-            stage_lw = (lam_new - island.lam) * loglik
-            island.logz = update_logz(island.logz, stage_lw)
-            island.stage_ess.append(ess(stage_lw))
-            ancestors.append(resample(stage_lw, cfg, island.rng) + b * n)
-            lams.append(lam_new)
+        k = len(active)
+        loglik = pop.loglik.reshape(k, n)
+        # a row with a NaN, or with no finite log-likelihood, fails; the
+        # islands before the first such row still reweight and resample
+        # first, as their one-island runs would
+        top = loglik.max(axis=1)
+        failed = np.flatnonzero(~(top > -np.inf))
+        first_bad = failed[0] if failed.size else k
+        lams = [island.lam for island in active[:first_bad]]
+        if cfg.schedule is not None:
+            lams_new = [cfg.schedule[len(island.schedule)] for island in active[:first_bad]]
+        else:
+            lams_new = next_temperature(loglik[:first_bad], lams, cfg).tolist()
+        stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
+        stage_ess = _ess_rows(stage_lw, stage_lw.max(axis=1)).tolist()
+        ancestors = []
+        for b, island in enumerate(active[:first_bad]):
+            island.logz = update_logz(island.logz, stage_lw[b])
+            island.stage_ess.append(stage_ess[b])
+            ancestors.append(resample(stage_lw[b], cfg, island.rng) + b * n)
+        if first_bad < k:
+            island = active[first_bad]
+            bad = np.isnan(loglik[first_bad])
+            if not bad.any():
+                raise DegenerateWeightsError("all weights are zero")
+            raise NumericalDomainError(
+                f"stage {stage}: log-likelihood is NaN for {int(bad.sum())} "
+                f"of {n} particles (lambda={island.lam})",
+                theta=pop.theta[rows(first_bad)][bad], lam=island.lam,
+            )
         pop.take(np.concatenate(ancestors))
         scaling = None
         if pcn and cfg.kernel.use_scaling:
-            scaling = np.stack([
-                kernels.estimate_scaling(pop.theta[rows(b)], cfg.kernel.scaling_floor)
-                for b in range(len(active))
-            ])
+            scaling = kernels.estimate_scaling(pop.theta.reshape(k, n, -1), cfg.kernel.scaling_floor)
         stage_stats = [KernelStats() for _ in active]
         stage_counter = EvalCounter()
         kernels.mutate(
-            pop, lams, cfg.mutation_steps, cfg.kernel, target,
+            pop, lams_new, cfg.mutation_steps, cfg.kernel, target,
             [island.seed for island in active], stage, stage_counter, stage_stats,
             scaling, [island.step_size for island in active],
         )
         keep = []
-        for b, (island, stats, lam_new) in enumerate(zip(active, stage_stats, lams)):
+        for b, (island, stats, lam_new) in enumerate(zip(active, stage_stats, lams_new)):
             # every evaluation of the sweep covers all blocks alike
             island.counter.add_likelihood(stage_counter.likelihood // len(active))
             island.counter.add_gradient(stage_counter.gradient // len(active))

@@ -93,8 +93,8 @@ def test_parse_config_type_checks():
         with pytest.raises(ConfigError) as err:
             parse_config(base_config(method={"kind": kind, "schedule": bad}))
         assert str(err.value) == f"method.schedule: {message}"
-    # other config errors still name the sweep point
-    with pytest.raises(ConfigError, match=r"^sweep\[0\]: n_particles "):
+    # a population size the method rejects names the sweep point's N
+    with pytest.raises(ConfigError, match=r"^sweep\[0\]\.N: n_particles must be at least 2$"):
         parse_config(base_config(method={"kind": "smc", "schedule": [0.5, 1.0]}, sweep=[{"N": 1}]))
     for mass in ([1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]):
         with pytest.raises(ConfigError, match=r"^method\.kernel\.mass: expected "):

@@ -127,6 +127,19 @@ def test_run_islands_parallelism_invariant():
         assert len(ra.stage_ess) == len(ra.schedule)
 
 
+def test_run_islands_process_shares_equal_serial_stack():
+    # 5 islands on 2 workers: one stacked run on each share of the seeds
+    target = make_logistic_target(5, 100, seed=1)
+    cfg = SmcConfig(n_particles=16, mutation_steps=2, kernel=PcnConfig(beta=0.5))
+    serial = run_islands(5, cfg, target, master_seed=9)
+    parallel = run_islands(5, cfg, target, master_seed=9, parallelism=2)
+    assert parallel.seeds == serial.seeds
+    assert parallel.method_tag == serial.method_tag == "smc"
+    for got, want in zip(parallel.results, serial.results):
+        assert_same_island(got, want)
+    assert len({len(r.schedule) for r in serial.results}) > 1
+
+
 def test_run_islands_smoke_many_islands():
     target = make_gaussian_target(4, 8, 1.0, seed=6)
     cfg = SmcConfig(n_particles=32, mutation_steps=2)

@@ -450,6 +450,19 @@ def test_estimate_scaling_permutation_invariant():
     assert estimate_scaling(pop) == pytest.approx(estimate_scaling(pop[perm]), rel=1e-12)
 
 
+def test_estimate_scaling_stack_equals_per_block_calls():
+    rng = np.random.default_rng(12)
+    for p, n, d in ((1, 2, 1), (3, 16, 5), (8, 32, 15), (5, 7, 3)):
+        stack = rng.standard_normal((p, n, d)) * rng.random(d) * 10.0 + rng.standard_normal(d)
+        stack[-1, :, 0] = 2.0  # a constant coordinate hits the floor
+        got = estimate_scaling(stack, floor=1e-6)
+        assert got.shape == (p, d)
+        for block, row in zip(stack, got):
+            assert np.array_equal(row, estimate_scaling(block, floor=1e-6))
+
+
 def test_estimate_scaling_needs_two_particles():
     with pytest.raises(ValueError):
         estimate_scaling(np.zeros((1, 2)))
+    with pytest.raises(ValueError):
+        estimate_scaling(np.zeros((3, 1, 2)))

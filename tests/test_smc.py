@@ -130,6 +130,82 @@ def test_next_temperature_terminal_clamp():
     assert next_temperature(loglik, 0.999, cfg) == 1.0
 
 
+def sequential_next_temperature(loglik, lambda_prev, cfg):
+    """One-row ESS bisection, step by step; returns (exponent, steps taken)."""
+    target_ess = cfg.ess_fraction * loglik.shape[0]
+    hi = 1.0 - lambda_prev
+    if ess(hi * loglik) >= target_ess:
+        return 1.0, 0
+    lo = 0.0
+    for step in range(1, 201):
+        mid = 0.5 * (lo + hi)
+        if ess(mid * loglik) >= target_ess:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-10:
+            break
+    return lambda_prev + 0.5 * (lo + hi), step
+
+
+@pytest.mark.parametrize("n", [2, 16, 32, 257])
+def test_block_next_temperature_equals_sequential_rows(n):
+    rng = np.random.default_rng(n)
+    cfg = mini_cfg(n_particles=n, ess_fraction=0.6)
+    for trial in range(12):
+        p = 1 if trial == 0 else 7
+        loglik = rng.standard_normal((p, n)) * rng.choice([0.01, 1.0, 30.0, 1e4], size=(p, 1)) - 500.0
+        loglik[p // 2, 0] = -np.inf  # a zero-weight particle
+        lams = rng.choice([0.0, 0.25, 0.9, 0.999, 1.0 - 1e-7], size=p)
+        got = next_temperature(loglik, lams, cfg)
+        assert got.shape == (p,)
+        want = [sequential_next_temperature(row, lam, cfg) for row, lam in zip(loglik, lams.tolist())]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v, _ in want]
+        for row, lam, (v, _) in zip(loglik, lams.tolist(), want):
+            assert float(next_temperature(row, lam, cfg)).hex() == float(v).hex()
+        if trial > 0:
+            # rows clamp to 1 or stop in different rounds of the block pass
+            rounds = {(steps - 1) // smc._ROUND_STEPS for _, steps in want if steps}
+            assert len(rounds) > 1 or any(steps == 0 for _, steps in want)
+    # one shared exponent broadcasts over the rows
+    loglik = rng.standard_normal((3, n)) * 5.0
+    assert np.array_equal(next_temperature(loglik, 0.5, cfg), next_temperature(loglik, [0.5] * 3, cfg))
+
+
+def test_block_next_temperature_mixed_stopping_rounds_and_clamps():
+    # rows with different previous exponents stop after different numbers
+    # of steps; a flat row and a nearly-finished row clamp to 1
+    rng = np.random.default_rng(3)
+    cfg = mini_cfg(n_particles=16)
+    base = rng.standard_normal(16) * 40.0
+    loglik = np.stack([base, 1e4 * base, 1e7 * base, np.full(16, -2.0), base, 1e-3 * base])
+    lams = [0.0, 0.999, 0.999999, 0.3, 0.5, 0.9999]
+    want = [sequential_next_temperature(row, lam, cfg) for row, lam in zip(loglik, lams)]
+    assert {steps for _, steps in want} >= {0}
+    assert len({(steps - 1) // smc._ROUND_STEPS for _, steps in want if steps}) >= 3
+    got = next_temperature(loglik, lams, cfg)
+    assert [v.hex() for v in got.tolist()] == [float(v).hex() for v, _ in want]
+
+
+def test_block_next_temperature_rejects_dead_rows_and_finished_islands():
+    cfg = mini_cfg(n_particles=3)
+    loglik = np.array([[0.0, 1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
+    with pytest.raises(DegenerateWeightsError):
+        next_temperature(loglik, [0.0, 0.0], cfg)
+    with pytest.raises(ValueError, match="lambda_prev"):
+        next_temperature(loglik[:1], [1.0], cfg)
+
+
+@pytest.mark.parametrize("n", [2, 16, 32, 257])
+def test_row_ess_equals_ess(n):
+    rng = np.random.default_rng(100 + n)
+    lw = rng.standard_normal((40, n)) * rng.choice([0.01, 1.0, 40.0, 700.0], size=(40, 1))
+    lw += rng.choice([-700.0, 0.0, 700.0], size=(40, 1))
+    lw[::5, : n // 2] = -np.inf
+    got = smc._ess_rows(lw, lw.max(axis=1))
+    assert [v.hex() for v in got.tolist()] == [ess(row).hex() for row in lw]
+
+
 def test_resample_systematic_uniform_is_permutation_free():
     cfg = mini_cfg(n_particles=8, resampling="systematic")
     idx = resample(np.zeros(8), cfg, np.random.default_rng(0))
@@ -351,6 +427,55 @@ def test_run_smc_nan_likelihood_in_second_block_raises_domain_error():
     assert err.value.lam == 0.0
     assert err.value.theta.shape == (2, 2)
     assert target.blocks_seen == 2
+
+
+class _BadInitialRows:
+    """Gaussian target whose ``call``-th log-likelihood call sets chosen rows to ``value``."""
+
+    def __init__(self, base, bad):
+        self.base = base
+        self.bad = bad  # call index -> (rows, value)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def log_likelihood(self, theta, counter=None):
+        ll = np.array(self.base.log_likelihood(theta, counter), dtype=float)
+        rows, value = self.bad.get(self.calls, ([], 0.0))
+        ll[rows] = value
+        self.calls += 1
+        return ll
+
+
+@pytest.mark.parametrize("schedule", [None, (0.5, 1.0)])
+def test_stacked_islands_raise_the_first_failing_islands_error(schedule):
+    # each island's initial population is one likelihood call, in seed order
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    cfg = SmcConfig(n_particles=8, mutation_steps=1, schedule=schedule)
+    seeds = [11, 12, 13, 14]
+    all_rows = list(range(8))
+    # NaNs in islands 1 and 2: island 1's error, with its count, rows and exponent
+    target = _BadInitialRows(base, {1: ([0, 3], np.nan), 2: ([1, 2, 5], np.nan)})
+    with pytest.raises(NumericalDomainError) as got:
+        smc.run_smc_islands(cfg, target, seeds)
+    with pytest.raises(NumericalDomainError) as want:
+        run_smc(cfg, _BadInitialRows(base, {0: ([0, 3], np.nan)}), seeds[1])
+    assert str(got.value) == str(want.value)
+    assert "NaN for 2 of 8" in str(got.value)
+    assert np.array_equal(got.value.theta, want.value.theta)
+    assert got.value.theta.shape == (2, 2)
+    assert got.value.lam == want.value.lam == 0.0
+    # an island with no finite log-likelihood before a NaN island: its error wins
+    target = _BadInitialRows(base, {1: (all_rows, -np.inf), 2: ([4], np.nan)})
+    with pytest.raises(DegenerateWeightsError, match="all weights are zero"):
+        smc.run_smc_islands(cfg, target, seeds)
+    with pytest.raises(DegenerateWeightsError, match="all weights are zero"):
+        run_smc(cfg, _BadInitialRows(base, {0: (all_rows, -np.inf)}), seeds[1])
+    # and a NaN island before a dead one raises the NaN
+    target = _BadInitialRows(base, {1: ([4], np.nan), 2: (all_rows, -np.inf)})
+    with pytest.raises(NumericalDomainError, match="NaN for 1 of 8"):
+        smc.run_smc_islands(cfg, target, seeds)
 
 
 def test_run_smc_rejects_bad_seed():

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
 from .seeds import check_seed
-from .targets import EvalCounter
+from .targets import EvalCounter, logsumexp
 
 
 @dataclass(frozen=True)

@@ -217,21 +217,44 @@ def build_target(spec):
     raise ConfigError(f"target.kind: unknown target kind {kind!r}")
 
 
+def _as_mass(value, path):
+    """A number, or a non-empty list of numbers, as floats."""
+    if not isinstance(value, list):
+        return _as_float(value, path)
+    try:
+        return _as_vector(value, path)
+    except ConfigError:
+        raise ConfigError(f"{path}: expected a number or a list of numbers, got {value!r}") from None
+
+
+# kernel kind -> (config class, parser of each field)
+_KERNELS = {
+    "pcn": (PcnConfig, {"beta": _as_float, "use_scaling": _as_bool,
+                        "scaling_floor": _as_float, "target_accept": _as_float}),
+    "hmc": (HmcConfig, {"step_size": _as_float, "leapfrog_steps": _as_int,
+                        "mass": _as_mass, "target_accept": _as_float}),
+}
+
+
 def build_kernel(spec):
     if spec is None:
         return PcnConfig()
     if not isinstance(spec, dict):
         raise ConfigError("method.kernel: expected an object")
     kind = spec.get("kind", "pcn")
-    opts = {k: v for k, v in spec.items() if k != "kind"}
+    if not isinstance(kind, str) or kind not in _KERNELS:
+        raise ConfigError(f"method.kernel.kind: unknown kernel kind {kind!r}")
+    cls, parsers = _KERNELS[kind]
+    unknown = set(spec) - set(parsers) - {"kind"}
+    if unknown:
+        raise ConfigError(f"method.kernel: unknown fields {sorted(unknown)} for kind {kind!r}")
+    opts = {k: parsers[k](v, f"method.kernel.{k}") for k, v in spec.items() if k != "kind"}
     try:
-        if kind == "pcn":
-            return PcnConfig(**opts)
-        if kind == "hmc":
-            return HmcConfig(**opts)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"method.kernel: {exc}") from exc
-    raise ConfigError(f"method.kernel.kind: unknown kernel kind {kind!r}")
+        return cls(**opts)
+    except ValueError as exc:
+        # the config classes start each message with the field's name
+        field = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"method.kernel{'.' + field if field in parsers else ''}: {exc}") from exc
 
 
 def analytic_truth(target):

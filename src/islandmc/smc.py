@@ -128,23 +128,46 @@ class LogZAccumulator:
 
 
 def _max_shift(log_weights):
-    """Return ``m = max(lw)`` and the weights ``exp(lw - m)``, largest exactly 1."""
+    """Row maxima ``m`` of a ``(..., N)`` block and the weights ``exp(lw - m)``.
+
+    Each row's largest weight is exactly 1.  A 1-D ``log_weights`` gives
+    one maximum and one weight vector.
+    """
     lw = np.asarray(log_weights, dtype=float)
-    m = float(np.max(lw))
-    if m == -np.inf:
+    m = lw.max(axis=-1)
+    if np.any(m == -np.inf):
         raise DegenerateWeightsError("all weights are zero")
-    return m, np.exp(lw - m)
+    return m, _shifted_exp(lw, m)
 
 
-def update_logz(acc, stage_log_weights):
+def _shifted_exp(log_weights, top):
+    """``exp(log_weights - top)`` for a ``(..., N)`` block with row maxima ``top``."""
+    w = log_weights - top[..., None]
+    np.exp(w, out=w)
+    return w
+
+
+def _ess_of(w):
+    """``sum(w)^2 / sum(w^2)`` of every row of a ``(..., N)`` block of weights.
+
+    A row's value does not depend on the block around it: the row sum is
+    the 1-D sum, and the stacked matmul makes the same BLAS dot as
+    ``np.dot`` (``np.einsum`` sums in another order).
+    """
+    s = w.sum(axis=-1)
+    return s * s / (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def update_logz(acc, stage_log_weights, shifted=None):
     """Fold one stage's unnormalized log-weights into the accumulator.
 
     The stage factor is ``log mean(exp(w))``, stored as the max
-    log-weight plus the log mean of the max-shifted weights.
+    log-weight plus the log mean of the max-shifted weights.  A caller
+    that already holds ``shifted = _max_shift(stage_log_weights)``
+    passes it to skip the shift and ``exp``.
     """
-    m, w = _max_shift(stage_log_weights)
-    residual = float(np.log(np.mean(w)))
-    return LogZAccumulator(acc.offset_sum + m, acc.residual_log + residual)
+    m, w = _max_shift(stage_log_weights) if shifted is None else shifted
+    return LogZAccumulator(acc.offset_sum + float(m), acc.residual_log + float(np.log(np.mean(w))))
 
 
 def ess(log_weights):
@@ -153,22 +176,12 @@ def ess(log_weights):
     Computed as ``sum(w)^2 / sum(w^2)`` on max-shifted weights, which
     is invariant to the shift and cannot overflow.
     """
-    _, w = _max_shift(log_weights)
-    s = w.sum()
-    return float(s * s / np.dot(w, w))
+    return float(_ess_of(_max_shift(log_weights)[1]))
 
 
 def _ess_rows(log_weights, top):
-    """:func:`ess` of every row of a ``(..., N)`` block with row maxima ``top``.
-
-    Each value equals ``ess`` of its row bit for bit: the same shift,
-    ``exp`` and row sum, and the stacked matmul makes the same BLAS dot
-    as ``np.dot`` (``np.einsum`` sums in another order).
-    """
-    w = log_weights - top[..., None]
-    np.exp(w, out=w)
-    s = w.sum(axis=-1)
-    return s * s / (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    """:func:`ess` of every row of a ``(..., N)`` block with row maxima ``top``, bit for bit."""
+    return _ess_of(_shifted_exp(log_weights, top))
 
 
 # bisection steps settled per block evaluation, and the iteration cap
@@ -257,15 +270,17 @@ def next_temperature(loglik, lambda_prev, cfg):
     return new[0] if loglik.ndim == 1 else np.array(new)
 
 
-def resample(log_weights, cfg, rng):
+def resample(log_weights, cfg, rng, shifted=None):
     """Draw ancestor indices proportional to the stage weights.
 
     Multinomial resampling draws independently; systematic resampling
     places one stratified point per offspring slot, giving each index
     exactly one copy under uniform weights when N divides evenly.
+    ``shifted``, the weights ``exp(lw - max(lw))`` when the caller
+    already holds them, skips the shift and ``exp``.
     """
-    _, w = _max_shift(log_weights)
-    w /= w.sum()
+    w = _max_shift(log_weights)[1] if shifted is None else shifted
+    w = w / w.sum()
     n = w.shape[0]
     if cfg.resampling == "multinomial":
         return rng.choice(n, size=n, replace=True, p=w)
@@ -406,13 +421,16 @@ def run_smc_islands(cfg, target, seeds):
             lams_new = [cfg.schedule[len(island.schedule)] for island in active[:first_bad]]
         else:
             lams_new = next_temperature(loglik[:first_bad], lams, cfg).tolist()
+        # one shift and exp of the stage weights feed the ESS, the evidence
+        # and the resampling of every island
         stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
-        stage_ess = _ess_rows(stage_lw, stage_lw.max(axis=1)).tolist()
+        top, w = _max_shift(stage_lw)
+        stage_ess = _ess_of(w).tolist()
         ancestors = []
         for b, island in enumerate(active[:first_bad]):
-            island.logz = update_logz(island.logz, stage_lw[b])
+            island.logz = update_logz(island.logz, stage_lw[b], (top[b], w[b]))
             island.stage_ess.append(stage_ess[b])
-            ancestors.append(resample(stage_lw[b], cfg, island.rng) + b * n)
+            ancestors.append(resample(stage_lw[b], cfg, island.rng, w[b]) + b * n)
         if first_bad < k:
             island = active[first_bad]
             bad = np.isnan(loglik[first_bad])

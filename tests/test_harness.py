@@ -100,6 +100,29 @@ def test_parse_config_type_checks():
         with pytest.raises(ConfigError, match=r"^method\.kernel\.mass: expected "):
             parse_config(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}}))
     assert parse_config(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": [1.0, 2.0]}}))
+    for kernel, message in (
+        ({"kind": "hmc", "leapfrog_steps": 2.5}, "method.kernel.leapfrog_steps: expected an integer, got 2.5"),
+        ({"kind": "hmc", "leapfrog_steps": True}, "method.kernel.leapfrog_steps: expected an integer, got True"),
+        ({"kind": "hmc", "step_size": "0.1"}, "method.kernel.step_size: expected a number, got '0.1'"),
+        ({"kind": "hmc", "target_accept": None}, "method.kernel.target_accept: expected a number, got None"),
+        ({"kind": "hmc", "mass": "1"}, "method.kernel.mass: expected a number, got '1'"),
+        ({"kind": "hmc", "mass": [1.0, "2"]},
+         "method.kernel.mass: expected a number or a list of numbers, got [1.0, '2']"),
+        ({"kind": "hmc", "leapfrog_steps": 0}, "method.kernel.leapfrog_steps: leapfrog_steps must be at least 1"),
+        ({"use_scaling": "no"}, "method.kernel.use_scaling: expected true or false, got 'no'"),
+        ({"kind": "pcn", "use_scaling": 0}, "method.kernel.use_scaling: expected true or false, got 0"),
+        ({"kind": "pcn", "beta": [0.5]}, "method.kernel.beta: expected a number, got [0.5]"),
+        ({"kind": "pcn", "beta": 2.0}, "method.kernel.beta: beta must lie in (0, 1]"),
+        ({"kind": "pcn", "scaling_floor": False}, "method.kernel.scaling_floor: expected a number, got False"),
+        ({"kind": "pcn", "step_size": 0.1}, "method.kernel: unknown fields ['step_size'] for kind 'pcn'"),
+        ({"kind": ["hmc"]}, "method.kernel.kind: unknown kernel kind ['hmc']"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(method={"kind": "smc", "kernel": kernel}))
+        assert str(err.value) == message
+    kernel = build_kernel({"kind": "hmc", "step_size": 1, "leapfrog_steps": 3, "mass": [1, 2]})
+    assert kernel == HmcConfig(step_size=1.0, leapfrog_steps=3, mass=[1.0, 2.0])
+    assert build_kernel({"use_scaling": False}) == PcnConfig(use_scaling=False)
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():
@@ -360,6 +383,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    for kernel, field in (({"kind": "hmc", "leapfrog_steps": 2.5}, "leapfrog_steps"),
+                          ({"kind": "pcn", "use_scaling": "no"}, "use_scaling")):
+        cfg_path = tmp_path / f"{field}.json"
+        cfg_path.write_text(json.dumps(base_config(method={"kind": "smc", "kernel": kernel})))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"error: method.kernel.{field}: expected " in capsys.readouterr().err
 
 
 def test_cli_requires_output_path(tmp_path):

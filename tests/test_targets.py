@@ -1,9 +1,16 @@
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.special import expit
+from scipy.special import logsumexp as scipy_logsumexp
 
+import islandmc
 from islandmc.targets import (
     EvalCounter,
     GaussianLinearModel,
@@ -13,6 +20,7 @@ from islandmc.targets import (
     grad_log_tempered,
     load_logistic_csv,
     log_tempered,
+    logsumexp,
     make_bimodal_gmm,
     make_gaussian_target,
     make_logistic_target,
@@ -168,6 +176,67 @@ def test_whiten_unwhiten_round_trip():
     model = make_gaussian_target(4, 6, 1.0, seed=2)
     theta = np.random.default_rng(1).standard_normal((8, 4))
     assert model.unwhiten(model.whiten(theta)) == pytest.approx(theta, abs=1e-12)
+
+
+def test_chol_prior_whitening_unchanged():
+    # the non-isotropic prior keeps scipy's triangular solves, bit for bit
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((4, 4))
+    Sigma0 = A @ A.T + 4.0 * np.eye(4)
+    mu0 = rng.standard_normal(4)
+    model = GaussianLinearModel(rng.standard_normal((6, 4)), rng.standard_normal(6), 1.0, mu0, Sigma0)
+    chol = np.linalg.cholesky(Sigma0)
+    for theta in (rng.standard_normal((7, 4)), rng.standard_normal(4)):
+        u = solve_triangular(chol, (theta - mu0).T, lower=True).T
+        assert np.array_equal(model.whiten(theta), u)
+        assert np.array_equal(model.grad_log_prior(theta), -solve_triangular(chol.T, u.T, lower=False).T)
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((6, 9))
+    rows[1, [2, 5]] = rows[1].max() + 1.0  # tied maxima
+    rows[2, ::2] = -np.inf
+    rows[3] = -np.inf
+    rows[4, 3] = np.inf
+    rows[5, 1] = np.nan
+    return {
+        "vector": rng.standard_normal(17),
+        "ties": np.array([2.0, -1.0, 2.0, 0.5, 2.0]),
+        "neg_inf_entries": np.array([-np.inf, 1.5, -np.inf, 0.25, -2.0]),
+        "all_neg_inf": np.full(4, -np.inf),
+        "pos_inf": np.array([0.0, np.inf, 1.0]),
+        "nan": np.array([0.0, np.nan, 1.0]),
+        "plus_700": rng.standard_normal(12) + 700.0,
+        "minus_700": rng.standard_normal(12) - 700.0,
+        "huge_spread": np.array([710.0, 0.0, -710.0, 705.0]),
+        "rows": rows,
+        "rows_700": rows + 700.0,
+        "rows_minus_700": rows - 700.0,
+        "gmm_components": make_bimodal_gmm(3)._log_components(rng.standard_normal((40, 3)) * 5.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_logsumexp_cases()))
+@pytest.mark.parametrize("kwargs", [{}, {"axis": -1}, {"axis": -1, "keepdims": True}, {"keepdims": True}])
+def test_logsumexp_equals_scipy(name, kwargs):
+    a = _logsumexp_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp(a, **kwargs)
+    expect = scipy_logsumexp(a, **kwargs)
+    assert type(got) is type(expect)
+    assert np.shape(got) == np.shape(expect)
+    assert np.array_equal(got, expect, equal_nan=True)
+
+
+def test_logsumexp_edge_values():
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
+    assert np.array_equal(logsumexp(np.full((2, 3), -np.inf), axis=-1), [-np.inf, -np.inf])
+    assert logsumexp([np.inf, 0.0]) == np.inf
+    assert np.isnan(logsumexp([np.nan, 0.0]))
+    assert logsumexp(np.zeros(0)) == -np.inf
+    assert logsumexp([0.0, 0.0]) == math.log(2.0)
 
 
 def test_gmm_mixture_mean():
@@ -345,6 +414,55 @@ def test_make_logistic_target_shapes():
     assert np.all(target.X[:, 0] == 1.0)
     assert set(np.unique(target.y)) <= {0.0, 1.0}
     assert target.theta_star.shape == (15,)
+
+
+# every (d, m, seed) of make_logistic_target in the tests, the harness
+# tests and the benchmark workloads
+LOGISTIC_BUILDS = [
+    (2, 10, 0), (2, 10, 3), (3, 4, 0), (3, 20, 1), (3, 20, 2), (4, 20, 0), (4, 50, 2),
+    (4, 1100, 5), (5, 100, 1), (5, 1100, 0), (5, 1100, 1), (15, 690, 0), (15, 690, 1),
+]
+
+
+@pytest.mark.parametrize("d, m, seed", LOGISTIC_BUILDS)
+def test_make_logistic_target_equals_scipy_expit_build(d, m, seed):
+    rng = np.random.default_rng(seed)
+    X = np.hstack([np.ones((m, 1)), rng.standard_normal((m, d - 1))])
+    theta_star = rng.standard_normal(d)
+    y = (rng.random(m) < expit(X @ theta_star)).astype(float)
+    target = make_logistic_target(d, m, seed)
+    assert np.array_equal(target.X, X)
+    assert np.array_equal(target.y, y)
+    assert np.array_equal(target.theta_star, theta_star)
+
+
+# builds the workload targets and runs each sampler the workloads run, then
+# prints the scipy modules loaded
+_NO_SCIPY_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from islandmc import ais, islands, kernels, smc, targets
+gauss = targets.make_gaussian_target(16, 32, 1.0, seed=0, theta_star=np.ones(16))
+gauss.analytic_posterior()
+logistic = targets.make_logistic_target(15, 690, seed=0)
+gmm = targets.make_bimodal_gmm(3)
+theta = np.random.default_rng(0).standard_normal((5, 3))
+gmm.log_likelihood(theta), gmm.grad_log_likelihood(theta), gmm.log_density(theta)
+ens = islands.run_islands(2, smc.SmcConfig(16, 1, kernels.PcnConfig(0.5)), logistic, 0)
+islands.combine_weighted(ens), islands.log_mean_evidence(ens.logz_totals())
+smc.run_smc(smc.SmcConfig(16, 1, kernels.HmcConfig(0.1, 3)), gauss, 0)
+samples, log_w, _ = ais.run_ais(ais.AisConfig(16, ais.make_neal_schedule(), kernels.PcnConfig(0.5)), logistic, 0)
+ais.ais_estimate(samples, log_w), ais.log_evidence_estimate(log_w)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_workload_paths_do_not_load_scipy():
+    src = str(Path(islandmc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, src],
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_load_logistic_csv_round_trip(tmp_path):

@@ -6,7 +6,7 @@ transition kernels, plus a communication-free island layer that
 combines independent runs through their evidence estimates.
 """
 
-from . import ais, diagnostics, harness, islands, kernels, mcmc, seeds, smc, targets
+from . import ais, diagnostics, islands, kernels, mcmc, seeds, smc, targets
 from .ais import AisConfig, ais_estimate, make_neal_schedule, run_ais
 from .diagnostics import iact, mse_and_se, posterior_mean
 from .islands import (
@@ -51,3 +51,13 @@ from .targets import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the experiment harness loads argparse, json and a thread pool, which a
+    # sampler-only process never uses: import it on first access
+    if name == "harness":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.harness")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

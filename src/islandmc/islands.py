@@ -9,7 +9,6 @@ combination degenerates to the plain average of island means.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -81,6 +80,8 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     if parallelism == 1:
         results = run(island_cfg, target, seeds)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(parallelism, n_islands)
         if smc:
             shares = [seeds[w * n_islands // workers:(w + 1) * n_islands // workers] for w in range(workers)]

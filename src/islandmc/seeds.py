@@ -4,7 +4,8 @@ Derived seeds hash-split a key tuple with
 ``numpy.random.SeedSequence``, whose entropy mixing is documented and
 stable, so the same key always yields the same seed.  Per-particle noise
 streams are keyed the same way; ``stream_words`` derives all of one
-stage's stream seeds in one batch with numpy's values.
+stage's stream seeds, for one seed or a block of them, in one batch with
+numpy's values.
 """
 
 from __future__ import annotations
@@ -60,13 +61,17 @@ def _hashmix(value, consts):
     Call ``k`` xors with ``consts[k]`` and multiplies by ``consts[k + 1]``;
     ``value`` broadcasts against the ``(len(consts) - 1, 1)`` call axis.
     """
-    value = (value ^ consts[:-1, None]) * consts[1:, None]
-    return value ^ (value >> _XSHIFT)
+    value = value ^ consts[:-1, None]
+    value *= consts[1:, None]
+    value ^= value >> _XSHIFT
+    return value
 
 
 def _mix(x, y):
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
+    result = _MIX_MULT_L * x
+    result -= _MIX_MULT_R * y
+    result ^= result >> _XSHIFT
+    return result
 
 
 def _words32(value):
@@ -84,19 +89,43 @@ def stream_words(seed, stage, n) -> np.ndarray:
 
     Row ``i`` of the ``(n, 4)`` uint64 result equals
     ``SeedSequence((seed, stage, i + 1)).generate_state(4, np.uint64)``.
-    It is computed with SeedSequence's documented hash, run as uint32
-    array operations over all ``n`` keys at once.
+    ``seed`` may also be a sequence of B seeds: the result is then
+    ``(B * n, 4)``, the ``n`` rows of each seed in turn, as if the
+    one-seed results were concatenated.  It is computed with
+    SeedSequence's documented hash, run as uint32 array operations over
+    all keys at once; seeds whose keys hash the same number of words
+    share one pass.
     """
-    seed, stage, n = int(seed), int(stage), int(n)
-    if seed < 0 or stage < 0:
+    # np.ndim turns an int into an array first, so test for one directly
+    if isinstance(seed, (int, np.integer)) or np.ndim(seed) == 0:
+        seeds = [int(seed)]
+    else:
+        seeds = [int(s) for s in seed]
+    stage, n = int(stage), int(n)
+    if stage < 0 or any(s < 0 for s in seeds):
         raise ValueError("seed and stage must be non-negative integers")
     if not 0 <= n <= _MASK32:
         raise ValueError(f"stream count must lie in [0, 2**32), got {n}")
-    prefix = _words32(seed) + _words32(stage)
+    stage_words = _words32(stage)
+    keys = [_words32(s) + stage_words for s in seeds]
+    sizes = {len(key) for key in keys}
+    if len(sizes) == 1:
+        return _hash_streams(keys, n)
+    words = np.empty((len(keys), n, 4), dtype=np.uint64)
+    for size in sizes:
+        blocks = [b for b, key in enumerate(keys) if len(key) == size]
+        words[blocks] = _hash_streams([keys[b] for b in blocks], n).reshape(len(blocks), n, 4)
+    return words.reshape(-1, 4)
+
+
+def _hash_streams(keys, n):
+    """:func:`stream_words` for equally long key prefixes ``seed words + stage words``."""
+    prefix = np.array(keys, dtype=np.uint32).T
     n_entropy = len(prefix) + 1
-    entropy = np.zeros((max(n_entropy, _POOL_SIZE), n), dtype=np.uint32)
-    entropy[: len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy = np.zeros((max(n_entropy, _POOL_SIZE), len(keys), n), dtype=np.uint32)
+    entropy[: len(prefix)] = prefix[:, :, None]
     entropy[len(prefix)] = np.arange(1, n + 1, dtype=np.uint32)
+    entropy = entropy.reshape(len(entropy), -1)
     n_calls = 16 + 4 * max(n_entropy - _POOL_SIZE, 0)
     consts = _CONSTS_A if n_calls < len(_CONSTS_A) else _hash_consts(_INIT_A, _MULT_A, n_calls + 1)
 
@@ -110,7 +139,6 @@ def stream_words(seed, stage, n) -> np.ndarray:
         k += 4
 
     # generate_state(4, uint64) cycles the pool into 8 uint32 words and
-    # pairs them little-endian.
+    # pairs them little-endian: a stream's 8 words read as 4 "<u8" words.
     state = _hashmix(np.concatenate([pool, pool]), _CONSTS_B)
-    words = (state[1::2].astype(np.uint64) << np.uint64(32)) | state[0::2]
-    return np.ascontiguousarray(words.T)
+    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64, copy=False)

@@ -134,11 +134,15 @@ class _GaussianPrior:
         return -0.5 * quad - 0.5 * self.dim * LOG_2PI - self._log_det_chol
 
     def grad_logpdf(self, theta):
-        u = self.whiten(theta)
         if self.std is not None:
-            return -u / self.std
+            # -((theta - mean) / std) / std, built in one buffer
+            grad = np.subtract(theta, self.mean)
+            grad /= self.std
+            grad /= self.std
+            return np.negative(grad, out=grad)
         from scipy.linalg import solve_triangular
 
+        u = self.whiten(theta)
         return -solve_triangular(self.chol.T, u.T, lower=False).T
 
     def sample(self, rng, size=None):
@@ -310,8 +314,11 @@ class GaussianLinearModel(_GaussianPriorTarget):
     def _grad_log_likelihood(self, theta):
         if self.X.shape[0] == 0:
             return np.zeros_like(theta)
-        resid = self.y - theta @ self.X.T
-        return (resid @ self.X) / self.sigma**2
+        resid = theta @ self.X.T
+        np.subtract(self.y, resid, out=resid)
+        grad = resid @ self.X
+        grad /= self.sigma**2
+        return grad
 
     def analytic_posterior(self):
         """Closed-form posterior mean, covariance, and log evidence.

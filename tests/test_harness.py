@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import islandmc
 from islandmc.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -403,3 +408,27 @@ def test_cli_output_from_config_field(tmp_path):
     cfg_path.write_text(json.dumps(base_config(replicates=1, output=str(out))))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert out.exists()
+
+
+# a sampler-only process imports the package; the CLI and the process pool
+# load on first use
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import islandmc
+cli = ("islandmc.harness", "argparse", "concurrent.futures.process")
+print(sorted(name for name in cli if name in sys.modules))
+print(islandmc.harness.__name__, "islandmc.harness" in sys.modules)
+"""
+
+
+def test_import_islandmc_loads_no_cli_or_process_pool():
+    src = str(Path(islandmc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "islandmc.harness True"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli = subprocess.run([sys.executable, "-m", "islandmc", "--help"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert cli.returncode == 0
+    assert cli.stdout.startswith("usage: islandmc")

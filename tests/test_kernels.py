@@ -123,6 +123,61 @@ def test_leapfrog_gradient_count():
     assert counter.gradient == 6
 
 
+def _reference_leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step_size=None):
+    """The out-of-place leapfrog that the in-place one must reproduce bit for bit."""
+    theta = np.asarray(theta, dtype=float)
+    momentum = np.asarray(momentum, dtype=float)
+    mass = np.broadcast_to(np.asarray(cfg.mass, dtype=float), theta.shape[-1:])
+    dt = cfg.step_size if step_size is None else step_size
+    steps = cfg.leapfrog_steps
+    if grad_ll is None:
+        grad_ll = target.grad_log_likelihood(theta, counter)
+    grad = lam * grad_ll + target.grad_log_prior(theta)
+    momentum = momentum + 0.5 * dt * grad
+    for step in range(steps):
+        theta = theta + dt * (momentum / mass)
+        grad_ll = target.grad_log_likelihood(theta, counter)
+        grad = lam * grad_ll + target.grad_log_prior(theta)
+        momentum = momentum + (dt if step < steps - 1 else 0.5 * dt) * grad
+    return theta, momentum, grad_ll
+
+
+@pytest.mark.parametrize("per_row_lam", [False, True])
+@pytest.mark.parametrize("per_row_step", [False, True])
+@pytest.mark.parametrize("mass", [1.7, [1.0, 2.5, 0.4, 0.9]])
+def test_leapfrog_in_place_equals_reference(per_row_lam, per_row_step, mass):
+    target = make_gaussian_target(4, 9, 0.8, seed=6)
+    cfg = HmcConfig(step_size=0.13, leapfrog_steps=7, mass=mass)
+    rng = np.random.default_rng(21)
+    n = 11
+    theta, momentum = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+    lam = rng.random((n, 1)) if per_row_lam else 0.6
+    step_size = 0.05 + 0.2 * rng.random((n, 1)) if per_row_step else None
+    for grad_ll in (None, target.grad_log_likelihood(theta)):
+        inputs = [a.copy() for a in (theta, momentum)] + ([] if grad_ll is None else [grad_ll.copy()])
+        counter, ref_counter = EvalCounter(), EvalCounter()
+        got = leapfrog(theta, momentum, lam, cfg, target, counter, grad_ll, step_size)
+        ref = _reference_leapfrog(theta, momentum, lam, cfg, target, ref_counter, grad_ll, step_size)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        assert counter == ref_counter
+        # the caller's arrays are never written
+        for before, after in zip(inputs, (theta, momentum, grad_ll)):
+            assert np.array_equal(before, after)
+
+
+def test_leapfrog_in_place_equals_reference_single_vector():
+    target = make_gaussian_target(3, 5, 1.1, seed=2)
+    cfg = HmcConfig(step_size=0.21, leapfrog_steps=5, mass=[0.5, 1.0, 3.0])
+    theta, momentum = np.array([0.3, -1.2, 0.8]), np.array([1.0, 0.1, -0.7])
+    got = leapfrog(theta, momentum, 0.45, cfg, target)
+    ref = _reference_leapfrog(theta, momentum, 0.45, cfg, target)
+    for a, b in zip(got, ref):
+        assert a.shape == (3,)
+        assert np.array_equal(a, b)
+    assert np.array_equal(theta, [0.3, -1.2, 0.8]) and np.array_equal(momentum, [1.0, 0.1, -0.7])
+
+
 def test_pcn_beta_to_zero_is_identity():
     target = make_gaussian_target(2, 4, 1.0, seed=2)
     cfg = PcnConfig(beta=1e-12)

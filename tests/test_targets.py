@@ -17,6 +17,7 @@ from islandmc.targets import (
     GmmTarget,
     LogisticTarget,
     NumericalDomainError,
+    _GaussianPrior,
     grad_log_tempered,
     load_logistic_csv,
     log_tempered,
@@ -349,6 +350,23 @@ def test_logistic_grad_in_place_equals_old_expression():
         blocks = np.concatenate([old(theta[i:i + h]) for i in range(0, n, h)])
         assert np.array_equal(target.grad_log_likelihood(theta), blocks)
     assert np.array_equal(target.grad_log_likelihood(theta[0]), old(theta[0]))
+
+
+def test_gaussian_grads_in_place_equal_old_expressions():
+    # the in-place prior and linear-model gradients keep every operation
+    rng = np.random.default_rng(13)
+    model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), 0.7,
+                                mu0=rng.standard_normal(5))
+    prior = _GaussianPrior(rng.standard_normal(5), std=1.7)
+    for theta in (rng.standard_normal(5), 2.0 * rng.standard_normal((1, 5)),
+                  2.0 * rng.standard_normal((257, 5))):
+        before = theta.copy()
+        old_ll = (model.y - theta @ model.X.T) @ model.X / model.sigma**2
+        assert np.array_equal(model._grad_log_likelihood(theta), old_ll)
+        for p in (model._prior, prior):
+            u = (theta - p.mean) / p.std
+            assert np.array_equal(p.grad_logpdf(theta), -u / p.std)
+        assert np.array_equal(theta, before)
 
 
 def test_counter_merge_and_copy():

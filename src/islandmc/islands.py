@@ -92,14 +92,24 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     return IslandEnsemble(results, seeds, "smc" if smc else "mcmc")
 
 
+def _checked_evidence(logz_totals):
+    """The island log evidences as floats; a NaN or +inf one raises."""
+    z = np.asarray(logz_totals, dtype=float)
+    bad = np.flatnonzero(np.isnan(z) | (z == np.inf))
+    if bad.size:
+        raise DegenerateWeightsError(f"island log evidence is NaN or +inf at islands {bad.tolist()}")
+    return z
+
+
 def island_weights(logz_totals):
     """Normalized island weights proportional to exp(log evidence).
 
     The maximum finite log evidence is subtracted before exponentiating,
     so only ratios matter.  Islands with log evidence of -infinity get
-    weight exactly 0; if every island is degenerate an error is raised.
+    weight exactly 0; if every island is degenerate, or any has a NaN or
+    +inf log evidence, :class:`DegenerateWeightsError` is raised.
     """
-    z = np.asarray(logz_totals, dtype=float)
+    z = _checked_evidence(logz_totals)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("logz_totals must be a non-empty vector")
     finite = np.isfinite(z)
@@ -110,8 +120,11 @@ def island_weights(logz_totals):
 
 
 def log_mean_evidence(logz_totals):
-    """Stable log of the average island evidence, log((1/P) sum Z_p)."""
-    z = np.asarray(logz_totals, dtype=float)
+    """Stable log of the average island evidence, log((1/P) sum Z_p).
+
+    A NaN or +inf island log evidence raises :class:`DegenerateWeightsError`.
+    """
+    z = _checked_evidence(logz_totals)
     finite = np.isfinite(z)
     if not finite.any():
         return -np.inf

@@ -70,8 +70,8 @@ class HmcConfig:
     leapfrog_steps : int
         Number of leapfrog steps per proposal, positive.
     mass : float or sequence of float
-        Diagonal of the mass matrix, a positive scalar or per-coordinate
-        vector.
+        Diagonal of the mass matrix, a finite positive scalar or
+        per-coordinate vector.
     target_accept : float
         Acceptance rate targeted by step-size adaptation.
     """
@@ -86,8 +86,9 @@ class HmcConfig:
             raise ValueError("step_size must be positive")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be at least 1")
-        if np.any(np.asarray(self.mass, dtype=float) <= 0.0):
-            raise ValueError("mass entries must be positive")
+        mass = np.asarray(self.mass, dtype=float)
+        if not np.all(np.isfinite(mass) & (mass > 0.0)):
+            raise ValueError("mass entries must be finite and positive")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
 
@@ -163,12 +164,23 @@ def gradient_cost_per_step(cfg) -> int:
 
 
 def _mass_vector(cfg, d):
+    """The ``(d,)`` mass diagonal, or None for a unit mass.
+
+    Dividing by 1.0 and multiplying by ``sqrt(1.0)`` are exact, so a
+    unit mass leaves them out and keeps every bit.
+    """
     mass = np.asarray(cfg.mass, dtype=float)
     if mass.ndim == 0:
-        return np.full(d, float(mass))
-    if mass.shape != (d,):
+        mass = np.full(d, float(mass))
+    elif mass.shape != (d,):
         raise ValueError(f"mass has shape {mass.shape}, expected ({d},)")
-    return mass
+    return None if (mass == 1.0).all() else mass
+
+
+def _kinetic(momentum, mass):
+    """``0.5 * sum(p * p / mass)`` of each row; ``mass`` None is a unit mass."""
+    p2 = momentum * momentum
+    return 0.5 * np.sum(p2 if mass is None else p2 / mass, axis=-1)
 
 
 def _spread(x, shape):
@@ -219,8 +231,11 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step
     buf *= half_dt
     momentum += buf
     for step in range(steps):
-        np.divide(momentum, mass, out=buf)
-        buf *= dt
+        if mass is None:
+            np.multiply(momentum, dt, out=buf)
+        else:
+            np.divide(momentum, mass, out=buf)
+            buf *= dt
         theta += buf
         grad_ll = target.grad_log_likelihood(theta, counter)
         np.multiply(lam, grad_ll, out=buf)
@@ -265,28 +280,27 @@ def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter)
 def _hmc_population_step(pop, lam, cfg, dt, target, z, log_u, counter):
     """One HMC sweep over the population with pre-drawn noise; returns the accept mask.
 
-    ``z`` holds standard-normal draws; momenta are ``sqrt(mass) * z``.
-    Non-finite trajectories reject rather than raise.
+    ``z`` holds standard-normal draws; momenta are ``sqrt(mass) * z``,
+    ``z`` itself for a unit mass.  Non-finite trajectories reject rather
+    than raise.
     """
-    n, d = pop.theta.shape
-    mass = _mass_vector(cfg, d)
-    momentum = np.sqrt(mass) * z
-    kinetic0 = 0.5 * np.sum(momentum * momentum / mass, axis=-1)
+    mass = _mass_vector(cfg, pop.theta.shape[1])
+    momentum = z if mass is None else np.sqrt(mass) * z
     lam_rows = _rows(lam)
-    h0 = -(lam_rows * pop.loglik + pop.logprior) + kinetic0
+    h0 = -(lam_rows * pop.loglik + pop.logprior) + _kinetic(momentum, mass)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         theta_new, momentum_new, grad_new = leapfrog(
             pop.theta, momentum, lam, cfg, target, counter, grad_ll=pop.grad_ll, step_size=dt
         )
         ll_new = np.atleast_1d(target.log_likelihood(theta_new, counter))
         lp_new = np.atleast_1d(target.log_prior(theta_new))
-        kinetic1 = 0.5 * np.sum(momentum_new * momentum_new / mass, axis=-1)
-        log_ratio = h0 - (-(lam_rows * ll_new + lp_new) + kinetic1)
+        log_ratio = h0 - (-(lam_rows * ll_new + lp_new) + _kinetic(momentum_new, mass))
     accept = log_u <= log_ratio
-    pop.theta[accept] = theta_new[accept]
-    pop.loglik[accept] = ll_new[accept]
-    pop.logprior[accept] = lp_new[accept]
-    pop.grad_ll[accept] = grad_new[accept]
+    rows = accept[:, None]
+    np.copyto(pop.theta, theta_new, where=rows)
+    np.copyto(pop.loglik, ll_new, where=accept)
+    np.copyto(pop.logprior, lp_new, where=accept)
+    np.copyto(pop.grad_ll, grad_new, where=rows)
     return accept
 
 
@@ -310,8 +324,10 @@ def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=N
     if isinstance(stats, KernelStats):
         stats.record(accept.size, accept.sum())
     elif stats is not None:
-        for block_stats, block in zip(stats, accept.reshape(len(stats), -1)):
-            block_stats.record(block.size, block.sum())
+        counts = accept.reshape(len(stats), -1).sum(axis=1).tolist()
+        for block_stats, count in zip(stats, counts):
+            block_stats.record(accept.size // len(stats), count)
+        return sum(counts)
     return int(accept.sum())
 
 

@@ -354,7 +354,8 @@ def run_smc(cfg, target, seed):
     ScheduleOverflowError
         If the exponent has not reached 1 after ``max_stages`` stages.
     NumericalDomainError
-        If any particle's log-likelihood is NaN at the start of a stage.
+        If any particle's log-likelihood is NaN or +inf at the start of a
+        stage.
     """
     return run_smc_islands(cfg, target, [seed])[0]
 
@@ -410,11 +411,11 @@ def run_smc_islands(cfg, target, seeds):
     for stage in range(1, cfg.max_stages + 1):
         k = len(active)
         loglik = pop.loglik.reshape(k, n)
-        # a row with a NaN, or with no finite log-likelihood, fails; the
-        # islands before the first such row still reweight and resample
+        # a row with a NaN or +inf, or with no finite log-likelihood, fails;
+        # the islands before the first such row still reweight and resample
         # first, as their one-island runs would
         top = loglik.max(axis=1)
-        failed = np.flatnonzero(~(top > -np.inf))
+        failed = np.flatnonzero(~np.isfinite(top))
         first_bad = failed[0] if failed.size else k
         lams = [island.lam for island in active[:first_bad]]
         if cfg.schedule is not None:
@@ -433,11 +434,14 @@ def run_smc_islands(cfg, target, seeds):
             ancestors.append(resample(stage_lw[b], cfg, island.rng, w[b]) + b * n)
         if first_bad < k:
             island = active[first_bad]
-            bad = np.isnan(loglik[first_bad])
+            nan = np.isnan(loglik[first_bad])
+            inf = loglik[first_bad] == np.inf
+            bad = nan | inf
             if not bad.any():
                 raise DegenerateWeightsError("all weights are zero")
+            what = " or ".join(name for name, hit in (("NaN", nan), ("+inf", inf)) if hit.any())
             raise NumericalDomainError(
-                f"stage {stage}: log-likelihood is NaN for {int(bad.sum())} "
+                f"stage {stage}: log-likelihood is {what} for {int(bad.sum())} "
                 f"of {n} particles (lambda={island.lam})",
                 theta=pop.theta[rows(first_bad)][bad], lam=island.lam,
             )

@@ -114,8 +114,15 @@ class _GaussianPrior:
             self._log_det_chol = float(np.sum(np.log(diag)))
         else:
             self._log_det_chol = self.dim * np.log(self.std)
+        # N(0, I): theta - 0.0 and x / 1.0 are exact, so whitening is the
+        # identity.  A -0.0 mean entry does not count: -0.0 - (-0.0) is +0.0.
+        self._standard = (
+            self.std == 1.0 and not self.mean.any() and not np.signbit(self.mean).any()
+        )
 
     def whiten(self, theta):
+        if self._standard:
+            return np.array(theta)
         centered = theta - self.mean
         if self.std is not None:
             return centered / self.std
@@ -129,11 +136,13 @@ class _GaussianPrior:
         return self.mean + u @ self.chol.T
 
     def logpdf(self, theta):
-        u = self.whiten(theta)
+        u = theta if self._standard else self.whiten(theta)
         quad = np.sum(np.square(u), axis=-1)
         return -0.5 * quad - 0.5 * self.dim * LOG_2PI - self._log_det_chol
 
     def grad_logpdf(self, theta):
+        if self._standard:
+            return np.negative(theta)
         if self.std is not None:
             # -((theta - mean) / std) / std, built in one buffer
             grad = np.subtract(theta, self.mean)
@@ -317,7 +326,8 @@ class GaussianLinearModel(_GaussianPriorTarget):
         resid = theta @ self.X.T
         np.subtract(self.y, resid, out=resid)
         grad = resid @ self.X
-        grad /= self.sigma**2
+        if self.sigma != 1.0:
+            grad /= self.sigma**2
         return grad
 
     def analytic_posterior(self):

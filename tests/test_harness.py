@@ -394,6 +394,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         cfg_path.write_text(json.dumps(base_config(method={"kind": "smc", "kernel": kernel})))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert f"error: method.kernel.{field}: expected " in capsys.readouterr().err
+    # json reads NaN and Infinity; a non-finite mass is a range error of its field
+    for mass in (float("nan"), float("inf"), [1.0, float("nan")]):
+        cfg_path = tmp_path / "mass.json"
+        cfg_path.write_text(json.dumps(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}})))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: method.kernel.mass: mass entries must be finite and positive" in capsys.readouterr().err
 
 
 def test_cli_requires_output_path(tmp_path):

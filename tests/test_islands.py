@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +66,22 @@ def test_island_weights_degenerate_island_gets_zero():
     assert w == pytest.approx([0.5, 0.0, 0.5], abs=1e-12)
     with pytest.raises(DegenerateWeightsError):
         island_weights(np.full(3, -np.inf))
+
+
+def test_island_weights_reject_nan_and_pos_inf_evidence():
+    # NaN or +inf evidence used to give NaN weights; now it names the islands
+    cases = (([0.0, np.nan, -1.0], [1]), ([0.0, np.inf, -1.0], [1]),
+             ([np.inf, -np.inf, np.nan, 0.0], [0, 2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for logz, bad in cases:
+            for combine in (island_weights, log_mean_evidence):
+                with pytest.raises(DegenerateWeightsError, match=re.escape(f"at islands {bad}")):
+                    combine(np.array(logz))
+        # -inf still gets weight exactly 0
+        w = island_weights([0.0, -np.inf, -1.0])
+        assert w[1] == 0.0 and w[0] > w[2] > 0.0
+        assert log_mean_evidence([0.0, -np.inf]) == pytest.approx(math.log(0.5), abs=1e-15)
 
 
 def test_log_mean_evidence_hand_value():

@@ -56,6 +56,11 @@ def test_config_validation():
         HmcConfig(leapfrog_steps=0)
     with pytest.raises(ValueError):
         HmcConfig(mass=[1.0, -1.0])
+    # nan <= 0 is False: non-finite masses are rejected on their own, and the
+    # message starts with the field's name
+    for mass in (np.nan, np.inf, -np.inf, 0.0, [1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="^mass entries must be finite and positive"):
+            HmcConfig(mass=mass)
 
 
 def test_cost_helpers():
@@ -144,26 +149,28 @@ def _reference_leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll
 
 @pytest.mark.parametrize("per_row_lam", [False, True])
 @pytest.mark.parametrize("per_row_step", [False, True])
-@pytest.mark.parametrize("mass", [1.7, [1.0, 2.5, 0.4, 0.9]])
+@pytest.mark.parametrize("mass", [1.7, [1.0, 2.5, 0.4, 0.9], 1.0, [1.0, 1.0, 1.0, 1.0]])
 def test_leapfrog_in_place_equals_reference(per_row_lam, per_row_step, mass):
-    target = make_gaussian_target(4, 9, 0.8, seed=6)
+    # unit masses take the drift without the division, sigma = 1 targets
+    # the gradient without it
     cfg = HmcConfig(step_size=0.13, leapfrog_steps=7, mass=mass)
     rng = np.random.default_rng(21)
     n = 11
     theta, momentum = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
     lam = rng.random((n, 1)) if per_row_lam else 0.6
     step_size = 0.05 + 0.2 * rng.random((n, 1)) if per_row_step else None
-    for grad_ll in (None, target.grad_log_likelihood(theta)):
-        inputs = [a.copy() for a in (theta, momentum)] + ([] if grad_ll is None else [grad_ll.copy()])
-        counter, ref_counter = EvalCounter(), EvalCounter()
-        got = leapfrog(theta, momentum, lam, cfg, target, counter, grad_ll, step_size)
-        ref = _reference_leapfrog(theta, momentum, lam, cfg, target, ref_counter, grad_ll, step_size)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
-        assert counter == ref_counter
-        # the caller's arrays are never written
-        for before, after in zip(inputs, (theta, momentum, grad_ll)):
-            assert np.array_equal(before, after)
+    for target in (make_gaussian_target(4, 9, 0.8, seed=6), make_gaussian_target(4, 9, 1.0, seed=6)):
+        for grad_ll in (None, target.grad_log_likelihood(theta)):
+            inputs = [a.copy() for a in (theta, momentum)] + ([] if grad_ll is None else [grad_ll.copy()])
+            counter, ref_counter = EvalCounter(), EvalCounter()
+            got = leapfrog(theta, momentum, lam, cfg, target, counter, grad_ll, step_size)
+            ref = _reference_leapfrog(theta, momentum, lam, cfg, target, ref_counter, grad_ll, step_size)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+            assert counter == ref_counter
+            # the caller's arrays are never written
+            for before, after in zip(inputs, (theta, momentum, grad_ll)):
+                assert np.array_equal(before, after)
 
 
 def test_leapfrog_in_place_equals_reference_single_vector():
@@ -416,6 +423,60 @@ def test_mutate_stacked_blocks_equal_separate_calls(cfg, step_sizes, scaling):
         assert stats[b] == block_stats
         assert counter.likelihood == 2 * block_counter.likelihood
         assert counter.gradient == 2 * block_counter.gradient
+
+
+def _reference_hmc_population_step(pop, lam, cfg, dt, target, z, log_u, counter=None):
+    """The boolean-mask HMC sweep, with the mass in every term, that the fast paths must replay."""
+    d = pop.theta.shape[1]
+    mass = np.broadcast_to(np.asarray(cfg.mass, dtype=float), (d,))
+    momentum = np.sqrt(mass) * z
+    kinetic0 = 0.5 * np.sum(momentum * momentum / mass, axis=-1)
+    lam_rows = lam[:, 0] if np.ndim(lam) == 2 else lam
+    h0 = -(lam_rows * pop.loglik + pop.logprior) + kinetic0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        theta_new, momentum_new, grad_new = _reference_leapfrog(
+            pop.theta, momentum, lam, cfg, target, counter, pop.grad_ll, dt
+        )
+        ll_new = np.atleast_1d(target.log_likelihood(theta_new, counter))
+        lp_new = np.atleast_1d(target.log_prior(theta_new))
+        kinetic1 = 0.5 * np.sum(momentum_new * momentum_new / mass, axis=-1)
+        log_ratio = h0 - (-(lam_rows * ll_new + lp_new) + kinetic1)
+    accept = log_u <= log_ratio
+    pop.theta[accept] = theta_new[accept]
+    pop.loglik[accept] = ll_new[accept]
+    pop.logprior[accept] = lp_new[accept]
+    pop.grad_ll[accept] = grad_new[accept]
+    return accept
+
+
+@pytest.mark.parametrize("mass", [1.0, [1.0, 1.0, 1.0], 1.7, [1.0, 2.5, 0.4]])
+@pytest.mark.parametrize("sigma", [1.0, 0.9])
+def test_hmc_population_step_replays_boolean_mask_reference(mass, sigma):
+    # the unit-mass and sigma = 1 fast paths, the masked writes and the
+    # per-block stats give the old sweep's every bit; the huge step size of
+    # the last block sends its trajectories to inf and NaN, which reject
+    target = make_gaussian_target(3, 6, sigma, seed=4)
+    cfg = HmcConfig(leapfrog_steps=4, mass=mass)
+    seeds, n = [3, 8, 13], 16
+    pop = Population.stack([_block_population(target, s, n, True) for s in seeds])
+    ref = Population(pop.theta.copy(), pop.loglik.copy(), pop.logprior.copy(), pop.grad_ll.copy())
+    lam = np.repeat([0.2, 0.7, 1.0], n)[:, None]
+    dt = np.repeat([0.15, 0.6, 1e200], n)[:, None]
+    stats, ref_stats = [KernelStats() for _ in seeds], [KernelStats() for _ in seeds]
+    counter, ref_counter = EvalCounter(), EvalCounter()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        z, log_u = rng.standard_normal((3 * n, 3)), np.log(rng.random(3 * n))
+        accepted = population_step(pop, lam, cfg, target, z, log_u, counter, stats, step_size=dt)
+        accept = _reference_hmc_population_step(ref, lam, cfg, dt, target, z, log_u, ref_counter)
+        for block_stats, block in zip(ref_stats, accept.reshape(len(seeds), -1)):
+            block_stats.record(block.size, block.sum())
+        assert isinstance(accepted, int) and accepted == accept.sum()
+        assert 0 < accepted and not accept[2 * n:].any()
+        for name in ("theta", "loglik", "logprior", "grad_ll"):
+            assert np.array_equal(getattr(pop, name), getattr(ref, name))
+        assert stats == ref_stats
+        assert counter == ref_counter
 
 
 def test_mutate_rejects_unequal_blocks():

@@ -478,6 +478,30 @@ def test_stacked_islands_raise_the_first_failing_islands_error(schedule):
         smc.run_smc_islands(cfg, target, seeds)
 
 
+@pytest.mark.parametrize("resampling", smc.RESAMPLING_SCHEMES)
+def test_run_smc_pos_inf_likelihood_raises_domain_error(resampling):
+    # +inf fails like NaN: multinomial resampling would otherwise raise
+    # numpy's "Probabilities contain NaN", and systematic resampling crawl
+    # to a ScheduleOverflowError
+    base = make_gaussian_target(3, 4, 1.0, seed=0)
+    cfg = SmcConfig(n_particles=8, mutation_steps=1, resampling=resampling)
+    target = _BadInitialRows(base, {0: ([2, 6, 7], np.inf)})
+    with pytest.raises(NumericalDomainError, match=r"stage 1: log-likelihood is \+inf for 3 of 8 particles \(lambda=0.0\)") as err:
+        run_smc(cfg, target, seed=0)
+    assert err.value.lam == 0.0
+    assert err.value.theta.shape == (3, 3)
+    target = _BadInitialRows(base, {0: ([1, 4], [np.inf, np.nan])})
+    with pytest.raises(NumericalDomainError, match=r"stage 1: log-likelihood is NaN or \+inf for 2 of 8"):
+        run_smc(cfg, target, seed=0)
+    # a +inf proposal is always accepted, so a sweep's +inf rows fail at the
+    # start of the next stage
+    target = _BadInitialRows(base, {1: ([0, 5], np.inf)})
+    with pytest.raises(NumericalDomainError, match=r"stage 2: log-likelihood is \+inf for 2 of 8") as err:
+        run_smc(cfg, target, seed=0)
+    assert err.value.theta.shape == (2, 3)
+    assert 0.0 < err.value.lam < 1.0
+
+
 def test_run_smc_rejects_bad_seed():
     target = make_gaussian_target(2, 2, 1.0, seed=0)
     cfg = SmcConfig(n_particles=4, mutation_steps=1)

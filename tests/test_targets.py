@@ -369,6 +369,74 @@ def test_gaussian_grads_in_place_equal_old_expressions():
         assert np.array_equal(theta, before)
 
 
+def _same_bits(a, b):
+    """Equal values, NaN and the sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (np.array_equal(a, b, equal_nan=True) and a.dtype == b.dtype
+            and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def _general_prior_formulas(prior, theta):
+    """Isotropic ``whiten``, ``logpdf`` and ``grad_logpdf`` with every operation of the general path."""
+    u = (theta - prior.mean) / prior.std
+    logpdf = -0.5 * np.sum(np.square(u), axis=-1) - 0.5 * prior.dim * LOG_2PI - prior.dim * np.log(prior.std)
+    return u, logpdf, -(u / prior.std)
+
+
+def _special_rows(rng, n, d):
+    theta = 3.0 * rng.standard_normal((n, d))
+    theta[0] = [np.nan, np.inf, -np.inf, -0.0, 0.0][:d]
+    if n > 1:
+        theta[n // 2, 1:3] = [-0.0, np.nan]
+    return theta
+
+
+def test_standard_normal_prior_fast_path_equals_general_formulas():
+    # for N(0, I), theta - 0.0 and x / 1.0 are exact: the fast path keeps
+    # every bit, NaN, +-inf and -0.0 entries included
+    rng = np.random.default_rng(31)
+    priors = [_GaussianPrior(np.zeros(5), std=1.0), make_gaussian_target(5, 4, 1.0, seed=0)._prior,
+              GmmTarget([0.5, 0.5], np.stack([np.ones(5), -np.ones(5)]))._prior]
+    for prior in priors:
+        assert prior._standard
+        for theta in (_special_rows(rng, 1, 5), _special_rows(rng, 257, 5), _special_rows(rng, 1, 5)[0]):
+            before = theta.copy()
+            u, logpdf, grad = _general_prior_formulas(prior, theta)
+            whitened = prior.whiten(theta)
+            assert _same_bits(whitened, u)
+            assert not np.shares_memory(whitened, theta)
+            assert _same_bits(prior.logpdf(theta), logpdf)
+            assert _same_bits(prior.grad_logpdf(theta), grad)
+            assert _same_bits(theta, before)
+
+
+def test_signed_zero_or_scaled_prior_takes_the_general_path():
+    # -0.0 - (-0.0) is +0.0, so a -0.0 mean entry must not skip the centring
+    rng = np.random.default_rng(32)
+    signed = _GaussianPrior(np.array([0.0, -0.0, 0.0]), std=1.0)
+    assert not signed._standard
+    theta = _special_rows(rng, 9, 3)
+    theta[:, 1] = -0.0
+    u, logpdf, grad = _general_prior_formulas(signed, theta)
+    assert _same_bits(signed.whiten(theta), u)
+    assert not np.signbit(signed.whiten(theta)[:, 1]).any()  # the identity would keep -0.0
+    assert _same_bits(signed.logpdf(theta), logpdf)
+    assert _same_bits(signed.grad_logpdf(theta), grad)
+    for mean, std in ((np.zeros(3), 1.5), (np.array([0.0, 1e-300, 0.0]), 1.0)):
+        assert not _GaussianPrior(mean, std=std)._standard
+    assert not make_logistic_target(3, 10, seed=0)._prior._standard
+
+
+def test_unit_sigma_gradient_equals_old_expression():
+    # dividing by sigma**2 == 1.0 is exact, so sigma = 1 skips it
+    rng = np.random.default_rng(33)
+    model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), 1.0)
+    for theta in (rng.standard_normal(5), _special_rows(rng, 1, 5), 2.0 * rng.standard_normal((257, 5))):
+        old = (model.y - theta @ model.X.T) @ model.X / model.sigma**2
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(model._grad_log_likelihood(theta), old)
+
+
 def test_counter_merge_and_copy():
     a = EvalCounter(3, 2)
     b = a.copy()

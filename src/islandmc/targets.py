@@ -114,15 +114,14 @@ class _GaussianPrior:
             self._log_det_chol = float(np.sum(np.log(diag)))
         else:
             self._log_det_chol = self.dim * np.log(self.std)
-        # N(0, I): theta - 0.0 and x / 1.0 are exact, so whitening is the
-        # identity.  A -0.0 mean entry does not count: -0.0 - (-0.0) is +0.0.
+        # N(0, I): theta - 0.0 and x / 1.0 are exact, so logpdf and
+        # grad_logpdf skip them.  A -0.0 mean entry does not count:
+        # -0.0 - (-0.0) is +0.0.
         self._standard = (
             self.std == 1.0 and not self.mean.any() and not np.signbit(self.mean).any()
         )
 
     def whiten(self, theta):
-        if self._standard:
-            return np.array(theta)
         centered = theta - self.mean
         if self.std is not None:
             return centered / self.std

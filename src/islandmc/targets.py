@@ -482,17 +482,31 @@ class LogisticTarget(_GaussianPriorTarget):
         self.prior_var = float(prior_var)
         self._prior = _GaussianPrior(np.zeros(X.shape[1]), std=float(np.sqrt(prior_var)))
         self._block_rows = _block_height(X.shape[0])
+        # one buffer per concurrent caller for the second temporary of
+        # _log_likelihood, as large as the largest block it has seen
+        self._scratch = []
+
+    def __getstate__(self):
+        return {**self.__dict__, "_scratch": []}
 
     def _log_likelihood(self, theta):
         z = theta @ self.X.T
         fit = z @ self.y
-        # softplus(z) = max(z, 0) + log1p(exp(-|z|)), built in place in z
-        t = np.abs(z)
+        # softplus(z) = max(z, 0) + log1p(exp(-|z|)), built in place in z,
+        # with log1p(exp(-|z|)) in a kept buffer: a second fresh block
+        # temporary per call (about 176 KB at m = 690, next to z) can make
+        # glibc trim and regrow its heap on every call, depending on layout
+        buf = self._scratch.pop() if self._scratch else np.empty(0)
+        if buf.size < z.size:
+            buf = np.empty(z.size)
+        t = buf[:z.size].reshape(z.shape)
+        np.abs(z, out=t)
         np.negative(t, out=t)
         np.exp(t, out=t)
         np.log1p(t, out=t)
         np.maximum(z, 0.0, out=z)
         z += t
+        self._scratch.append(buf)
         return fit - z.sum(-1)
 
     def _grad_log_likelihood(self, theta):

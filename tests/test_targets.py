@@ -1,7 +1,9 @@
 import math
+import pickle
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +336,44 @@ def test_counter_charges_once_per_row_whatever_the_block_count(kind):
     assert (counter.likelihood, counter.gradient) == (theta.shape[0], 0)
     target.grad_log_likelihood(theta, counter)
     assert (counter.likelihood, counter.gradient) == (theta.shape[0], theta.shape[0])
+
+
+def test_logistic_loglik_with_kept_buffer_equals_old_expression():
+    # the second softplus temporary lives in a kept buffer; the values are
+    # those of a fresh temporary per call, bit for bit, reused, resized,
+    # shared between threads and left out of a pickle
+    target = _blocked_targets()["logistic"]
+    h = target._block_rows
+    rng = np.random.default_rng(10)
+
+    def old(theta):
+        z = theta @ target.X.T
+        fit = z @ target.y
+        t = np.abs(z)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(z, 0.0, out=z)
+        z += t
+        return fit - z.sum(-1)
+
+    batches = [40.0 * rng.standard_normal((n, target.dim)) for n in (1, h - 1, h, h + 1, 3 * h + 5)]
+    batches[-1][3, 0] = np.nan
+    batches[-1][4, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        for theta in batches + batches[::-1]:
+            assert _same_bits(target._log_likelihood(theta), old(theta))
+            blocks = np.concatenate([old(theta[i:i + h]) for i in range(0, len(theta), h)])
+            assert _same_bits(target.log_likelihood(theta), blocks)
+            assert _same_bits(target.log_likelihood(theta[0]), old(theta[0]))
+    assert len(target._scratch) == 1
+    rows = [0.5 * rng.standard_normal((h, target.dim)) for _ in range(24)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(target.log_likelihood, rows))
+    assert all(_same_bits(g, old(theta)) for g, theta in zip(got, rows))
+    copy = pickle.loads(pickle.dumps(target))
+    assert copy._scratch == [] and target._scratch
+    assert _same_bits(copy.log_likelihood(rows[0]), got[0])
 
 
 def test_logistic_grad_in_place_equals_old_expression():

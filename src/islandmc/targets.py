@@ -496,7 +496,10 @@ class LogisticTarget(_GaussianPriorTarget):
         # with log1p(exp(-|z|)) in a kept buffer: a second fresh block
         # temporary per call (about 176 KB at m = 690, next to z) can make
         # glibc trim and regrow its heap on every call, depending on layout
-        buf = self._scratch.pop() if self._scratch else np.empty(0)
+        try:
+            buf = self._scratch.pop()  # atomic: no two threads get one buffer
+        except IndexError:
+            buf = np.empty(0)
         if buf.size < z.size:
             buf = np.empty(z.size)
         t = buf[:z.size].reshape(z.shape)

@@ -367,10 +367,16 @@ def test_logistic_loglik_with_kept_buffer_equals_old_expression():
             assert _same_bits(target.log_likelihood(theta), blocks)
             assert _same_bits(target.log_likelihood(theta[0]), old(theta[0]))
     assert len(target._scratch) == 1
-    rows = [0.5 * rng.standard_normal((h, target.dim)) for _ in range(24)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(target.log_likelihood, rows))
+    rows = [0.5 * rng.standard_normal((h, target.dim)) for _ in range(200)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(target.log_likelihood, rows, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert all(_same_bits(g, old(theta)) for g, theta in zip(got, rows))
+    assert 1 <= len(target._scratch) <= 8
     copy = pickle.loads(pickle.dumps(target))
     assert copy._scratch == [] and target._scratch
     assert _same_bits(copy.log_likelihood(rows[0]), got[0])

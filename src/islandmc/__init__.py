@@ -8,7 +8,7 @@ combines independent runs through their evidence estimates.
 
 from . import ais, diagnostics, islands, kernels, mcmc, seeds, smc, targets
 from .ais import AisConfig, ais_estimate, make_neal_schedule, run_ais
-from .diagnostics import iact, mse_and_se, posterior_mean
+from .diagnostics import iact, posterior_mean
 from .islands import (
     IslandEnsemble,
     combine_unweighted,
@@ -26,7 +26,7 @@ from .kernels import (
     leapfrog,
     pcn_step,
 )
-from .mcmc import McmcConfig, burn_in_steps, run_chain_serial, run_chains_parallel
+from .mcmc import McmcConfig, run_chain_serial, run_chains_parallel
 from .smc import (
     IslandResult,
     LogZAccumulator,
@@ -42,9 +42,7 @@ from .targets import (
     GaussianLinearModel,
     GmmTarget,
     LogisticTarget,
-    grad_log_tempered,
     load_logistic_csv,
-    log_tempered,
     make_bimodal_gmm,
     make_gaussian_target,
     make_logistic_target,
@@ -54,7 +52,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # the experiment harness loads argparse, json and a thread pool, which a
+    # the experiment harness loads argparse and json, which a
     # sampler-only process never uses: import it on first access
     if name == "harness":
         import importlib

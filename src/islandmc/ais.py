@@ -4,10 +4,10 @@ Each sample is annealed independently: starting from a prior draw, every
 schedule transition multiplies the sample's running importance weight by
 the incremental likelihood power at the current position and then
 applies kernel sweeps targeting the new exponent.  There is no
-interaction between samples, so the method is embarrassingly parallel
-and equivalent to sequential Monte Carlo with resampling disabled and
-per-sample weight tracking.  The mean of the final weights is an
-unbiased evidence estimate.
+interaction between samples, so the method is sequential Monte Carlo
+with resampling disabled and per-sample weight tracking, and it runs on
+the SMC stage loop, :func:`smc.run_smc_islands`.  The mean of the final
+weights is an unbiased evidence estimate.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .kernels import HmcConfig, KernelStats, PcnConfig, Population
-from .seeds import check_seed
-from .targets import EvalCounter, logsumexp
+from . import smc
+from .kernels import HmcConfig, PcnConfig
+from .targets import logsumexp
 
 
 @dataclass(frozen=True)
@@ -87,25 +86,17 @@ def run_ais(cfg, target, seed):
     (samples, log_weights, epochs)
         Final positions ``(n, d)``, unnormalized log importance weights
         ``(n,)``, and the evaluation tally.
+
+    Raises
+    ------
+    NumericalDomainError
+        If any sample's log-likelihood is NaN or +inf at the start of a
+        transition.
+    DegenerateWeightsError
+        If every sample's log-likelihood is -inf.
     """
-    seed = check_seed(seed)
-    counter = EvalCounter()
-    stats = KernelStats()
-    base_rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
-    pop = Population.initialize(
-        target, base_rng, cfg.n_samples, counter,
-        needs_grad=kernels.needs_gradient(cfg.kernel),
-    )
-    log_w = np.zeros(cfg.n_samples)
-    lam = 0.0
-    for stage, lam_new in enumerate(cfg.schedule[1:], start=1):
-        log_w += (lam_new - lam) * pop.loglik
-        kernels.mutate(
-            pop, lam_new, cfg.mutation_steps, cfg.kernel, target,
-            seed, stage, counter, stats,
-        )
-        lam = lam_new
-    return pop.theta, log_w, counter
+    result = smc.run_smc_islands(cfg, target, [seed])[0]
+    return result.samples, result.log_weights, result.epochs
 
 
 def log_evidence_estimate(log_weights):

@@ -72,32 +72,3 @@ def posterior_mean(samples, weights=None):
         raise ValueError("weights must not all be zero")
     return np.tensordot(weights / total, samples, axes=1)
 
-
-def mse_and_se(estimates, truth):
-    """Mean squared error over replicates and its standard error.
-
-    Each replicate's squared error is averaged over coordinates; the
-    MSE is the mean of those values and the standard error is the
-    standard deviation of the replicate squared errors divided by the
-    square root of the replicate count.
-
-    Parameters
-    ----------
-    estimates : ndarray (R, k) or (R,)
-        One estimate per replicate, R at least 2.
-    truth : ndarray (k,) or scalar
-
-    Returns
-    -------
-    (mse, se)
-    """
-    estimates = np.asarray(estimates, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if estimates.ndim == 1:
-        estimates = estimates[:, None]
-    if estimates.shape[0] < 2:
-        raise ValueError("need at least two replicates")
-    sq_err = np.mean((estimates - truth) ** 2, axis=1)
-    mse = float(sq_err.mean())
-    se = float(np.sqrt(np.mean((sq_err - mse) ** 2) / sq_err.shape[0]))
-    return mse, se

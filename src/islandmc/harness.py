@@ -18,7 +18,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,9 +41,6 @@ CSV_COLUMNS = [
 ]
 
 COLUMN_ALIASES = {"mse": "mse_vs_truth", "epochs": "epochs_serial", "logz": "logZ"}
-
-METHOD_KINDS = ("smc", "smc_par", "mcmc", "mcmc_par", "ais")
-
 
 class ConfigError(ValueError):
     """Config file problem; the message names the offending field."""
@@ -151,13 +147,7 @@ def parse_config(payload) -> ExperimentConfig:
     # fail fast on bad specs before any run starts
     target = build_target(cfg.target_spec)
     for i, point in enumerate(sweep):
-        try:
-            _check_point(cfg.method_spec, point, target)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            field = _POINT_FIELDS.get(str(exc).split(" ", 1)[0])
-            raise ConfigError(f"sweep[{i}]{'.' + field if field else ''}: {exc}") from exc
+        _point_config(cfg.method_spec, point, target, i)
     return cfg
 
 
@@ -268,7 +258,7 @@ def analytic_truth(target):
 
 def _method_kind(method_spec):
     kind = _require(method_spec, "kind", "method")
-    if kind not in METHOD_KINDS:
+    if kind not in _METHODS:
         raise ConfigError(f"method.kind: unknown method kind {kind!r}")
     return kind
 
@@ -314,7 +304,50 @@ def _ais_config(method_spec, point, kernel):
     )
 
 
-def _check_point(method_spec, point, target):
+def _mcmc_config(mode):
+    return lambda method_spec, point, kernel: McmcConfig(
+        n_samples=point.N, burn_in=point.B, thin=point.T, kernel=kernel, mode=mode)
+
+
+def _run_islands_cell(cfg, n_islands, target, seed):
+    """SMC or MCMC islands combined by evidence; MCMC evidences are all 1, so logZ is 0."""
+    ens = islands_mod.run_islands(n_islands, cfg, target, seed)
+    logz = islands_mod.log_mean_evidence(ens.logz_totals())
+    return islands_mod.combine_weighted(ens), logz, [r.epochs for r in ens.results]
+
+
+def _run_chain_cell(cfg, n_islands, target, seed):
+    samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed)
+    return posterior_mean(samples), 0.0, [counter]
+
+
+def _run_ais_cell(cfg, n_islands, target, seed):
+    """One ``run_ais`` per island seed, pooled.
+
+    Stacking the islands in one run would put rows of several islands
+    into one likelihood block, where BLAS can give a row other last bits
+    (it does on the logistic target).
+    """
+    runs = [ais_mod.run_ais(cfg, target, islands_mod.island_seed(seed, p)) for p in range(n_islands)]
+    samples, log_ws, tallies = zip(*runs)
+    samples, log_ws = np.concatenate(samples), np.concatenate(log_ws)
+    return ais_mod.ais_estimate(samples, log_ws), ais_mod.log_evidence_estimate(log_ws), tallies
+
+
+# method kind -> (config builder taking (method spec, sweep point, kernel),
+# cell runner taking (config, P, target, seed) and returning the estimate,
+# the log evidence and the evaluation tally of each island)
+_METHODS = {
+    "smc": (_smc_config, _run_islands_cell),
+    "smc_par": (_smc_config, _run_islands_cell),
+    "mcmc": (_mcmc_config("serial"), _run_chain_cell),
+    "mcmc_par": (_mcmc_config("parallel"), _run_islands_cell),
+    "ais": (_ais_config, _run_ais_cell),
+}
+
+
+def _point_config(method_spec, point, target, index):
+    """The method config of sweep point ``index``; each error names its field."""
     kind = _method_kind(method_spec)
     kernel = build_kernel(method_spec.get("kernel"))
     if isinstance(kernel, HmcConfig) and np.ndim(kernel.mass) != 0 and np.shape(kernel.mass) != (target.dim,):
@@ -324,13 +357,13 @@ def _check_point(method_spec, point, target):
         )
     if kind in ("smc", "mcmc") and point.P != 1:
         raise ConfigError(f"method {kind!r} requires P = 1 (use {kind}_par for islands)")
-    if kind in ("smc", "smc_par"):
-        _smc_config(method_spec, point, kernel)
-    elif kind == "ais":
-        _ais_config(method_spec, point, kernel)
-    else:
-        McmcConfig(n_samples=point.N, burn_in=point.B, thin=point.T, kernel=kernel,
-                   mode="serial" if kind == "mcmc" else "parallel")
+    try:
+        return _METHODS[kind][0](method_spec, point, kernel)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        field = _POINT_FIELDS.get(str(exc).split(" ", 1)[0])
+        raise ConfigError(f"sweep[{index}]{'.' + field if field else ''}: {exc}") from exc
 
 
 def run_seed(master_seed, sweep_index, replicate) -> int:
@@ -338,83 +371,35 @@ def run_seed(master_seed, sweep_index, replicate) -> int:
     return derive_seed(master_seed, sweep_index, replicate)
 
 
-def _run_cell(method_spec, point, target, seed):
-    kind = _method_kind(method_spec)
-    kernel = build_kernel(method_spec.get("kernel"))
-    if kind in ("smc", "smc_par"):
-        cfg = _smc_config(method_spec, point, kernel)
-        ens = islands_mod.run_islands(point.P, cfg, target, seed)
-        estimate = islands_mod.combine_weighted(ens)
-        logz = islands_mod.log_mean_evidence(ens.logz_totals())
-        tallies = [r.epochs for r in ens.results]
-    elif kind == "mcmc":
-        cfg = McmcConfig(n_samples=point.N, burn_in=point.B, thin=point.T,
-                         kernel=kernel, mode="serial")
-        samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed)
-        estimate = posterior_mean(samples)
-        logz = 0.0
-        tallies = [counter]
-    elif kind == "mcmc_par":
-        cfg = McmcConfig(n_samples=point.N, burn_in=point.B, thin=point.T,
-                         kernel=kernel, mode="parallel")
-        ens = islands_mod.run_islands(point.P, cfg, target, seed)
-        estimate = islands_mod.combine_weighted(ens)
-        logz = 0.0
-        tallies = [r.epochs for r in ens.results]
-    else:
-        cfg = _ais_config(method_spec, point, kernel)
-        thetas, log_ws, tallies = [], [], []
-        for p in range(point.P):
-            th, lw, counter = ais_mod.run_ais(cfg, target, islands_mod.island_seed(seed, p))
-            thetas.append(th)
-            log_ws.append(lw)
-            tallies.append(counter)
-        thetas = np.concatenate(thetas)
-        log_ws = np.concatenate(log_ws)
-        estimate = ais_mod.ais_estimate(thetas, log_ws)
-        logz = ais_mod.log_evidence_estimate(log_ws)
-    lik = sum(t.likelihood for t in tallies)
-    grad = sum(t.gradient for t in tallies)
-    per_worker = max(t.epochs for t in tallies)
-    return estimate, logz, lik, grad, per_worker
-
-
-def run_experiment(cfg, workers=1):
+def run_experiment(cfg):
     """Run the whole sweep and return one row dict per replicate.
 
-    Rows are ordered by (sweep index, replicate) regardless of worker
-    scheduling, and every column except wall_seconds is a deterministic
-    function of the config and master seed.
+    Rows are ordered by (sweep index, replicate), and every column
+    except wall_seconds is a deterministic function of the config and
+    master seed.
     """
     target = build_target(cfg.target_spec)
     truth = analytic_truth(target)
     kind = _method_kind(cfg.method_spec)
-
-    def one(task):
-        si, replicate = task
-        point = cfg.sweep[si]
-        seed = run_seed(cfg.master_seed, si, replicate)
-        start = time.perf_counter()
-        estimate, logz, lik, grad, per_worker = _run_cell(
-            cfg.method_spec, point, target, seed
-        )
-        wall = time.perf_counter() - start
-        mse = "" if truth is None else float(np.mean((estimate - truth) ** 2))
-        return {
-            "method": kind, "N": point.N, "P": point.P, "M": point.M,
-            "B": point.B, "T": point.T, "replicate": replicate,
-            "mse_vs_truth": mse, "logZ": float(logz),
-            "lik_evals": lik, "grad_evals": grad,
-            "epochs_serial": lik + grad, "epochs_parallel": per_worker,
-            "wall_seconds": wall,
-        }
-
-    tasks = [(si, r) for si in range(len(cfg.sweep)) for r in range(cfg.replicates)]
-    if workers == 1:
-        rows = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, tasks))
+    run_cell = _METHODS[kind][1]
+    rows = []
+    for si, point in enumerate(cfg.sweep):
+        method_cfg = _point_config(cfg.method_spec, point, target, si)
+        for replicate in range(cfg.replicates):
+            seed = run_seed(cfg.master_seed, si, replicate)
+            start = time.perf_counter()
+            estimate, logz, tallies = run_cell(method_cfg, point.P, target, seed)
+            wall = time.perf_counter() - start
+            lik = sum(t.likelihood for t in tallies)
+            grad = sum(t.gradient for t in tallies)
+            rows.append({
+                "method": kind, "N": point.N, "P": point.P, "M": point.M,
+                "B": point.B, "T": point.T, "replicate": replicate,
+                "mse_vs_truth": "" if truth is None else float(np.mean((estimate - truth) ** 2)),
+                "logZ": float(logz), "lik_evals": lik, "grad_evals": grad,
+                "epochs_serial": lik + grad, "epochs_parallel": max(t.epochs for t in tallies),
+                "wall_seconds": wall,
+            })
     return rows
 
 
@@ -491,7 +476,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a sweep described by a JSON config")
     p_run.add_argument("--config", required=True, help="JSON config path")
     p_run.add_argument("--out", help="CSV output path (overrides config 'output')")
-    p_run.add_argument("--workers", type=int, default=1, help="concurrent runs")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_fit = sub.add_parser("fit", help="fit a log-log rate from a results CSV")
     p_fit.add_argument("--csv", required=True, help="results CSV path")
@@ -505,12 +489,10 @@ def main(argv=None) -> int:
                 if args.seed < 0:
                     raise ConfigError("--seed: must be non-negative")
                 cfg.master_seed = args.seed
-            if args.workers < 1:
-                raise ConfigError("--workers: must be positive")
             out = args.out or cfg.output
             if out is None:
                 raise ConfigError("no output path: pass --out or set 'output' in the config")
-            rows = run_experiment(cfg, workers=args.workers)
+            rows = run_experiment(cfg)
             write_csv(rows, out)
             print(f"wrote {len(rows)} rows to {out}")
         else:

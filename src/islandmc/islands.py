@@ -67,8 +67,11 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     runs in this process.  With ``parallelism > 1`` the islands run on
     ``min(parallelism, n_islands)`` worker processes: each worker makes
     one stacked SMC run on a contiguous share of the seeds, or runs
-    MCMC islands one task per island.  Results come back in seed order
-    and are identical either way.
+    MCMC islands one task per island.  Results come back in seed order.
+    MCMC islands are identical either way, and so are SMC islands when
+    the target's likelihood block height divides ``n_particles``.
+    Otherwise a worker's stack splits the rows into other blocks, and an
+    island can differ in the last bits (see :func:`smc.run_smc_islands`).
     """
     if n_islands < 1:
         raise ValueError("n_islands must be positive")
@@ -160,8 +163,11 @@ def _island_means(ensemble, phi):
 
 
 def island_to_json(result, seed) -> dict:
-    """Serialize one island result to the JSON export schema."""
-    return {
+    """Serialize one island result to the JSON export schema.
+
+    ``log_weights`` is written only for AIS islands, which have them.
+    """
+    payload = {
         "seed": int(seed),
         "schedule": [float(v) for v in result.schedule],
         "logz_offset": float(result.logz.offset_sum),
@@ -177,10 +183,14 @@ def island_to_json(result, seed) -> dict:
         },
         "stage_ess": [float(v) for v in result.stage_ess],
     }
+    if result.log_weights is not None:
+        payload["log_weights"] = np.asarray(result.log_weights).tolist()
+    return payload
 
 
 def island_from_json(payload):
     """Rebuild ``(IslandResult, seed)`` from the JSON export schema."""
+    log_weights = payload.get("log_weights")
     result = IslandResult(
         samples=np.asarray(payload["samples"], dtype=float),
         logz=LogZAccumulator(payload["logz_offset"], payload["logz_residual"]),
@@ -189,5 +199,6 @@ def island_from_json(payload):
         kernel_stats=KernelStats(payload["kernel_stats"]["proposals"],
                                  payload["kernel_stats"]["accepts"]),
         stage_ess=list(payload["stage_ess"]),
+        log_weights=None if log_weights is None else np.asarray(log_weights, dtype=float),
     )
     return result, int(payload["seed"])

@@ -344,12 +344,18 @@ class _StreamSeed(ISeedSequence):
 
 
 def _per_row(values, n_blocks, block_rows):
-    """One value, or one per block, as a scalar or a per-row ``(n, 1)`` column."""
+    """One value, or one per block, as a scalar or a per-row ``(n, 1)`` column.
+
+    One block's one value stays a scalar: it gives the same products as
+    a column, faster.
+    """
     if np.ndim(values) == 0:
         return values
     values = np.asarray(values, dtype=float)
     if values.shape != (n_blocks,):
         raise ValueError(f"expected one value per block ({n_blocks}), got shape {values.shape}")
+    if n_blocks == 1:
+        return float(values[0])
     return np.repeat(values, block_rows)[:, None]
 
 

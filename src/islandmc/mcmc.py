@@ -18,7 +18,6 @@ evaluations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +63,6 @@ class McmcConfig:
             raise ValueError("thin must be positive")
         if self.mode not in ("serial", "parallel"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-def burn_in_steps(multiplier, iact_estimate) -> int:
-    """Burn-in length as a multiple of an autocorrelation-time estimate."""
-    if multiplier < 0 or iact_estimate <= 0:
-        raise ValueError("multiplier must be >= 0 and iact_estimate > 0")
-    return math.ceil(multiplier * iact_estimate)
 
 
 def run_chain_serial(cfg, target, seed, stats=None):

@@ -15,7 +15,9 @@ Independent runs (islands) share nothing but the target, so
 stage stacks the populations of the runs still below exponent 1 and
 mutates them in one kernel sweep, while each run keeps its own ladder,
 evidence, resampling and kernel tuning.  :func:`run_smc` is its
-one-seed call.
+one-seed call.  The same loop runs annealed importance sampling
+(:class:`ais.AisConfig`): a fixed ladder with per-particle weights and
+no resampling.
 """
 
 from __future__ import annotations
@@ -292,21 +294,26 @@ def resample(log_weights, cfg, rng, shifted=None):
 
 @dataclass
 class IslandResult:
-    """Output of one SMC (or MCMC) island.
+    """Output of one SMC, AIS or MCMC island.
 
     Attributes
     ----------
     samples : ndarray (n, d)
-        Equally weighted posterior samples.
+        Posterior samples, equally weighted except for AIS islands.
     logz : LogZAccumulator
-        Log evidence estimate (identically zero for MCMC islands).
+        Log evidence estimate (identically zero for MCMC islands; for
+        AIS islands ``log mean exp(log_weights)``, split as the maximum
+        plus a residual).
     schedule : list of float
         Realized tempering exponents, strictly increasing, ending at 1.
     epochs : EvalCounter
         Likelihood and gradient evaluations spent by this island.
     kernel_stats : KernelStats
     stage_ess : list of float
-        Realized effective sample size at each stage.
+        Realized effective sample size at each stage (empty for AIS).
+    log_weights : ndarray (n,) or None
+        Unnormalized log importance weights of the AIS samples; None for
+        SMC and MCMC islands.
     """
 
     samples: np.ndarray
@@ -315,6 +322,7 @@ class IslandResult:
     epochs: EvalCounter
     kernel_stats: KernelStats
     stage_ess: list = field(default_factory=list)
+    log_weights: np.ndarray | None = None
 
     def __post_init__(self):
         sched = self.schedule
@@ -338,6 +346,7 @@ class _Island:
     stats: KernelStats = field(default_factory=KernelStats)
     schedule: list = field(default_factory=list)
     stage_ess: list = field(default_factory=list)
+    log_weights: np.ndarray | None = None
     result: IslandResult | None = None
 
 
@@ -361,40 +370,54 @@ def run_smc(cfg, target, seed):
 
 
 def run_smc_islands(cfg, target, seeds):
-    """Run one independent SMC island per seed, all in lockstep.
+    """Run one independent island per seed, all in lockstep.
 
-    Island ``p`` gives exactly the result of ``run_smc(cfg, target,
-    seeds[p])``: it has its own base stream, tempering ladder, evidence
-    accumulator, resampling, pCN scaling, step size, kernel statistics
-    and evaluation tally.  Only the block passes are shared: each stage
-    bisects the next exponents of the islands still below exponent 1 in
-    one :func:`next_temperature` call on their ``(P, N)`` log-likelihood
-    block, computes their stage ESS and pCN scalings in one pass each,
-    and mutates them as one stacked population in one
-    :func:`kernels.mutate` call, with island ``p``'s rows drawing noise
-    from the streams of ``seeds[p]``.  Evidence and resampling stay per
-    island.  An island leaves the stack once it reaches exponent 1.
+    ``cfg`` is an :class:`SmcConfig`, or an :class:`ais.AisConfig` for
+    annealed importance sampling.  An AIS island walks the fixed ladder
+    ``cfg.schedule[1:]`` and adds each stage's ``(lambda_new - lambda)
+    * loglik`` to per-particle log weights, in stage order.  It has no
+    ESS bisection, evidence accumulation or resampling, uses unit pCN
+    scaling and never adapts its step size.  Its result carries the
+    final ``log_weights``, their log mean as ``logz`` and an empty
+    ``stage_ess``.
 
-    The equality holds by construction when the target's likelihood
-    block height (see ``targets._GaussianPriorTarget``) divides
-    ``n_particles``: island ``p``'s rows then fill whole blocks of the
+    Island ``p`` has its own base stream, tempering ladder, evidence,
+    resampling, pCN scaling, step size, kernel statistics and
+    evaluation tally, as in the one-seed call with ``seeds[p]``
+    (:func:`run_smc`, :func:`ais.run_ais`).  Only the block passes are
+    shared: each stage bisects the next exponents of the islands still
+    below exponent 1 in one :func:`next_temperature` call on their
+    ``(P, N)`` log-likelihood block, computes their stage ESS and pCN
+    scalings in one pass each, and mutates them as one stacked
+    population in one :func:`kernels.mutate` call, with island ``p``'s
+    rows drawing noise from the streams of ``seeds[p]``.  Evidence and
+    resampling stay per island.  An island leaves the stack once it
+    reaches exponent 1.
+
+    Island ``p`` equals its one-seed run bit for bit when the target's
+    likelihood block height (see ``targets._GaussianPriorTarget``)
+    divides the population size: its rows then fill whole blocks of the
     stack, and each block is evaluated as in the one-island run.
-    Otherwise a block mixes rows of several islands, and the equality
-    rests on BLAS giving each row of a product the same value whatever
-    the product's row count.
+    Otherwise a block mixes rows of several islands, and a row can get
+    a different last bit: BLAS need not give a row of a product the
+    same value at every row count, and on the logistic target (block
+    height 32) it does not.
 
     Returns the :class:`IslandResult` of each seed, in seed order.  When
     islands fail, the error of the first one to fail (by stage, then by
-    seed order) is raised, as :func:`run_smc` raises it.
+    seed order) is raised, as its one-seed run raises it.
     """
     seeds = [check_seed(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
-    n = cfg.n_particles
+    ais = not isinstance(cfg, SmcConfig)
+    n = cfg.n_samples if ais else cfg.n_particles
+    ladder = cfg.schedule[1:] if ais else cfg.schedule  # None: adaptive
     pcn = isinstance(cfg.kernel, PcnConfig)
     step_size = cfg.kernel.beta if pcn else cfg.kernel.step_size
     islands = [
-        _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), EvalCounter(), step_size)
+        _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), EvalCounter(), step_size,
+                log_weights=np.zeros(n) if ais else None)
         for seed in seeds
     ]
     pop = Population.stack([
@@ -408,7 +431,7 @@ def run_smc_islands(cfg, target, seeds):
         """The rows of block ``b`` of ``pop``, which holds ``active[b]``."""
         return slice(b * n, (b + 1) * n)
 
-    for stage in range(1, cfg.max_stages + 1):
+    for stage in range(1, (len(ladder) if ais else cfg.max_stages) + 1):
         k = len(active)
         loglik = pop.loglik.reshape(k, n)
         # a row with a NaN or +inf, or with no finite log-likelihood, fails;
@@ -418,20 +441,24 @@ def run_smc_islands(cfg, target, seeds):
         failed = np.flatnonzero(~np.isfinite(top))
         first_bad = failed[0] if failed.size else k
         lams = [island.lam for island in active[:first_bad]]
-        if cfg.schedule is not None:
-            lams_new = [cfg.schedule[len(island.schedule)] for island in active[:first_bad]]
+        if ladder is not None:
+            lams_new = [ladder[len(island.schedule)] for island in active[:first_bad]]
         else:
             lams_new = next_temperature(loglik[:first_bad], lams, cfg).tolist()
-        # one shift and exp of the stage weights feed the ESS, the evidence
-        # and the resampling of every island
         stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
-        top, w = _max_shift(stage_lw)
-        stage_ess = _ess_of(w).tolist()
-        ancestors = []
-        for b, island in enumerate(active[:first_bad]):
-            island.logz = update_logz(island.logz, stage_lw[b], (top[b], w[b]))
-            island.stage_ess.append(stage_ess[b])
-            ancestors.append(resample(stage_lw[b], cfg, island.rng, w[b]) + b * n)
+        if ais:
+            for island, lw in zip(active, stage_lw):
+                island.log_weights += lw
+        else:
+            # one shift and exp of the stage weights feed the ESS, the
+            # evidence and the resampling of every island
+            top, w = _max_shift(stage_lw)
+            stage_ess = _ess_of(w).tolist()
+            ancestors = []
+            for b, island in enumerate(active[:first_bad]):
+                island.logz = update_logz(island.logz, stage_lw[b], (top[b], w[b]))
+                island.stage_ess.append(stage_ess[b])
+                ancestors.append(resample(stage_lw[b], cfg, island.rng, w[b]) + b * n)
         if first_bad < k:
             island = active[first_bad]
             nan = np.isnan(loglik[first_bad])
@@ -445,9 +472,10 @@ def run_smc_islands(cfg, target, seeds):
                 f"of {n} particles (lambda={island.lam})",
                 theta=pop.theta[rows(first_bad)][bad], lam=island.lam,
             )
-        pop.take(np.concatenate(ancestors))
+        if not ais:
+            pop.take(np.concatenate(ancestors))
         scaling = None
-        if pcn and cfg.kernel.use_scaling:
+        if not ais and pcn and cfg.kernel.use_scaling:
             scaling = kernels.estimate_scaling(pop.theta.reshape(k, n, -1), cfg.kernel.scaling_floor)
         stage_stats = [KernelStats() for _ in active]
         stage_counter = EvalCounter()
@@ -462,7 +490,7 @@ def run_smc_islands(cfg, target, seeds):
             island.counter.add_likelihood(stage_counter.likelihood // len(active))
             island.counter.add_gradient(stage_counter.gradient // len(active))
             island.stats.record(stats.proposals, stats.accepts)
-            if cfg.adapt_steps and cfg.mutation_steps > 0:
+            if not ais and cfg.adapt_steps and cfg.mutation_steps > 0:
                 island.step_size = kernels.adapt_step_size(
                     island.step_size, stats.last_rate, cfg.kernel.target_accept, stage - 1
                 )
@@ -471,9 +499,11 @@ def run_smc_islands(cfg, target, seeds):
             island.lam = lam_new
             island.schedule.append(lam_new)
             if lam_new == 1.0:
+                if ais:
+                    island.logz = update_logz(island.logz, island.log_weights)
                 island.result = IslandResult(
                     pop.theta[rows(b)].copy(), island.logz, island.schedule,
-                    island.counter, island.stats, island.stage_ess,
+                    island.counter, island.stats, island.stage_ess, island.log_weights,
                 )
             else:
                 keep.append(b)

@@ -53,7 +53,7 @@ def logsumexp(a, axis=None, keepdims=False):
 
 
 class NumericalDomainError(ValueError):
-    """Raised when a likelihood or tempered gradient is non-finite."""
+    """Raised when a sampler meets a NaN or +inf log-likelihood."""
 
     def __init__(self, message, theta=None, lam=None):
         super().__init__(message)
@@ -234,27 +234,6 @@ class _GaussianPriorTarget:
                 f"parameter vector has dimension {theta.shape[-1]}, expected {self.dim}"
             )
         return theta
-
-
-def log_tempered(target, theta, lam, counter: EvalCounter | None = None):
-    """Log of the unnormalized tempered density prior * likelihood^lam."""
-    return target.log_prior(theta) + lam * target.log_likelihood(theta, counter)
-
-
-def grad_log_tempered(target, theta, lam, counter: EvalCounter | None = None):
-    """Gradient of the log tempered density.
-
-    Raises
-    ------
-    NumericalDomainError
-        If any gradient component is non-finite at ``theta``.
-    """
-    grad = lam * target.grad_log_likelihood(theta, counter) + target.grad_log_prior(theta)
-    if not np.all(np.isfinite(grad)):
-        raise NumericalDomainError(
-            f"non-finite tempered gradient at lambda={lam}", theta=theta, lam=lam
-        )
-    return grad
 
 
 class GaussianLinearModel(_GaussianPriorTarget):

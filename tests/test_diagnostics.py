@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from islandmc.diagnostics import autocorrelation, iact, mse_and_se, posterior_mean
+from islandmc.diagnostics import autocorrelation, iact, posterior_mean
 
 
 def ar1(rho, n, seed):
@@ -65,26 +65,3 @@ def test_posterior_mean_validation():
         posterior_mean(two, np.array([-1.0, 2.0]))
     with pytest.raises(ValueError):
         posterior_mean(two, np.zeros(2))
-
-
-def test_mse_exact_estimates():
-    assert mse_and_se(np.full((3, 2), 1.5), np.full(2, 1.5)) == (0.0, 0.0)
-
-
-def test_mse_hand_case():
-    # scalar errors (1, 3): squared errors (1, 9), MSE 5, se sqrt(8)
-    mse, se = mse_and_se(np.array([1.0, 3.0]), 0.0)
-    assert mse == pytest.approx(5.0, abs=1e-12)
-    assert se == pytest.approx(np.sqrt(8.0), abs=1e-12)
-
-
-def test_mse_scales_quadratically():
-    estimates = np.random.default_rng(4).standard_normal(10)
-    m1, _ = mse_and_se(estimates, 0.0)
-    m3, _ = mse_and_se(3.0 * estimates, 0.0)
-    assert m3 == pytest.approx(9.0 * m1, rel=1e-12)
-
-
-def test_mse_needs_two_replicates():
-    with pytest.raises(ValueError):
-        mse_and_se(np.array([1.0]), 0.0)

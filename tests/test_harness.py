@@ -227,16 +227,6 @@ def test_run_experiment_rows_deterministic_except_wall():
                 assert ra[key] == rb[key], key
 
 
-def test_run_experiment_worker_count_does_not_change_rows():
-    cfg = parse_config(base_config(sweep=[{"N": 8, "M": 1}, {"N": 16, "M": 1}]))
-    a = run_experiment(cfg, workers=1)
-    b = run_experiment(cfg, workers=4)
-    for ra, rb in zip(a, b):
-        assert ra["mse_vs_truth"] == rb["mse_vs_truth"]
-        assert ra["logZ"] == rb["logZ"]
-        assert (ra["N"], ra["replicate"]) == (rb["N"], rb["replicate"])
-
-
 def test_run_experiment_flat_likelihood_accounting():
     # m=0: single tempering stage, so lik = N (1 + J M) with J = 1
     cfg = parse_config(base_config(

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from islandmc import smc
+from islandmc.ais import AisConfig, log_evidence_estimate, run_ais
 from islandmc.islands import (
     IslandEnsemble,
     combine_unweighted,
@@ -275,6 +277,28 @@ def test_stacked_islands_equal_one_island_runs(name):
     if "schedule" not in options:
         # islands finish at different stages and leave the stack early
         assert len({len(r.schedule) for r in ens.results}) > 1
+
+
+@pytest.mark.parametrize("kernel", [PcnConfig(beta=0.5), HmcConfig(step_size=0.1, leapfrog_steps=3)])
+def test_ais_islands_on_the_stage_loop(kernel):
+    # 16-row likelihood blocks: each island of the stack fills its own block
+    target = make_logistic_target(5, 1100, seed=1)
+    cfg = AisConfig(n_samples=16, schedule=(0.0, 0.1, 0.4, 1.0), kernel=kernel, mutation_steps=2)
+    seeds = [3, 4, 5]
+    for seed, got in zip(seeds, smc.run_smc_islands(cfg, target, seeds)):
+        samples, log_w, epochs = run_ais(cfg, target, seed)
+        assert np.array_equal(got.samples, samples)
+        assert np.array_equal(got.log_weights, log_w)
+        assert got.epochs == epochs
+        assert got.schedule == [0.1, 0.4, 1.0]
+        assert got.stage_ess == []
+        # the island's own evidence, not the default accumulator's 1
+        assert got.logz.offset_sum == log_w.max()
+        assert got.logz.total == pytest.approx(log_evidence_estimate(log_w), abs=1e-12)
+        loaded, loaded_seed = island_from_json(json.loads(json.dumps(island_to_json(got, seed))))
+        assert loaded_seed == seed
+        assert_same_island(loaded, got)
+        assert np.array_equal(loaded.log_weights, got.log_weights)
 
 
 def test_stacked_islands_overflow_names_first_unfinished_island():

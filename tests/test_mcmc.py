@@ -5,7 +5,7 @@ import pytest
 
 from islandmc.diagnostics import iact
 from islandmc.kernels import HmcConfig, PcnConfig
-from islandmc.mcmc import McmcConfig, burn_in_steps, run_chain_serial, run_chains_parallel
+from islandmc.mcmc import McmcConfig, run_chain_serial, run_chains_parallel
 from islandmc.targets import GaussianLinearModel, make_gaussian_target
 
 
@@ -22,15 +22,6 @@ def test_config_validation():
         McmcConfig(n_samples=1, thin=0)
     with pytest.raises(ValueError):
         McmcConfig(n_samples=1, mode="distributed")
-
-
-def test_burn_in_steps():
-    assert burn_in_steps(5, 2.3) == 12
-    assert burn_in_steps(0, 10.0) == 0
-    with pytest.raises(ValueError):
-        burn_in_steps(-1, 2.0)
-    with pytest.raises(ValueError):
-        burn_in_steps(2, 0.0)
 
 
 def test_serial_full_refresh_replays_prior_stream():

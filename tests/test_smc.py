@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from islandmc import smc
+from islandmc.ais import AisConfig, make_neal_schedule, run_ais
 from islandmc.kernels import HmcConfig, KernelStats, PcnConfig
 from islandmc.smc import (
     DegenerateWeightsError,
@@ -500,6 +501,30 @@ def test_run_smc_pos_inf_likelihood_raises_domain_error(resampling):
         run_smc(cfg, target, seed=0)
     assert err.value.theta.shape == (2, 3)
     assert 0.0 < err.value.lam < 1.0
+
+
+@pytest.mark.parametrize("kernel", [PcnConfig(beta=0.5), HmcConfig(step_size=0.1, leapfrog_steps=3)])
+def test_run_ais_non_finite_likelihood_raises(kernel):
+    # AIS runs on the SMC stage loop, so it fails where SMC does instead of
+    # returning NaN or +inf weights
+    base = make_gaussian_target(3, 4, 1.0, seed=0)
+    cfg = AisConfig(n_samples=8, schedule=make_neal_schedule(), kernel=kernel)
+    target = _BadInitialRows(base, {0: ([1, 5], np.nan)})
+    with pytest.raises(NumericalDomainError, match=r"stage 1: log-likelihood is NaN for 2 of 8 particles \(lambda=0.0\)") as err:
+        run_ais(cfg, target, seed=0)
+    assert err.value.lam == 0.0
+    assert err.value.theta.shape == (2, 3)
+    target = _BadInitialRows(base, {0: ([2, 6, 7], np.inf)})
+    with pytest.raises(NumericalDomainError, match=r"stage 1: log-likelihood is \+inf for 3 of 8 particles"):
+        run_ais(cfg, target, seed=0)
+    target = _BadInitialRows(base, {0: (list(range(8)), -np.inf)})
+    with pytest.raises(DegenerateWeightsError, match="all weights are zero"):
+        run_ais(cfg, target, seed=0)
+    # a +inf proposal is always accepted and fails at the next transition
+    target = _BadInitialRows(base, {1: ([0, 5], np.inf)})
+    with pytest.raises(NumericalDomainError, match=r"stage 2: log-likelihood is \+inf for 2 of 8") as err:
+        run_ais(cfg, target, seed=0)
+    assert err.value.lam == make_neal_schedule()[1]
 
 
 def test_run_smc_rejects_bad_seed():

@@ -1,8 +1,9 @@
 """Communication-free parallel islands and their weighted combination.
 
-Each island is a full, independently seeded sampler run (SMC or MCMC).
-Islands never exchange state; afterward their posterior averages are
-combined with weights proportional to each island's evidence estimate.
+Each island is a full, independently seeded sampler run (SMC, AIS or
+MCMC).  Islands never exchange state; afterward their posterior averages
+are combined with weights proportional to each island's evidence
+estimate.
 For MCMC islands every evidence estimate is identically 1, so the
 combination degenerates to the plain average of island means.
 """
@@ -16,7 +17,9 @@ import numpy as np
 
 from . import mcmc as mcmc_mod
 from . import smc as smc_mod
+from .ais import AisConfig, ais_estimate
 from .kernels import KernelStats
+from .mcmc import McmcConfig
 from .seeds import derive_seed
 from .smc import DegenerateWeightsError, IslandResult, LogZAccumulator, SmcConfig
 from .targets import EvalCounter
@@ -60,16 +63,19 @@ def _run_mcmc_islands(cfg, target, seeds):
 def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     """Run ``n_islands`` independent islands and collect their results.
 
-    Island ``p`` runs with the derived seed :func:`island_seed`
-    ``(master_seed, p)``.  SMC islands advance in lockstep through
-    :func:`smc.run_smc_islands`, one stacked block pass per stage; MCMC
-    islands run one after another.  With ``parallelism == 1`` everything
-    runs in this process.  With ``parallelism > 1`` the islands run on
-    ``min(parallelism, n_islands)`` worker processes: each worker makes
-    one stacked SMC run on a contiguous share of the seeds, or runs
-    MCMC islands one task per island.  Results come back in seed order.
-    MCMC islands are identical either way, and so are SMC islands when
-    the target's likelihood block height divides ``n_particles``.
+    ``island_cfg`` is an :class:`smc.SmcConfig`, an
+    :class:`ais.AisConfig` or an :class:`mcmc.McmcConfig`; any other
+    type raises ``TypeError``.  Island ``p`` runs with the derived seed
+    :func:`island_seed` ``(master_seed, p)``.  SMC and AIS islands
+    advance in lockstep through :func:`smc.run_smc_islands`, one stacked
+    block pass per stage; MCMC islands run one after another.  With
+    ``parallelism == 1`` everything runs in this process.  With
+    ``parallelism > 1`` the islands run on ``min(parallelism,
+    n_islands)`` worker processes: each worker makes one stacked SMC or
+    AIS run on a contiguous share of the seeds, or runs MCMC islands one
+    task per island.  Results come back in seed order.  MCMC islands are
+    identical either way, and so are SMC and AIS islands when the
+    target's likelihood block height divides the population size.
     Otherwise a worker's stack splits the rows into other blocks, and an
     island can differ in the last bits (see :func:`smc.run_smc_islands`).
     """
@@ -77,22 +83,30 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
         raise ValueError("n_islands must be positive")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
+    if isinstance(island_cfg, SmcConfig):
+        tag, run = "smc", smc_mod.run_smc_islands
+    elif isinstance(island_cfg, AisConfig):
+        tag, run = "ais", smc_mod.run_smc_islands
+    elif isinstance(island_cfg, McmcConfig):
+        tag, run = "mcmc", _run_mcmc_islands
+    else:
+        raise TypeError(
+            f"island_cfg must be an SmcConfig, AisConfig or McmcConfig, not {type(island_cfg).__name__}"
+        )
     seeds = [island_seed(master_seed, p) for p in range(n_islands)]
-    smc = isinstance(island_cfg, SmcConfig)
-    run = smc_mod.run_smc_islands if smc else _run_mcmc_islands
     if parallelism == 1:
         results = run(island_cfg, target, seeds)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(parallelism, n_islands)
-        if smc:
+        if tag != "mcmc":
             shares = [seeds[w * n_islands // workers:(w + 1) * n_islands // workers] for w in range(workers)]
         else:
             shares = [[seed] for seed in seeds]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for share in pool.map(run, repeat(island_cfg), repeat(target), shares) for r in share]
-    return IslandEnsemble(results, seeds, "smc" if smc else "mcmc")
+    return IslandEnsemble(results, seeds, tag)
 
 
 def _checked_evidence(logz_totals):
@@ -141,7 +155,8 @@ def combine_weighted(ensemble, phi=None):
     Computes ``sum_p omega_p * mean_i phi(theta_p[i])`` where the
     weights are :func:`island_weights` of the island log evidences.
     ``phi`` maps a batch of samples ``(n, d)`` to ``(n,)`` or
-    ``(n, k)``; the default is the identity (posterior mean).
+    ``(n, k)``; the default is the identity (posterior mean).  An AIS
+    island's average is its self-normalized :func:`ais.ais_estimate`.
     """
     means = _island_means(ensemble, phi)
     w = island_weights(ensemble.logz_totals())
@@ -155,10 +170,14 @@ def combine_unweighted(ensemble, phi=None):
 
 
 def _island_means(ensemble, phi):
+    """Each island's posterior average of ``phi``; AIS islands weight their samples."""
     means = []
     for r in ensemble.results:
-        values = r.samples if phi is None else np.asarray(phi(r.samples))
-        means.append(np.mean(values, axis=0))
+        if r.log_weights is not None:
+            means.append(ais_estimate(r.samples, r.log_weights, phi))
+        else:
+            values = r.samples if phi is None else np.asarray(phi(r.samples))
+            means.append(np.mean(values, axis=0))
     return np.asarray(means)
 
 

@@ -272,8 +272,8 @@ def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter)
         log_ratio = lam * (ll_new - pop.loglik)
     # at lam == 0 the prior-invariant proposal is always accepted
     accept = (log_u <= log_ratio) | (lam == 0.0)
-    pop.theta[accept] = theta_new[accept]
-    pop.loglik[accept] = ll_new[accept]
+    np.copyto(pop.theta, theta_new, where=accept[:, None])
+    np.copyto(pop.loglik, ll_new, where=accept)
     return accept
 
 
@@ -338,7 +338,8 @@ class _StreamSeed(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 asks with the np.uint64 type itself: test for it before building a dtype
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("stream seed holds exactly 4 uint64 words")
         return self.words
 
@@ -480,8 +481,8 @@ def adapt_step_size(current, observed_rate, target_rate, iteration):
     target grow the step size, rates below shrink it.
     """
     gamma = 1.0 / (1.0 + iteration) ** 0.6
-    new = current * np.exp(gamma * (observed_rate - target_rate))
-    return float(np.clip(new, 1e-10, 1e3))
+    new = float(current * np.exp(gamma * (observed_rate - target_rate)))
+    return min(max(new, 1e-10), 1e3)
 
 
 def estimate_scaling(population, floor=1e-8):

@@ -50,6 +50,35 @@ class ScheduleOverflowError(RuntimeError):
         self.schedule = list(schedule)
 
 
+# next_temperature's absolute tolerance on the increment
+_BISECTION_TOL = 1e-10
+
+
+class StalledTemperingError(ScheduleOverflowError):
+    """Adaptive tempering stalled: no increment the bisection tested kept the stage ESS on target.
+
+    The bisection closed on ``[0, tol]`` without a passing midpoint: the
+    population cannot keep the stage ESS on target even at the smallest
+    increment the bisection resolves, so the run would spend its stage
+    budget without progress.  ``schedule`` ends with the stalled
+    exponent ``lam``; ``stage``, ``ess`` and ``target_ess`` give where
+    it stalled and the stage ESS reached against its target.
+    """
+
+    def __init__(self, schedule, stage, lam, ess, target_ess):
+        RuntimeError.__init__(
+            self,
+            f"stage {stage}: tempering stalled at lambda={lam}: no increment above the "
+            f"{_BISECTION_TOL} bisection tolerance kept the stage ESS on target (stage ESS of "
+            f"{ess} against a target of {target_ess})",
+        )
+        self.schedule = list(schedule)
+        self.stage = stage
+        self.lam = lam
+        self.ess = ess
+        self.target_ess = target_ess
+
+
 @dataclass(frozen=True)
 class SmcConfig:
     """Sequential Monte Carlo settings.
@@ -167,9 +196,18 @@ def update_logz(acc, stage_log_weights, shifted=None):
     log-weight plus the log mean of the max-shifted weights.  A caller
     that already holds ``shifted = _max_shift(stage_log_weights)``
     passes it to skip the shift and ``exp``.
+
+    A ``(k, N)`` block of k islands' stage log-weights folds each row
+    into its own accumulator: ``acc`` is then a sequence of k of them,
+    and the k updated accumulators are returned as a list, each equal
+    to the one-row call on its row.
     """
     m, w = _max_shift(stage_log_weights) if shifted is None else shifted
-    return LogZAccumulator(acc.offset_sum + float(m), acc.residual_log + float(np.log(np.mean(w))))
+    residual = np.log(np.mean(w, axis=-1))
+    if np.ndim(w) == 1:
+        return LogZAccumulator(acc.offset_sum + float(m), acc.residual_log + float(residual))
+    return [LogZAccumulator(a.offset_sum + off, a.residual_log + res)
+            for a, off, res in zip(acc, m.tolist(), residual.tolist())]
 
 
 def ess(log_weights):
@@ -212,7 +250,7 @@ def _bisection_grid(lo, hi):
     return grid
 
 
-def next_temperature(loglik, lambda_prev, cfg):
+def next_temperature(loglik, lambda_prev, cfg, return_stalled=False):
     """Choose the next tempering exponent by pinning the stage ESS.
 
     Finds the increment ``h`` with ``ESS(h * loglik) = ess_fraction * N``
@@ -227,6 +265,10 @@ def next_temperature(loglik, lambda_prev, cfg):
     step.  The rows are bisected together in rounds: one block pass
     evaluates the ESS at the 15 points the next 4 steps of each row can
     visit, then each row walks its path through them.
+
+    With ``return_stalled`` the result is a pair: the exponents and, for
+    each row (one bool for one island), whether the bisection stalled,
+    closing on ``[0, tol]`` with no tested increment passing.
     """
     loglik = np.asarray(loglik, dtype=float)
     block = loglik.reshape(-1, loglik.shape[-1])
@@ -238,6 +280,7 @@ def next_temperature(loglik, lambda_prev, cfg):
     if (top == -np.inf).any():
         raise DegenerateWeightsError("all weights are zero")
     new = [1.0] * len(lam_prev)
+    stalled = [False] * len(lam_prev)
     live = [(p, 0.0, 1.0 - lam) for p, lam in enumerate(lam_prev)]  # (row, lo, hi)
     for r in range(_MAX_BISECTIONS // _ROUND_STEPS):
         if not live:
@@ -259,17 +302,22 @@ def next_temperature(loglik, lambda_prev, cfg):
                 s >>= 1
                 if ok[i + s - 1]:
                     i += s
-                stop = grid[i + s] - grid[i] <= 1e-10
+                stop = grid[i + s] - grid[i] <= _BISECTION_TOL
                 if stop or s == 1:
                     break
             if stop:
                 new[p] = lam_prev[p] + 0.5 * (grid[i] + grid[i + s])
+                stalled[p] = grid[i] == 0.0
             else:
                 still.append((p, grid[i], grid[i + 1]))
         live = still
     for p, lo, hi in live:  # out of iterations
         new[p] = lam_prev[p] + 0.5 * (lo + hi)
-    return new[0] if loglik.ndim == 1 else np.array(new)
+    if loglik.ndim == 1:
+        new, stalled = new[0], stalled[0]
+    else:
+        new = np.array(new)
+    return (new, stalled) if return_stalled else new
 
 
 def resample(log_weights, cfg, rng, shifted=None):
@@ -280,16 +328,36 @@ def resample(log_weights, cfg, rng, shifted=None):
     exactly one copy under uniform weights when N divides evenly.
     ``shifted``, the weights ``exp(lw - max(lw))`` when the caller
     already holds them, skips the shift and ``exp``.
+
+    Multinomial indices are those of ``rng.choice(N, N, p=w / w.sum())``
+    and leave ``rng`` in the same state: the cumulative weights are
+    divided by their last entry, and ``N`` uniforms are located in them
+    by ``searchsorted(side="right")``, the steps ``Generator.choice``
+    takes.  A NaN weight raises ``ValueError``, as ``choice`` does.
+
+    A ``(k, N)`` block of k islands' log-weights takes a sequence of k
+    generators: the weights are normalized and summed up in one pass,
+    and row ``b`` draws its uniforms from ``rng[b]``.  The result is the
+    ``(k, N)`` block of within-row indices, each row equal to the
+    one-row call with its own generator.
     """
     w = _max_shift(log_weights)[1] if shifted is None else shifted
-    w = w / w.sum()
-    n = w.shape[0]
+    block = w.reshape(-1, w.shape[-1])
+    rngs = [rng] if w.ndim == 1 else rng
+    n = block.shape[1]
+    cdf = np.cumsum(block / block.sum(axis=1, keepdims=True), axis=1)
     if cfg.resampling == "multinomial":
-        return rng.choice(n, size=n, replace=True, p=w)
-    cum = np.cumsum(w)
-    cum[-1] = 1.0
-    positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(cum, positions, side="right")
+        if np.isnan(cdf[:, -1]).any():
+            raise ValueError("probabilities contain NaN")
+        cdf /= cdf[:, -1:]
+        draws = [g.random(n) for g in rngs]
+    else:
+        cdf[:, -1] = 1.0
+        draws = (np.array([g.random() for g in rngs])[:, None] + np.arange(n)) / n
+    idx = np.empty(block.shape, dtype=np.intp)
+    for b, (row, u) in enumerate(zip(cdf, draws)):
+        idx[b] = row.searchsorted(u, side="right")
+    return idx[0] if w.ndim == 1 else idx
 
 
 @dataclass
@@ -350,6 +418,13 @@ class _Island:
     result: IslandResult | None = None
 
 
+def _check_stall(islands, lams_new, stalled, stage_ess, stage, target_ess):
+    """Raise :class:`StalledTemperingError` for the first island whose bisection stalled."""
+    for island, lam_new, stall, island_ess in zip(islands, lams_new, stalled, stage_ess):
+        if stall:
+            raise StalledTemperingError(island.schedule + [lam_new], stage, lam_new, island_ess, target_ess)
+
+
 def run_smc(cfg, target, seed):
     """Run one SMC island to the posterior and return its result.
 
@@ -362,6 +437,9 @@ def run_smc(cfg, target, seed):
     ------
     ScheduleOverflowError
         If the exponent has not reached 1 after ``max_stages`` stages.
+    StalledTemperingError
+        If an adaptive stage's bisection closes on ``[0, 1e-10]``: no
+        tested increment kept the stage ESS on target.
     NumericalDomainError
         If any particle's log-likelihood is NaN or +inf at the start of a
         stage.
@@ -387,12 +465,13 @@ def run_smc_islands(cfg, target, seeds):
     (:func:`run_smc`, :func:`ais.run_ais`).  Only the block passes are
     shared: each stage bisects the next exponents of the islands still
     below exponent 1 in one :func:`next_temperature` call on their
-    ``(P, N)`` log-likelihood block, computes their stage ESS and pCN
-    scalings in one pass each, and mutates them as one stacked
-    population in one :func:`kernels.mutate` call, with island ``p``'s
-    rows drawing noise from the streams of ``seeds[p]``.  Evidence and
-    resampling stay per island.  An island leaves the stack once it
-    reaches exponent 1.
+    ``(P, N)`` log-likelihood block, computes their stage ESS, evidence
+    updates, resampling and pCN scalings in one pass each, and mutates
+    them as one stacked population in one :func:`kernels.mutate` call,
+    with island ``p``'s rows drawing noise from the streams of
+    ``seeds[p]``.  Island ``p`` resamples with uniforms from its own
+    base stream.  An island leaves the stack once it reaches
+    exponent 1.
 
     Island ``p`` equals its one-seed run bit for bit when the target's
     likelihood block height (see ``targets._GaussianPriorTarget``)
@@ -441,24 +520,30 @@ def run_smc_islands(cfg, target, seeds):
         failed = np.flatnonzero(~np.isfinite(top))
         first_bad = failed[0] if failed.size else k
         lams = [island.lam for island in active[:first_bad]]
+        stalled = None
         if ladder is not None:
             lams_new = [ladder[len(island.schedule)] for island in active[:first_bad]]
         else:
-            lams_new = next_temperature(loglik[:first_bad], lams, cfg).tolist()
+            lams_new, stalled = next_temperature(loglik[:first_bad], lams, cfg, return_stalled=True)
+            lams_new = lams_new.tolist()
         stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
         if ais:
             for island, lw in zip(active, stage_lw):
                 island.log_weights += lw
         else:
             # one shift and exp of the stage weights feed the ESS, the
-            # evidence and the resampling of every island
+            # evidence and the resampling of every island, each in one
+            # block pass
+            head = active[:first_bad]
             top, w = _max_shift(stage_lw)
             stage_ess = _ess_of(w).tolist()
-            ancestors = []
-            for b, island in enumerate(active[:first_bad]):
-                island.logz = update_logz(island.logz, stage_lw[b], (top[b], w[b]))
-                island.stage_ess.append(stage_ess[b])
-                ancestors.append(resample(stage_lw[b], cfg, island.rng, w[b]) + b * n)
+            if stalled is not None:
+                _check_stall(head, lams_new, stalled, stage_ess, stage, cfg.ess_fraction * n)
+            logz = update_logz([island.logz for island in head], stage_lw, (top, w))
+            ancestors = resample(stage_lw, cfg, [island.rng for island in head], w)
+            for island, acc, island_ess in zip(head, logz, stage_ess):
+                island.logz = acc
+                island.stage_ess.append(island_ess)
         if first_bad < k:
             island = active[first_bad]
             nan = np.isnan(loglik[first_bad])
@@ -473,7 +558,8 @@ def run_smc_islands(cfg, target, seeds):
                 theta=pop.theta[rows(first_bad)][bad], lam=island.lam,
             )
         if not ais:
-            pop.take(np.concatenate(ancestors))
+            ancestors += np.arange(0, k * n, n)[:, None]
+            pop.take(ancestors.ravel())
         scaling = None
         if not ais and pcn and cfg.kernel.use_scaling:
             scaling = kernels.estimate_scaling(pop.theta.reshape(k, n, -1), cfg.kernel.scaling_floor)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from islandmc import smc
-from islandmc.ais import AisConfig, log_evidence_estimate, run_ais
+from islandmc.ais import AisConfig, ais_estimate, log_evidence_estimate, run_ais
 from islandmc.islands import (
     IslandEnsemble,
     combine_unweighted,
@@ -199,6 +199,9 @@ def test_run_islands_validation():
         run_islands(0, cfg, target, master_seed=1)
     with pytest.raises(ValueError):
         run_islands(1, cfg, target, master_seed=1, parallelism=0)
+    for bad in ({"n_particles": 4}, cfg.kernel):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            run_islands(2, bad, target, master_seed=1)
 
 
 def test_island_json_round_trip():
@@ -299,6 +302,31 @@ def test_ais_islands_on_the_stage_loop(kernel):
         assert loaded_seed == seed
         assert_same_island(loaded, got)
         assert np.array_equal(loaded.log_weights, got.log_weights)
+
+
+def test_run_islands_runs_ais_islands():
+    # 16-row likelihood blocks: each island of the stack fills its own block
+    target = make_logistic_target(5, 1100, seed=1)
+    assert target._block_rows == 16
+    cfg = AisConfig(n_samples=16, schedule=(0.0, 0.1, 0.4, 1.0), kernel=PcnConfig(beta=0.5), mutation_steps=2)
+    ens = run_islands(3, cfg, target, master_seed=6)
+    assert ens.method_tag == "ais"
+    assert ens.seeds == [island_seed(6, p) for p in range(3)]
+    estimates = []
+    for seed, got in zip(ens.seeds, ens.results):
+        samples, log_w, epochs = run_ais(cfg, target, seed)
+        assert np.array_equal(got.samples, samples)
+        assert np.array_equal(got.log_weights, log_w)
+        assert got.epochs == epochs
+        estimates.append(ais_estimate(samples, log_w))
+    # each island's average is its self-normalized importance estimate
+    w = island_weights(ens.logz_totals())
+    assert np.array_equal(combine_weighted(ens), np.tensordot(w, np.array(estimates), axes=1))
+    parallel = run_islands(3, cfg, target, master_seed=6, parallelism=2)
+    assert parallel.method_tag == "ais"
+    for got, want in zip(parallel.results, ens.results):
+        assert_same_island(got, want)
+        assert np.array_equal(got.log_weights, want.log_weights)
 
 
 def test_stacked_islands_overflow_names_first_unfinished_island():

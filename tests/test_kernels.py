@@ -490,10 +490,44 @@ def test_mutate_rejects_unequal_blocks():
 
 def test_stream_seed_serves_only_pcg64_request():
     words = np.arange(4, dtype=np.uint64)
-    assert _StreamSeed(words).generate_state(4, np.uint64) is words
-    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+    for dtype in (np.uint64, np.dtype("u8"), "u8"):
+        assert _StreamSeed(words).generate_state(4, dtype) is words
+    for n_words, dtype in ((4, np.uint32), (4, np.dtype("u4")), (4, np.int64), (4, np.float64),
+                           (2, np.uint64), (8, np.uint64), (2, np.dtype("u8"))):
         with pytest.raises(ValueError):
             _StreamSeed(words).generate_state(n_words, dtype)
+
+
+def _python_squares_differ(count, seed):
+    """``count`` uniform step sizes whose Python square is not their product."""
+    draws = np.random.default_rng(seed).uniform(0.05, 1.0, 100_000).tolist()
+    odd = [b for b in draws if b**2 != b * b]
+    assert len(odd) >= count
+    return np.array(odd[:count])
+
+
+def test_pcn_per_row_step_sizes_are_squared_like_python():
+    # a block of rows with step size b moves as the one-block sweep with the
+    # scalar b, whose square is Python's b**2, not numpy's b * b
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    betas = _python_squares_differ(4, 0)
+    scaling = np.random.default_rng(1).uniform(0.2, 1.0, (4, 3))
+    n = 6
+    blocks = [_block_population(target, seed, n, False) for seed in range(4)]
+    rng = np.random.default_rng(2)
+    delta, log_u = rng.standard_normal((4 * n, 3)), np.log(rng.random(4 * n))
+    pop = Population.stack(blocks)
+    population_step(pop, 0.0, PcnConfig(), target, delta, log_u,
+                    scaling=np.repeat(scaling, n, axis=0), step_size=np.repeat(betas, n)[:, None])
+    for b, block in enumerate(blocks):
+        ref = Population(block.theta.copy(), block.loglik.copy())
+        rows = slice(b * n, (b + 1) * n)
+        population_step(ref, 0.0, PcnConfig(), target, delta[rows], log_u[rows],
+                        scaling=scaling[b], step_size=float(betas[b]))
+        assert np.array_equal(pop.theta[rows], ref.theta)
+    # numpy's squares would move some proposal coefficients
+    python_sq = np.array([b**2 for b in betas.tolist()])[:, None]
+    assert (np.sqrt(1.0 - python_sq * scaling) != np.sqrt(1.0 - (betas * betas)[:, None] * scaling)).any()
 
 
 def test_mutate_accept_count_and_stats():
@@ -527,6 +561,16 @@ def test_adapt_step_size_fixed_point_and_monotone():
     assert adapt_step_size(0.3, 0.0, 0.65, 0) < 0.3
     assert adapt_step_size(1e-10, 0.0, 0.65, 0) == 1e-10
     assert adapt_step_size(1e3, 1.0, 0.65, 0) == 1e3
+
+
+def test_adapt_step_size_clamps_like_numpy_clip():
+    rng = np.random.default_rng(3)
+    for current, rate, it in zip(np.exp(rng.uniform(-30, 10, 500)).tolist(), rng.uniform(0, 1, 500).tolist(),
+                                 rng.integers(0, 40, 500).tolist()):
+        got = adapt_step_size(current, rate, 0.3, it)
+        want = float(np.clip(current * np.exp((1.0 / (1.0 + it) ** 0.6) * (rate - 0.3)), 1e-10, 1e3))
+        assert type(got) is float and got.hex() == want.hex()
+    assert math.isnan(adapt_step_size(math.nan, 0.5, 0.3, 0))
 
 
 def test_adapt_step_size_converges_to_target_rate():

@@ -13,6 +13,7 @@ from islandmc.smc import (
     LogZAccumulator,
     ScheduleOverflowError,
     SmcConfig,
+    StalledTemperingError,
     ess,
     next_temperature,
     resample,
@@ -268,6 +269,68 @@ def test_resample_weights_match_logsumexp_oracle(lw):
             assert np.array_equal(idx, expect)
 
 
+def _weight_block(k, n, seed):
+    """A (k, N) block of stage log-weights with point-mass and partly -inf rows."""
+    rng = np.random.default_rng(seed)
+    lw = rng.standard_normal((k, n)) * rng.choice([0.01, 1.0, 30.0], size=(k, 1))
+    lw += rng.choice([-700.0, 0.0, 700.0], size=(k, 1))
+    if n > 1:
+        lw[::3, : n // 2] = -np.inf  # half the particles dead
+        lw[1::3] = -np.inf  # point mass
+        lw[1::3, n - 1] = 5.0
+    return lw
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 257])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_block_resample_equals_per_row_draws(n, k):
+    lw = _weight_block(k, n, 10 * n + k)
+    for scheme in smc.RESAMPLING_SCHEMES:
+        cfg = mini_cfg(resampling=scheme)
+        rngs = [np.random.default_rng(seed) for seed in range(k)]
+        ref_rngs = [np.random.default_rng(seed) for seed in range(k)]
+        got = resample(lw, cfg, rngs)
+        assert got.shape == (k, n)
+        for row, g, idx in zip(lw, ref_rngs, got):
+            w = np.exp(row - row.max())
+            w /= w.sum()
+            if scheme == "multinomial":
+                expect = g.choice(n, size=n, replace=True, p=w)
+            else:
+                cum = np.cumsum(w)
+                cum[-1] = 1.0
+                expect = np.searchsorted(cum, (g.random() + np.arange(n)) / n, side="right")
+            assert np.array_equal(idx, expect)
+        # every generator is left where its own per-row draw leaves it
+        for g, ref in zip(rngs, ref_rngs):
+            assert g.bit_generator.state == ref.bit_generator.state
+        # the shifted weights give the same draws, and each row its one-row call's
+        one_row = [resample(row, cfg, np.random.default_rng(seed)) for seed, row in enumerate(lw)]
+        shifted = resample(lw, cfg, [np.random.default_rng(seed) for seed in range(k)], smc._max_shift(lw)[1])
+        assert np.array_equal(np.array(one_row), got)
+        assert np.array_equal(shifted, got)
+
+
+def test_resample_nan_weight_raises_value_error():
+    cfg = mini_cfg()
+    lw = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        resample(lw, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="NaN"):
+        resample(np.stack([np.zeros(3), lw]), cfg, [np.random.default_rng(0), np.random.default_rng(1)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 257])
+def test_block_update_logz_equals_per_row_calls(n):
+    lw = _weight_block(8, n, n)
+    accs = [LogZAccumulator(float(a), float(b)) for a, b in np.random.default_rng(n).normal(0, 50, (8, 2))]
+    got = update_logz(accs, lw)
+    assert got == update_logz(accs, lw, smc._max_shift(lw))
+    for acc, row, out in zip(accs, lw, got):
+        want = update_logz(acc, row)
+        assert (out.offset_sum.hex(), out.residual_log.hex()) == (want.offset_sum.hex(), want.residual_log.hex())
+
+
 def test_resample_degenerate():
     cfg = mini_cfg(n_particles=3)
     with pytest.raises(DegenerateWeightsError):
@@ -376,6 +439,69 @@ def test_run_smc_stage_budget_overflow():
     assert 0.0 < sched[-1] < 1.0
 
 
+def test_run_smc_stalled_tempering_raises():
+    # sigma 1e-6 makes the likelihood so sharp that no increment above the
+    # bisection tolerance keeps the stage ESS at 8 of 16
+    target = make_gaussian_target(2, 4, 1e-6, seed=0)
+    cfg = SmcConfig(n_particles=16, mutation_steps=1, kernel=PcnConfig(beta=0.5))
+    with pytest.raises(StalledTemperingError) as err:
+        run_smc(cfg, target, seed=0)
+    e = err.value
+    assert isinstance(e, ScheduleOverflowError)
+    assert e.stage == 1
+    assert 0.0 < e.lam <= 1e-10
+    assert e.schedule == [e.lam]
+    assert e.target_ess == 8.0
+    assert 1.0 <= e.ess < 8.0
+    for part in ("stage 1", f"lambda={e.lam}", f"stage ESS of {e.ess}", "target of 8.0"):
+        assert part in str(e)
+
+
+class _ScaledLikelihood:
+    """Gaussian target whose log-likelihood is multiplied by ``scale``."""
+
+    def __init__(self, base, scale):
+        self.base = base
+        self.scale = scale
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def log_likelihood(self, theta, counter=None):
+        return self.scale * np.asarray(self.base.log_likelihood(theta, counter))
+
+
+def test_run_smc_increment_below_tolerance_on_target_goes_on():
+    # scale the likelihood so the first increment that pins the stage ESS is
+    # about 8.7e-11, below the bisection tolerance: a tested midpoint passes,
+    # so the run goes on until its stage budget runs out
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    cfg = SmcConfig(n_particles=16, mutation_steps=1, kernel=PcnConfig(beta=0.5), max_stages=1)
+    with pytest.raises(ScheduleOverflowError) as probe:
+        run_smc(cfg, base, seed=0)
+    target = _ScaledLikelihood(base, probe.value.schedule[0] / 8.7e-11)
+    with pytest.raises(ScheduleOverflowError) as err:
+        run_smc(SmcConfig(n_particles=16, mutation_steps=1, kernel=PcnConfig(beta=0.5), max_stages=3),
+                target, seed=0)
+    assert type(err.value) is ScheduleOverflowError
+    sched = err.value.schedule
+    assert len(sched) == 3 and 5.8e-11 < sched[0] <= 1e-10
+
+
+def test_next_temperature_reports_stalled_rows():
+    # rows: an ordinary one, one pinned at about 8.7e-11 with a passing
+    # midpoint, and one where no increment above the tolerance passes
+    cfg = mini_cfg(n_particles=16)
+    x = np.random.default_rng(0).standard_normal(16)
+    loglik = np.stack([x, x * (next_temperature(x, 0.0, cfg) / 8.7e-11), -1e13 * np.arange(16.0)])
+    lams, stalled = next_temperature(loglik, 0.0, cfg, return_stalled=True)
+    assert np.array_equal(lams, next_temperature(loglik, 0.0, cfg))
+    assert stalled == [False, False, True]
+    assert 5.8e-11 < lams[1] <= 1e-10 and 0.0 < lams[2] <= 0.5e-10
+    for row, lam, stall in zip(loglik, lams.tolist(), stalled):
+        assert next_temperature(row, 0.0, cfg, return_stalled=True) == (lam, stall)
+
+
 class _NanLikelihood:
     """Gaussian target whose log-likelihood is NaN for chosen batch rows."""
 
@@ -477,6 +603,34 @@ def test_stacked_islands_raise_the_first_failing_islands_error(schedule):
     target = _BadInitialRows(base, {1: ([4], np.nan), 2: (all_rows, -np.inf)})
     with pytest.raises(NumericalDomainError, match="NaN for 1 of 8"):
         smc.run_smc_islands(cfg, target, seeds)
+
+
+def test_stacked_islands_raise_the_first_stalled_islands_error():
+    # a likelihood spread of 1e13 between neighbouring particles leaves one
+    # particle dominant at every increment above the bisection tolerance
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    cfg = SmcConfig(n_particles=8, mutation_steps=1)
+    seeds = [11, 12, 13, 14]
+    all_rows = list(range(8))
+    spread = -1e13 * np.arange(8.0)
+    target = _BadInitialRows(base, {1: (all_rows, spread), 2: (all_rows, 2 * spread)})
+    with pytest.raises(StalledTemperingError) as got:
+        smc.run_smc_islands(cfg, target, seeds)
+    with pytest.raises(StalledTemperingError) as want:
+        run_smc(cfg, _BadInitialRows(base, {0: (all_rows, spread)}), seeds[1])
+    assert str(got.value) == str(want.value)
+    assert got.value.schedule == want.value.schedule
+    assert (got.value.stage, got.value.ess) == (want.value.stage, want.value.ess)
+    # a NaN island before the stalled one raises its NaN, a later one does not
+    target = _BadInitialRows(base, {1: ([4], np.nan), 2: (all_rows, spread)})
+    with pytest.raises(NumericalDomainError, match="NaN for 1 of 8"):
+        smc.run_smc_islands(cfg, target, seeds)
+    target = _BadInitialRows(base, {1: (all_rows, spread), 2: ([4], np.nan)})
+    with pytest.raises(StalledTemperingError):
+        smc.run_smc_islands(cfg, target, seeds)
+    # a fixed schedule takes its steps as given
+    fixed = SmcConfig(n_particles=8, mutation_steps=1, schedule=(1e-12, 1.0))
+    assert run_smc(fixed, _BadInitialRows(base, {0: (all_rows, spread)}), seeds[1]).schedule == [1e-12, 1.0]
 
 
 @pytest.mark.parametrize("resampling", smc.RESAMPLING_SCHEMES)

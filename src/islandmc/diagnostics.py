@@ -57,18 +57,6 @@ def iact(series, max_lag=None):
     return max(1.0, 2.0 * total - 1.0)
 
 
-def posterior_mean(samples, weights=None):
-    """Weighted average of the sample rows."""
-    samples = np.asarray(samples, dtype=float)
-    if weights is None:
-        return samples.mean(axis=0)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != samples.shape[0]:
-        raise ValueError("weights and samples disagree on length")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    return np.tensordot(weights / total, samples, axes=1)
-
+def posterior_mean(samples):
+    """Average of the sample rows."""
+    return np.asarray(samples, dtype=float).mean(axis=0)

@@ -160,6 +160,16 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(payload)
 
 
+def _build(make, path, *args, **fields):
+    """``make(*args, **fields)``; an error names the field its message starts with, else ``path``."""
+    try:
+        return make(*args, **fields)
+    except (OSError, ValueError) as exc:
+        # the targets start each field's message with the field's name
+        field = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{'target.' + field if field in fields else path}: {exc}") from exc
+
+
 def build_target(spec):
     if not isinstance(spec, dict):
         raise ConfigError("target: expected an object")
@@ -167,7 +177,8 @@ def build_target(spec):
     if kind == "gaussian":
         d = _as_int(_require(spec, "d", "target"), "target.d", 1)
         theta_star = spec.get("theta_star")
-        return targets_mod.make_gaussian_target(
+        return _build(
+            targets_mod.make_gaussian_target, "target",
             d=d,
             m=_as_int(_require(spec, "m", "target"), "target.m", 0),
             sigma=_as_float(spec.get("sigma", 1.0), "target.sigma"),
@@ -184,21 +195,17 @@ def build_target(spec):
                 raise ConfigError(f"target.means: expected a list of points, got {means!r}")
             means = [_as_vector(m, f"target.means[{k}]", d) for k, m in enumerate(means)]
             weights = _as_vector(spec["weights"], "target.weights", len(means))
-            try:
-                return targets_mod.GmmTarget(weights, means)
-            except ValueError as exc:
-                raise ConfigError(f"target.weights: {exc}") from exc
-        return targets_mod.make_bimodal_gmm(d, weight=_as_float(spec.get("weight", 0.2), "target.weight"))
+            return _build(targets_mod.GmmTarget, "target.weights", weights=weights, means=means)
+        weight = _as_float(spec.get("weight", 0.2), "target.weight")
+        return _build(targets_mod.make_bimodal_gmm, "target", d, weight=weight)
     if kind == "logistic":
         prior_var = _as_float(spec.get("prior_var", 100.0), "target.prior_var")
         if "csv" in spec:
             if not isinstance(spec["csv"], str):
                 raise ConfigError(f"target.csv: expected a file path, got {spec['csv']!r}")
-            try:
-                return targets_mod.load_logistic_csv(spec["csv"], prior_var=prior_var)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"target.csv: {exc}") from exc
-        return targets_mod.make_logistic_target(
+            return _build(targets_mod.load_logistic_csv, "target.csv", spec["csv"], prior_var=prior_var)
+        return _build(
+            targets_mod.make_logistic_target, "target",
             d=_as_int(_require(spec, "d", "target"), "target.d", 1),
             m=_as_int(_require(spec, "m", "target"), "target.m", 1),
             seed=_as_int(spec.get("seed", 0), "target.seed", 0),
@@ -258,7 +265,7 @@ def analytic_truth(target):
 
 def _method_kind(method_spec):
     kind = _require(method_spec, "kind", "method")
-    if kind not in _METHODS:
+    if not isinstance(kind, str) or kind not in _METHODS:
         raise ConfigError(f"method.kind: unknown method kind {kind!r}")
     return kind
 
@@ -356,7 +363,7 @@ def _point_config(method_spec, point, target, index):
             f"(target.dim), got {kernel.mass!r}"
         )
     if kind in ("smc", "mcmc") and point.P != 1:
-        raise ConfigError(f"method {kind!r} requires P = 1 (use {kind}_par for islands)")
+        raise ConfigError(f"sweep[{index}].P: method {kind!r} requires P = 1 (use {kind}_par for islands)")
     try:
         return _METHODS[kind][0](method_spec, point, kernel)
     except ConfigError:

@@ -1,6 +1,6 @@
-"""Bayesian target distributions with Gaussian priors.
+"""Bayesian target distributions with isotropic Gaussian priors.
 
-Every target bundles a Gaussian prior with a data log-likelihood and its
+Every target bundles a zero-mean isotropic Gaussian prior with a data log-likelihood and its
 gradient, which is all the samplers in this package need.  Methods accept
 a single parameter vector ``(d,)`` or a batch ``(n, d)`` and return a
 scalar or ``(n,)`` array accordingly.  Likelihood and gradient calls
@@ -11,6 +11,7 @@ prior evaluations are free because they are closed-form Gaussians.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,73 +92,6 @@ class EvalCounter:
         return EvalCounter(self.likelihood, self.gradient)
 
 
-class _GaussianPrior:
-    """N(mean, cov) helper with whitening transforms.
-
-    Isotropic priors store a scalar standard deviation; general ones a
-    lower-triangular Cholesky factor of the covariance.
-    """
-
-    def __init__(self, mean, std=None, chol=None):
-        self.mean = np.asarray(mean, dtype=float)
-        self.dim = self.mean.shape[0]
-        if (std is None) == (chol is None):
-            raise ValueError("exactly one of std or chol must be given")
-        self.std = None if std is None else float(std)
-        self.chol = None if chol is None else np.asarray(chol, dtype=float)
-        if self.std is not None and self.std <= 0:
-            raise ValueError("prior standard deviation must be positive")
-        if self.chol is not None:
-            diag = np.diag(self.chol)
-            if np.any(diag <= 0):
-                raise ValueError("prior covariance is not positive definite")
-            self._log_det_chol = float(np.sum(np.log(diag)))
-        else:
-            self._log_det_chol = self.dim * np.log(self.std)
-        # N(0, I): theta - 0.0 and x / 1.0 are exact, so logpdf and
-        # grad_logpdf skip them.  A -0.0 mean entry does not count:
-        # -0.0 - (-0.0) is +0.0.
-        self._standard = (
-            self.std == 1.0 and not self.mean.any() and not np.signbit(self.mean).any()
-        )
-
-    def whiten(self, theta):
-        centered = theta - self.mean
-        if self.std is not None:
-            return centered / self.std
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(self.chol, centered.T, lower=True).T
-
-    def unwhiten(self, u):
-        if self.std is not None:
-            return self.mean + self.std * u
-        return self.mean + u @ self.chol.T
-
-    def logpdf(self, theta):
-        u = theta if self._standard else self.whiten(theta)
-        quad = np.sum(np.square(u), axis=-1)
-        return -0.5 * quad - 0.5 * self.dim * LOG_2PI - self._log_det_chol
-
-    def grad_logpdf(self, theta):
-        if self._standard:
-            return np.negative(theta)
-        if self.std is not None:
-            # -((theta - mean) / std) / std, built in one buffer
-            grad = np.subtract(theta, self.mean)
-            grad /= self.std
-            grad /= self.std
-            return np.negative(grad, out=grad)
-        from scipy.linalg import solve_triangular
-
-        u = self.whiten(theta)
-        return -solve_triangular(self.chol.T, u.T, lower=False).T
-
-    def sample(self, rng, size=None):
-        shape = (self.dim,) if size is None else (size, self.dim)
-        return self.unwhiten(rng.standard_normal(shape))
-
-
 def _block_height(width):
     """Rows per likelihood block for per-row temporaries ``width`` floats wide.
 
@@ -168,7 +102,12 @@ def _block_height(width):
 
 
 class _GaussianPriorTarget:
-    """Shared prior plumbing for the concrete targets below.
+    """Shared prior and evaluation plumbing for the concrete targets below.
+
+    Every target has the prior N(0, prior_std**2 I) on ``dim`` parameters,
+    set once by :meth:`_set_prior`; at ``prior_std == 1.0`` the prior
+    skips its division by the std, which is exact.  Target methods call
+    the private ``_log_prior``, never a public prior method.
 
     The public likelihood and gradient methods check the input, charge
     the counter once for the whole batch, and evaluate the subclass's
@@ -181,33 +120,46 @@ class _GaussianPriorTarget:
     whose blocks hold the same rows return the same values for them.
     """
 
-    _prior: _GaussianPrior
+    dim: int
+    prior_std: float
     _block_rows: int
 
-    @property
-    def dim(self) -> int:
-        return self._prior.dim
+    def _set_prior(self, dim, std):
+        """Set the N(0, std**2 I) prior on ``dim`` parameters."""
+        std = float(std)
+        if not 0.0 < std < math.inf:
+            raise ValueError(f"prior standard deviation must be positive and finite, got {std!r}")
+        self.dim = dim
+        self.prior_std = std
+        self._log_det = dim * np.log(std)
 
-    @property
-    def prior_mean(self) -> np.ndarray:
-        return self._prior.mean
+    def _log_prior(self, theta):
+        u = theta if self.prior_std == 1.0 else theta / self.prior_std
+        quad = np.sum(np.square(u), axis=-1)
+        return -0.5 * quad - 0.5 * self.dim * LOG_2PI - self._log_det
 
     def log_prior(self, theta):
-        theta = self._check(theta)
-        return self._prior.logpdf(theta)
+        return self._log_prior(self._check(theta))
 
     def grad_log_prior(self, theta):
         theta = self._check(theta)
-        return self._prior.grad_logpdf(theta)
+        if self.prior_std == 1.0:
+            return np.negative(theta)
+        # -(theta / std) / std, built in one buffer
+        grad = np.divide(theta, self.prior_std)
+        grad /= self.prior_std
+        return np.negative(grad, out=grad)
 
     def prior_sample(self, rng, size=None):
-        return self._prior.sample(rng, size)
+        shape = (self.dim,) if size is None else (size, self.dim)
+        return 0.0 + self.prior_std * rng.standard_normal(shape)
 
     def whiten(self, theta):
-        return self._prior.whiten(self._check(theta))
+        return self._check(theta) / self.prior_std
 
     def unwhiten(self, u):
-        return self._prior.unwhiten(np.asarray(u, dtype=float))
+        # the 0.0 + is the zero prior mean: it turns a -0.0 entry into +0.0
+        return 0.0 + self.prior_std * np.asarray(u, dtype=float)
 
     def log_likelihood(self, theta, counter: EvalCounter | None = None):
         theta = self._check(theta)
@@ -237,12 +189,12 @@ class _GaussianPriorTarget:
 
 
 class GaussianLinearModel(_GaussianPriorTarget):
-    """Linear-Gaussian regression model with conjugate Gaussian prior.
+    """Linear-Gaussian regression model with the conjugate N(0, I) prior.
 
     Observations ``y = X theta + noise`` with i.i.d. N(0, sigma^2) noise
-    and prior N(mu0, Sigma0).  The posterior and model evidence are
-    available in closed form, which makes this the reference model for
-    correctness and convergence-rate checks.
+    and the standard normal prior on ``theta``.  The posterior and model
+    evidence are available in closed form, which makes this the
+    reference model for correctness and convergence-rate checks.
 
     Parameters
     ----------
@@ -251,15 +203,10 @@ class GaussianLinearModel(_GaussianPriorTarget):
     y : ndarray (m,)
         Observations.
     sigma : float
-        Observation noise standard deviation, positive.
-    mu0 : ndarray (d,), optional
-        Prior mean, defaults to zero.
-    Sigma0 : ndarray (d, d), optional
-        Prior covariance, defaults to identity.  Must be symmetric
-        positive definite.
+        Observation noise standard deviation, positive and finite.
     """
 
-    def __init__(self, X, y, sigma, mu0=None, Sigma0=None):
+    def __init__(self, X, y, sigma):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2:
@@ -267,28 +214,13 @@ class GaussianLinearModel(_GaussianPriorTarget):
         m, d = X.shape
         if y.shape != (m,):
             raise ValueError(f"y has shape {y.shape}, expected ({m},)")
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.X = X
         self.y = y
         self.sigma = float(sigma)
+        self._set_prior(d, 1.0)
         self._block_rows = _block_height(m)
-        mu0 = np.zeros(d) if mu0 is None else np.asarray(mu0, dtype=float)
-        if mu0.shape != (d,):
-            raise ValueError(f"mu0 has shape {mu0.shape}, expected ({d},)")
-        if Sigma0 is None:
-            self._prior = _GaussianPrior(mu0, std=1.0)
-            self.Sigma0 = np.eye(d)
-        else:
-            Sigma0 = np.asarray(Sigma0, dtype=float)
-            if Sigma0.shape != (d, d):
-                raise ValueError("Sigma0 must be (d, d)")
-            try:
-                chol = np.linalg.cholesky(Sigma0)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("Sigma0 is not positive definite") from exc
-            self._prior = _GaussianPrior(mu0, chol=chol)
-            self.Sigma0 = Sigma0
 
     def _log_likelihood(self, theta):
         m = self.X.shape[0]
@@ -318,19 +250,18 @@ class GaussianLinearModel(_GaussianPriorTarget):
         log_evidence : float
             Log of the marginal likelihood of ``y``; zero when ``m = 0``.
         """
-        d = self.dim
         m = self.X.shape[0]
-        Sigma0_inv = np.linalg.inv(self.Sigma0)
-        precision = Sigma0_inv + self.X.T @ self.X / self.sigma**2
+        precision = np.eye(self.dim) + self.X.T @ self.X / self.sigma**2
         cov = np.linalg.inv(precision)
         cov = 0.5 * (cov + cov.T)
-        mean = cov @ (Sigma0_inv @ self.prior_mean + self.X.T @ self.y / self.sigma**2)
+        mean = cov @ (self.X.T @ self.y / self.sigma**2)
         if m == 0:
             return mean, cov, 0.0
-        S = self.X @ self.Sigma0 @ self.X.T + self.sigma**2 * np.eye(m)
+        # X @ X.T on one buffer would take BLAS syrk, whose last bits can
+        # differ from the gemm product this evidence has always used
+        S = self.X.copy() @ self.X.T + self.sigma**2 * np.eye(m)
         chol = np.linalg.cholesky(S)
-        resid = self.y - self.X @ self.prior_mean
-        w = np.linalg.solve(chol, resid)
+        w = np.linalg.solve(chol, self.y)
         log_evidence = -0.5 * (
             m * LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol))) + np.dot(w, w)
         )
@@ -386,14 +317,14 @@ class GmmTarget(_GaussianPriorTarget):
             raise ValueError("means must be (K, d)")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights and means disagree on component count")
-        if np.any(weights <= 0):
-            raise ValueError("component weights must be positive")
+        if not np.all(weights > 0.0):
+            raise ValueError(f"weights must be positive, got {weights.tolist()}")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("component weights must sum to 1")
+            raise ValueError(f"weights must sum to 1, got {weights.tolist()}")
         self.weights = weights
         self.means = means
         self._log_weights = np.log(weights)
-        self._prior = _GaussianPrior(np.zeros(means.shape[1]), std=1.0)
+        self._set_prior(means.shape[1], 1.0)
         self._block_rows = _block_height(means.size)
 
     def mixture_mean(self) -> np.ndarray:
@@ -411,7 +342,7 @@ class GmmTarget(_GaussianPriorTarget):
         return logsumexp(self._log_components(theta), axis=-1)
 
     def _log_likelihood(self, theta):
-        return logsumexp(self._log_components(theta), axis=-1) - self._prior.logpdf(theta)
+        return logsumexp(self._log_components(theta), axis=-1) - self._log_prior(theta)
 
     def _grad_log_likelihood(self, theta):
         logs = self._log_components(theta)
@@ -422,6 +353,8 @@ class GmmTarget(_GaussianPriorTarget):
 
 def make_bimodal_gmm(d, weight=0.2):
     """Two-component mixture weight*N(+1, I) + (1-weight)*N(-1, I)."""
+    if not 0.0 < weight < 1.0:
+        raise ValueError(f"weight must lie in (0, 1), got {weight!r}")
     ones = np.ones(d)
     return GmmTarget([weight, 1.0 - weight], np.stack([ones, -ones]))
 
@@ -440,7 +373,7 @@ class LogisticTarget(_GaussianPriorTarget):
     y : ndarray (m,)
         Binary labels in {0, 1}.
     prior_var : float
-        Prior variance; the prior is N(0, prior_var * I).
+        Prior variance, positive and finite; the prior is N(0, prior_var * I).
     """
 
     def __init__(self, X, y, prior_var=100.0):
@@ -454,12 +387,12 @@ class LogisticTarget(_GaussianPriorTarget):
             raise ValueError("y length must match the number of rows of X")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
-        if not prior_var > 0:
-            raise ValueError("prior_var must be positive")
+        if not 0.0 < prior_var < math.inf:
+            raise ValueError(f"prior_var must be positive and finite, got {prior_var!r}")
         self.X = X
         self.y = y
         self.prior_var = float(prior_var)
-        self._prior = _GaussianPrior(np.zeros(X.shape[1]), std=float(np.sqrt(prior_var)))
+        self._set_prior(X.shape[1], np.sqrt(prior_var))
         self._block_rows = _block_height(X.shape[0])
         # one buffer per concurrent caller for the second temporary of
         # _log_likelihood, as large as the largest block it has seen
@@ -506,8 +439,9 @@ def load_logistic_csv(path, prior_var=100.0):
     """Build a LogisticTarget from a CSV file.
 
     The file must have a header row; each data row lists the covariate
-    values followed by the binary label in the last column.  An
-    intercept column of ones is prepended automatically.
+    values followed by the binary label in the last column, one finite
+    number per header field.  An intercept column of ones is prepended
+    automatically.  A bad row raises ``ValueError`` naming its line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -518,10 +452,15 @@ def load_logistic_csv(path, prior_var=100.0):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(row)} fields, expected {len(header)} as in the header")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite field")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
@@ -532,18 +471,18 @@ def load_logistic_csv(path, prior_var=100.0):
     return LogisticTarget(X, labels, prior_var=prior_var)
 
 
-def make_logistic_target(d, m, seed, prior_var=100.0, theta_scale=1.0):
+def make_logistic_target(d, m, seed, prior_var=100.0):
     """Draw a synthetic logistic-regression problem.
 
     Covariates are i.i.d. standard normal (d - 1 of them plus the
-    intercept) and labels are Bernoulli draws under a ground-truth
-    coefficient vector of scale ``theta_scale``.
+    intercept) and labels are Bernoulli draws under a standard normal
+    ground-truth coefficient vector.
     """
     if d < 1:
         raise ValueError("d must be at least 1 (the intercept)")
     rng = np.random.default_rng(seed)
     X = np.hstack([np.ones((m, 1)), rng.standard_normal((m, d - 1))])
-    theta_star = theta_scale * rng.standard_normal(d)
+    theta_star = rng.standard_normal(d)
     # a numpy sigmoid may round unlike scipy's expit in the last bit, but the
     # labels drawn from it are the same on every build the tests pin
     y = (rng.random(m) < 1.0 / (1.0 + np.exp(-(X @ theta_star)))).astype(float)

@@ -131,7 +131,7 @@ def test_parse_config_type_checks():
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():
-    with pytest.raises(ConfigError, match="P = 1"):
+    with pytest.raises(ConfigError, match=r"^sweep\[0\]\.P: .*P = 1"):
         parse_config(base_config(sweep=[{"N": 8, "P": 4}]))
 
 
@@ -390,6 +390,33 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         cfg_path.write_text(json.dumps(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}})))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "error: method.kernel.mass: mass entries must be finite and positive" in capsys.readouterr().err
+
+
+def test_cli_bad_target_fields_exit_2_and_name_the_field(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,label\n0.5,1\n-1.0,0\n")
+    inf, nan = float("inf"), float("nan")
+    cases = [
+        ({"kind": "gaussian", "d": 2, "m": 4, "sigma": 0}, "sigma"),
+        ({"kind": "gaussian", "d": 2, "m": 4, "sigma": -1.0}, "sigma"),
+        ({"kind": "gaussian", "d": 2, "m": 4, "sigma": inf}, "sigma"),
+        ({"kind": "gaussian", "d": 2, "m": 4, "sigma": nan}, "sigma"),
+        ({"kind": "logistic", "d": 2, "m": 5, "prior_var": inf}, "prior_var"),
+        ({"kind": "logistic", "d": 2, "m": 5, "prior_var": nan}, "prior_var"),
+        ({"kind": "logistic", "csv": str(data), "prior_var": -1}, "prior_var"),
+        ({"kind": "logistic", "csv": str(data), "prior_var": inf}, "prior_var"),
+        ({"kind": "gmm", "d": 2, "weight": 1.5}, "weight"),
+        ({"kind": "gmm", "d": 2, "weight": nan}, "weight"),
+        ({"kind": "gmm", "d": 1, "weights": [nan, 1.0], "means": [[0.0], [1.0]]}, "weights"),
+    ]
+    cfg_path = tmp_path / "exp.json"
+    for target, field in cases:
+        # json writes and reads NaN and Infinity
+        cfg_path.write_text(json.dumps(base_config(target=target)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2, target
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: target.{field}: {field} must "), err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_requires_output_path(tmp_path):

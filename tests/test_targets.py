@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 from scipy.special import expit
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -18,7 +17,6 @@ from islandmc.targets import (
     GaussianLinearModel,
     GmmTarget,
     LogisticTarget,
-    _GaussianPrior,
     load_logistic_csv,
     logsumexp,
     make_bimodal_gmm,
@@ -120,7 +118,7 @@ def test_analytic_posterior_conjugate_hand_case():
     mean, cov, logz = model.analytic_posterior()
     assert mean == pytest.approx([1.0], abs=1e-12)
     assert np.allclose(cov, [[0.5]], atol=1e-12)
-    # marginal likelihood: y ~ N(0, X Sigma0 X^T + sigma^2) = N(0, 2) at y=2
+    # marginal likelihood: y ~ N(0, X X^T + sigma^2) = N(0, 2) at y=2
     expected = -0.5 * math.log(2.0 * math.pi * 2.0) - 4.0 / (2.0 * 2.0)
     assert logz == pytest.approx(expected, abs=1e-12)
 
@@ -178,23 +176,9 @@ def test_prior_sample_reproducible():
 
 
 def test_whiten_unwhiten_round_trip():
-    model = make_gaussian_target(4, 6, 1.0, seed=2)
     theta = np.random.default_rng(1).standard_normal((8, 4))
-    assert model.unwhiten(model.whiten(theta)) == pytest.approx(theta, abs=1e-12)
-
-
-def test_chol_prior_whitening_unchanged():
-    # the non-isotropic prior keeps scipy's triangular solves, bit for bit
-    rng = np.random.default_rng(6)
-    A = rng.standard_normal((4, 4))
-    Sigma0 = A @ A.T + 4.0 * np.eye(4)
-    mu0 = rng.standard_normal(4)
-    model = GaussianLinearModel(rng.standard_normal((6, 4)), rng.standard_normal(6), 1.0, mu0, Sigma0)
-    chol = np.linalg.cholesky(Sigma0)
-    for theta in (rng.standard_normal((7, 4)), rng.standard_normal(4)):
-        u = solve_triangular(chol, (theta - mu0).T, lower=True).T
-        assert np.array_equal(model.whiten(theta), u)
-        assert np.array_equal(model.grad_log_prior(theta), -solve_triangular(chol.T, u.T, lower=False).T)
+    for model in (make_gaussian_target(4, 6, 1.0, seed=2), make_logistic_target(4, 6, seed=2)):
+        assert model.unwhiten(model.whiten(theta)) == pytest.approx(theta, abs=1e-12)
 
 
 def _logsumexp_cases():
@@ -274,6 +258,13 @@ def test_gmm_validation():
         GmmTarget([1.0], np.zeros(3))
     with pytest.raises(ValueError):
         GmmTarget([-0.2, 1.2], np.zeros((2, 1)))
+    # NaN fails no comparison of the form weights <= 0
+    for weights in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.5]):
+        with pytest.raises(ValueError, match="^weights must"):
+            GmmTarget(weights, np.zeros((2, 1)))
+    for weight in (0.0, 1.0, 1.5, -0.2, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^weight must lie in"):
+            make_bimodal_gmm(2, weight=weight)
 
 
 def test_counter_charges_one_per_vector():
@@ -403,17 +394,16 @@ def test_logistic_grad_in_place_equals_old_expression():
 def test_gaussian_grads_in_place_equal_old_expressions():
     # the in-place prior and linear-model gradients keep every operation
     rng = np.random.default_rng(13)
-    model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), 0.7,
-                                mu0=rng.standard_normal(5))
-    prior = _GaussianPrior(rng.standard_normal(5), std=1.7)
+    model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), 0.7)
+    scaled = LogisticTarget(np.ones((1, 5)), np.ones(1), prior_var=1.7**2)
     for theta in (rng.standard_normal(5), 2.0 * rng.standard_normal((1, 5)),
                   2.0 * rng.standard_normal((257, 5))):
         before = theta.copy()
         old_ll = (model.y - theta @ model.X.T) @ model.X / model.sigma**2
         assert np.array_equal(model._grad_log_likelihood(theta), old_ll)
-        for p in (model._prior, prior):
-            u = (theta - p.mean) / p.std
-            assert np.array_equal(p.grad_logpdf(theta), -u / p.std)
+        for target in (model, scaled):
+            u = theta / target.prior_std
+            assert np.array_equal(target.grad_log_prior(theta), -u / target.prior_std)
         assert np.array_equal(theta, before)
 
 
@@ -424,11 +414,12 @@ def _same_bits(a, b):
             and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
-def _general_prior_formulas(prior, theta):
-    """Isotropic ``logpdf`` and ``grad_logpdf`` with every operation of the general path."""
-    u = (theta - prior.mean) / prior.std
-    logpdf = -0.5 * np.sum(np.square(u), axis=-1) - 0.5 * prior.dim * LOG_2PI - prior.dim * np.log(prior.std)
-    return logpdf, -(u / prior.std)
+def _general_prior_formulas(target, theta):
+    """``log_prior`` and ``grad_log_prior`` with every operation of the scaled path."""
+    d, std = target.dim, target.prior_std
+    u = theta / std
+    log_prior = -0.5 * np.sum(np.square(u), axis=-1) - 0.5 * d * LOG_2PI - d * np.log(std)
+    return log_prior, -(u / std)
 
 
 def _special_rows(rng, n, d):
@@ -439,36 +430,56 @@ def _special_rows(rng, n, d):
     return theta
 
 
+def _prior_targets(std):
+    """One target of each kind whose prior std is ``std``, all with d = 5."""
+    if std == 1.0:
+        return [make_gaussian_target(5, 4, 1.0, seed=0), make_bimodal_gmm(5),
+                make_logistic_target(5, 10, seed=0, prior_var=1.0)]
+    return [make_logistic_target(5, 10, seed=0, prior_var=std**2)]
+
+
+def _check_prior_methods(target, rng):
+    for theta in (_special_rows(rng, 1, 5), _special_rows(rng, 257, 5), _special_rows(rng, 1, 5)[0]):
+        before = theta.copy()
+        log_prior, grad = _general_prior_formulas(target, theta)
+        assert _same_bits(target.log_prior(theta), log_prior)
+        assert _same_bits(target.grad_log_prior(theta), grad)
+        assert _same_bits(target.whiten(theta), theta / target.prior_std)
+        assert _same_bits(target.unwhiten(theta), 0.0 + target.prior_std * theta)
+        assert _same_bits(theta, before)
+
+
 def test_standard_normal_prior_fast_path_equals_general_formulas():
-    # for N(0, I), theta - 0.0 and x / 1.0 are exact: the fast path keeps
-    # every bit, NaN, +-inf and -0.0 entries included
+    # at std 1.0, x / 1.0 is exact: the fast path keeps every bit, NaN,
+    # +-inf and -0.0 entries included
     rng = np.random.default_rng(31)
-    priors = [_GaussianPrior(np.zeros(5), std=1.0), make_gaussian_target(5, 4, 1.0, seed=0)._prior,
-              GmmTarget([0.5, 0.5], np.stack([np.ones(5), -np.ones(5)]))._prior]
-    for prior in priors:
-        assert prior._standard
-        for theta in (_special_rows(rng, 1, 5), _special_rows(rng, 257, 5), _special_rows(rng, 1, 5)[0]):
-            before = theta.copy()
-            logpdf, grad = _general_prior_formulas(prior, theta)
-            assert _same_bits(prior.logpdf(theta), logpdf)
-            assert _same_bits(prior.grad_logpdf(theta), grad)
-            assert _same_bits(theta, before)
+    for target in _prior_targets(1.0):
+        assert target.prior_std == 1.0
+        _check_prior_methods(target, rng)
 
 
 def test_signed_zero_or_scaled_prior_takes_the_general_path():
-    # -0.0 - (-0.0) is +0.0, so a -0.0 mean entry must not skip the centring
+    # a scaled prior divides by its std; -0.0 keeps its sign through the
+    # division, the gradient negates it to +0.0, and unwhiten's 0.0 + turns
+    # it into +0.0
     rng = np.random.default_rng(32)
-    signed = _GaussianPrior(np.array([0.0, -0.0, 0.0]), std=1.0)
-    assert not signed._standard
-    theta = _special_rows(rng, 9, 3)
-    theta[:, 1] = -0.0
-    logpdf, grad = _general_prior_formulas(signed, theta)
-    assert _same_bits(signed.logpdf(theta), logpdf)
-    assert _same_bits(signed.grad_logpdf(theta), grad)
-    assert np.signbit(grad[:, 1]).all()  # np.negative(theta) would give +0.0
-    for mean, std in ((np.zeros(3), 1.5), (np.array([0.0, 1e-300, 0.0]), 1.0)):
-        assert not _GaussianPrior(mean, std=std)._standard
-    assert not make_logistic_target(3, 10, seed=0)._prior._standard
+    for std in (1.5, 10.0, 1.0 + 2.0**-52):
+        (target,) = _prior_targets(std)
+        assert target.prior_std != 1.0
+        _check_prior_methods(target, rng)
+    target = make_logistic_target(3, 10, seed=0)
+    assert target.prior_std == 10.0
+    theta = np.full((2, 3), -0.0)
+    assert np.signbit(target.whiten(theta)).all()
+    assert not np.signbit(target.grad_log_prior(theta)).any()
+    assert not np.signbit(target.unwhiten(theta)).any()
+
+
+def test_prior_std_must_be_positive_and_finite():
+    target = make_bimodal_gmm(2)
+    for std in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="prior standard deviation"):
+            target._set_prior(2, std)
 
 
 def test_unit_sigma_gradient_equals_old_expression():
@@ -494,8 +505,9 @@ def test_logistic_requires_intercept_and_binary_labels():
         LogisticTarget(np.array([[0.0, 1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         LogisticTarget(np.ones((2, 1)), np.array([0.0, 2.0]))
-    with pytest.raises(ValueError):
-        LogisticTarget(np.ones((1, 1)), np.array([1.0]), prior_var=0.0)
+    for prior_var in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^prior_var must be positive and finite"):
+            LogisticTarget(np.ones((1, 1)), np.array([1.0]), prior_var=prior_var)
 
 
 def test_logistic_loglik_stable_at_extreme_theta():
@@ -615,6 +627,20 @@ def test_load_logistic_csv_errors(tmp_path):
     bad.write_text("x,label\n1.0,1\noops,0\n")
     with pytest.raises(ValueError, match=":3"):
         load_logistic_csv(bad)
+    # a short or long row, or a non-finite field, is rejected at its line
+    for name, text, message in (
+        ("short", "x1,x2,label\n1.0,2.0,1\n0.5,0\n", ":3: 2 fields, expected 3"),
+        ("long", "x1,label\n1.0,1\n0.5,2.0,0\n", ":3: 3 fields, expected 2"),
+        ("inf", "x1,x2,label\n1.0,inf,1\n", ":2: non-finite"),
+        ("neg_inf", "x1,label\n1.0,1\n2.0,0\n-inf,0\n", ":4: non-finite"),
+        ("nan", "x1,label\nnan,1\n", ":2: non-finite"),
+        ("nan_label", "x1,label\n1.0,1\n0.5,NaN\n", ":3: non-finite"),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_logistic_csv(path)
+        assert str(err.value).startswith(f"{path}{message}"), str(err.value)
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("label\n1\n")
     with pytest.raises(ValueError, match="covariate"):
@@ -630,7 +656,6 @@ def test_dimension_mismatch_raises():
 def test_model_validation():
     with pytest.raises(ValueError):
         GaussianLinearModel(np.zeros((2, 2)), np.zeros(3), sigma=1.0)
-    with pytest.raises(ValueError):
-        GaussianLinearModel(np.zeros((2, 2)), np.zeros(2), sigma=0.0)
-    with pytest.raises(ValueError):
-        GaussianLinearModel(np.zeros((1, 2)), np.zeros(1), sigma=1.0, Sigma0=np.zeros((2, 2)))
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite"):
+            GaussianLinearModel(np.zeros((2, 2)), np.zeros(2), sigma=sigma)

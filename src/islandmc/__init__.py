@@ -22,9 +22,7 @@ from .kernels import (
     PcnConfig,
     adapt_step_size,
     estimate_scaling,
-    hmc_step,
     leapfrog,
-    pcn_step,
 )
 from .mcmc import McmcConfig, run_chain_serial, run_chains_parallel
 from .smc import (

@@ -65,6 +65,14 @@ class ExperimentConfig:
     output: str | None = None
 
 
+def _check_fields(spec, allowed, path, kind=None):
+    """Reject the keys of ``spec`` outside ``allowed``; the error names the section ``path``."""
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        of_kind = "" if kind is None else f" for kind {kind!r}"
+        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}{of_kind}")
+
+
 def _require(mapping, key, path):
     if key not in mapping:
         raise ConfigError(f"{path}: missing required field '{key}'")
@@ -113,11 +121,15 @@ def parse_config(payload) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(payload, dict):
         raise ConfigError("top level: expected a JSON object")
+    _check_fields(payload, ("target", "method", "sweep", "replicates", "master_seed", "output"), "top level")
     target_spec = _require(payload, "target", "top level")
     method_spec = _require(payload, "method", "top level")
     raw_sweep = _require(payload, "sweep", "top level")
     replicates = _as_int(_require(payload, "replicates", "top level"), "replicates", 1)
     master_seed = _as_int(_require(payload, "master_seed", "top level"), "master_seed", 0)
+    output = payload.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output: expected a file path, got {output!r}")
     if not isinstance(raw_sweep, list) or not raw_sweep:
         raise ConfigError("sweep: expected a non-empty list")
     sweep = []
@@ -125,6 +137,7 @@ def parse_config(payload) -> ExperimentConfig:
         path = f"sweep[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object with N, P, M, B, T")
+        _check_fields(entry, ("N", "P", "M", "B", "T"), path)
         point = SweepPoint(
             N=_as_int(_require(entry, "N", path), f"{path}.N", 1),
             P=_as_int(entry.get("P", 1), f"{path}.P", 1),
@@ -132,18 +145,8 @@ def parse_config(payload) -> ExperimentConfig:
             B=_as_int(entry.get("B", 0), f"{path}.B", 0),
             T=_as_int(entry.get("T", 1), f"{path}.T", 1),
         )
-        unknown = set(entry) - {"N", "P", "M", "B", "T"}
-        if unknown:
-            raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
         sweep.append(point)
-    cfg = ExperimentConfig(
-        target_spec=target_spec,
-        method_spec=method_spec,
-        sweep=sweep,
-        replicates=replicates,
-        master_seed=master_seed,
-        output=payload.get("output"),
-    )
+    cfg = ExperimentConfig(target_spec, method_spec, sweep, replicates, master_seed, output)
     # fail fast on bad specs before any run starts
     target = build_target(cfg.target_spec)
     for i, point in enumerate(sweep):
@@ -160,20 +163,32 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(payload)
 
 
-def _build(make, path, *args, **fields):
-    """``make(*args, **fields)``; an error names the field its message starts with, else ``path``."""
+def _build(make, section, *args, path=None, **fields):
+    """``make(*args, **fields)``; an error names ``section.<field>`` when its message
+    starts with one of ``fields``, else ``path`` (default ``section``)."""
     try:
         return make(*args, **fields)
     except (OSError, ValueError) as exc:
-        # the targets start each field's message with the field's name
+        # the library starts each field's message with the field's name
         field = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"{'target.' + field if field in fields else path}: {exc}") from exc
+        raise ConfigError(f"{section + '.' + field if field in fields else path or section}: {exc}") from exc
+
+
+# target kind -> its fields besides kind
+_TARGET_FIELDS = {
+    "gaussian": ("d", "m", "sigma", "seed", "theta_star"),
+    "gmm": ("d", "weight", "weights", "means"),
+    "logistic": ("d", "m", "seed", "prior_var", "csv"),
+}
 
 
 def build_target(spec):
     if not isinstance(spec, dict):
         raise ConfigError("target: expected an object")
     kind = _require(spec, "kind", "target")
+    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+        raise ConfigError(f"target.kind: unknown target kind {kind!r}")
+    _check_fields(spec, ("kind", *_TARGET_FIELDS[kind]), "target", kind)
     if kind == "gaussian":
         d = _as_int(_require(spec, "d", "target"), "target.d", 1)
         theta_star = spec.get("theta_star")
@@ -195,23 +210,22 @@ def build_target(spec):
                 raise ConfigError(f"target.means: expected a list of points, got {means!r}")
             means = [_as_vector(m, f"target.means[{k}]", d) for k, m in enumerate(means)]
             weights = _as_vector(spec["weights"], "target.weights", len(means))
-            return _build(targets_mod.GmmTarget, "target.weights", weights=weights, means=means)
+            return _build(targets_mod.GmmTarget, "target", weights=weights, means=means)
         weight = _as_float(spec.get("weight", 0.2), "target.weight")
         return _build(targets_mod.make_bimodal_gmm, "target", d, weight=weight)
-    if kind == "logistic":
-        prior_var = _as_float(spec.get("prior_var", 100.0), "target.prior_var")
-        if "csv" in spec:
-            if not isinstance(spec["csv"], str):
-                raise ConfigError(f"target.csv: expected a file path, got {spec['csv']!r}")
-            return _build(targets_mod.load_logistic_csv, "target.csv", spec["csv"], prior_var=prior_var)
-        return _build(
-            targets_mod.make_logistic_target, "target",
-            d=_as_int(_require(spec, "d", "target"), "target.d", 1),
-            m=_as_int(_require(spec, "m", "target"), "target.m", 1),
-            seed=_as_int(spec.get("seed", 0), "target.seed", 0),
-            prior_var=prior_var,
-        )
-    raise ConfigError(f"target.kind: unknown target kind {kind!r}")
+    # a logistic target
+    prior_var = _as_float(spec.get("prior_var", 100.0), "target.prior_var")
+    if "csv" in spec:
+        if not isinstance(spec["csv"], str):
+            raise ConfigError(f"target.csv: expected a file path, got {spec['csv']!r}")
+        return _build(targets_mod.load_logistic_csv, "target", spec["csv"], path="target.csv", prior_var=prior_var)
+    return _build(
+        targets_mod.make_logistic_target, "target",
+        d=_as_int(_require(spec, "d", "target"), "target.d", 1),
+        m=_as_int(_require(spec, "m", "target"), "target.m", 1),
+        seed=_as_int(spec.get("seed", 0), "target.seed", 0),
+        prior_var=prior_var,
+    )
 
 
 def _as_mass(value, path):
@@ -242,16 +256,9 @@ def build_kernel(spec):
     if not isinstance(kind, str) or kind not in _KERNELS:
         raise ConfigError(f"method.kernel.kind: unknown kernel kind {kind!r}")
     cls, parsers = _KERNELS[kind]
-    unknown = set(spec) - set(parsers) - {"kind"}
-    if unknown:
-        raise ConfigError(f"method.kernel: unknown fields {sorted(unknown)} for kind {kind!r}")
+    _check_fields(spec, ("kind", *parsers), "method.kernel", kind)
     opts = {k: parsers[k](v, f"method.kernel.{k}") for k, v in spec.items() if k != "kind"}
-    try:
-        return cls(**opts)
-    except ValueError as exc:
-        # the config classes start each message with the field's name
-        field = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"method.kernel{'.' + field if field in parsers else ''}: {exc}") from exc
+    return _build(cls, "method.kernel", **opts)
 
 
 def analytic_truth(target):
@@ -264,25 +271,18 @@ def analytic_truth(target):
 
 
 def _method_kind(method_spec):
+    """The method kind, once the spec's fields are known for it."""
+    if not isinstance(method_spec, dict):
+        raise ConfigError("method: expected an object")
     kind = _require(method_spec, "kind", "method")
     if not isinstance(kind, str) or kind not in _METHODS:
         raise ConfigError(f"method.kind: unknown method kind {kind!r}")
+    _check_fields(method_spec, ("kind", "kernel", *_METHODS[kind][2]), "method", kind)
     return kind
 
 
-def _method_config(cls, **fields):
-    """``cls(**fields)``, with its schedule shape errors naming ``method.schedule``."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        if str(exc).startswith("schedule "):
-            raise ConfigError(f"method.schedule: {exc}") from exc
-        raise
-
-
 def _smc_config(method_spec, point, kernel):
-    return _method_config(
-        SmcConfig,
+    return SmcConfig(
         n_particles=point.N,
         mutation_steps=point.M,
         kernel=kernel,
@@ -302,8 +302,7 @@ def _ais_config(method_spec, point, kernel):
         sched = ais_mod.make_neal_schedule()
     else:
         sched = _as_vector(sched, "method.schedule")
-    return _method_config(
-        AisConfig,
+    return AisConfig(
         n_samples=point.N,
         schedule=sched,
         kernel=kernel,
@@ -341,15 +340,18 @@ def _run_ais_cell(cfg, n_islands, target, seed):
     return ais_mod.ais_estimate(samples, log_ws), ais_mod.log_evidence_estimate(log_ws), tallies
 
 
+_SMC_FIELDS = ("ess_fraction", "max_stages", "resampling", "schedule", "adapt_steps")
+
 # method kind -> (config builder taking (method spec, sweep point, kernel),
 # cell runner taking (config, P, target, seed) and returning the estimate,
-# the log evidence and the evaluation tally of each island)
+# the log evidence and the evaluation tally of each island,
+# the method spec's fields besides kind and kernel)
 _METHODS = {
-    "smc": (_smc_config, _run_islands_cell),
-    "smc_par": (_smc_config, _run_islands_cell),
-    "mcmc": (_mcmc_config("serial"), _run_chain_cell),
-    "mcmc_par": (_mcmc_config("parallel"), _run_islands_cell),
-    "ais": (_ais_config, _run_ais_cell),
+    "smc": (_smc_config, _run_islands_cell, _SMC_FIELDS),
+    "smc_par": (_smc_config, _run_islands_cell, _SMC_FIELDS),
+    "mcmc": (_mcmc_config("serial"), _run_chain_cell, ()),
+    "mcmc_par": (_mcmc_config("parallel"), _run_islands_cell, ()),
+    "ais": (_ais_config, _run_ais_cell, ("schedule",)),
 }
 
 
@@ -369,8 +371,15 @@ def _point_config(method_spec, point, target, index):
     except ConfigError:
         raise
     except ValueError as exc:
-        field = _POINT_FIELDS.get(str(exc).split(" ", 1)[0])
-        raise ConfigError(f"sweep[{index}]{'.' + field if field else ''}: {exc}") from exc
+        # the config classes start each field's message with the field's name
+        field = str(exc).split(" ", 1)[0]
+        if field in _POINT_FIELDS:
+            path = f"sweep[{index}].{_POINT_FIELDS[field]}"
+        elif field in _METHODS[kind][2]:
+            path = f"method.{field}"
+        else:
+            path = f"sweep[{index}]"
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def run_seed(master_seed, sweep_index, replicate) -> int:

@@ -7,12 +7,13 @@ Carlo with a leapfrog integrator.  Both leave
 ``lambda`` in [0, 1].
 
 All kernel math lives in population-level functions that act on every
-particle at once; the single-state functions ``pcn_step`` and
-``hmc_step`` are thin wrappers around a population of one.  States
-carry cached log-likelihood (and, for HMC, gradient) values so that one
-pCN step costs exactly one fresh likelihood evaluation and one HMC step
-costs exactly ``leapfrog_steps`` gradient evaluations plus one
-likelihood evaluation.
+particle at once.  Every sampler steps through :func:`population_step`:
+SMC islands, AIS and parallel chains on their whole population, a
+serial chain on a population of one row.  States carry cached
+log-likelihood (and, for HMC, gradient) values so that one pCN step
+costs exactly one fresh likelihood evaluation and one HMC step costs
+exactly ``leapfrog_steps`` gradient evaluations plus one likelihood
+evaluation.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class PcnConfig:
         scaling from the particle population each tempering stage.
         Standalone chains always use unit scaling.
     scaling_floor : float
-        Lower bound applied to estimated coordinate variances.
+        Lower bound applied to estimated coordinate variances, positive
+        and finite.
     target_accept : float
         Acceptance rate targeted by step-size adaptation.
     """
@@ -53,8 +55,8 @@ class PcnConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if not self.scaling_floor > 0.0:
-            raise ValueError("scaling_floor must be positive")
+        if not 0.0 < self.scaling_floor < np.inf:
+            raise ValueError("scaling_floor must be positive and finite")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
 
@@ -66,7 +68,7 @@ class HmcConfig:
     Parameters
     ----------
     step_size : float
-        Leapfrog step size, positive.
+        Leapfrog step size, positive and finite.
     leapfrog_steps : int
         Number of leapfrog steps per proposal, positive.
     mass : float or sequence of float
@@ -82,8 +84,8 @@ class HmcConfig:
     target_accept: float = 0.65
 
     def __post_init__(self):
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be at least 1")
         mass = np.asarray(self.mass, dtype=float)
@@ -257,7 +259,14 @@ _py_square = np.frompyfunc(lambda x: x**2, 1, 1)
 
 
 def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter):
-    """One pCN sweep over the population with pre-drawn noise; returns the accept mask."""
+    """One pCN sweep over the population with pre-drawn noise; returns the accept mask.
+
+    Each row whitens ``theta`` against the prior, proposes the
+    autoregression ``sqrt(1 - beta^2 D) u + beta sqrt(D) delta`` and
+    accepts with probability ``min(1, (L(theta') / L(theta))^lambda)``:
+    the prior is invariant under the proposal, so only the likelihood
+    ratio enters.
+    """
     beta_sq = beta**2 if np.ndim(beta) == 0 else _py_square(beta).astype(float)
     keep = 1.0 - beta_sq * scaling
     if np.any(keep < -1e-12):
@@ -281,8 +290,9 @@ def _hmc_population_step(pop, lam, cfg, dt, target, z, log_u, counter):
     """One HMC sweep over the population with pre-drawn noise; returns the accept mask.
 
     ``z`` holds standard-normal draws; momenta are ``sqrt(mass) * z``,
-    ``z`` itself for a unit mass.  Non-finite trajectories reject rather
-    than raise.
+    ``z`` itself for a unit mass.  A proposal is accepted with probability
+    ``min(1, exp(H - H'))`` for the Hamiltonian ``H`` of the tempered
+    target.  Non-finite trajectories reject rather than raise.
     """
     mass = _mass_vector(cfg, pop.theta.shape[1])
     momentum = z if mass is None else np.sqrt(mass) * z
@@ -404,73 +414,6 @@ def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None
             pop, lam, cfg, target, step_normals, log_u[s], counter, stats, scaling, step_size
         )
     return accepted
-
-
-def pcn_step(theta, lam, cfg, scaling, target, rng, counter=None, loglik=None, stats=None):
-    """One preconditioned Crank-Nicolson step for a single state.
-
-    The proposal whitens ``theta`` against the prior, applies the
-    autoregression ``sqrt(1 - beta^2 D) u + beta sqrt(D) delta`` with
-    ``delta`` standard normal, and accepts with probability
-    ``min(1, (L(theta') / L(theta))^lambda)``.  The prior is invariant
-    under the proposal, so only the likelihood ratio enters.
-
-    Parameters
-    ----------
-    scaling : ndarray (d,)
-        Diagonal proposal scaling ``D`` with entries in (0, 1/beta^2].
-        Pass ``numpy.ones(d)`` for a standalone chain.
-    loglik : float, optional
-        Cached log-likelihood at ``theta``.  Evaluated (and charged)
-        when omitted.
-
-    Returns
-    -------
-    (theta, accepted, loglik)
-        New state, acceptance flag, and its log-likelihood.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if loglik is None:
-        loglik = target.log_likelihood(theta, counter)
-    pop = Population(theta[None, :].copy(), np.atleast_1d(np.float64(loglik)))
-    delta = rng.standard_normal(theta.shape[0])
-    log_u = np.log(rng.random())
-    n_acc = population_step(
-        pop, lam, cfg, target, delta[None, :], np.atleast_1d(log_u), counter, stats,
-        np.asarray(scaling, dtype=float),
-    )
-    return pop.theta[0], bool(n_acc), float(pop.loglik[0])
-
-
-def hmc_step(theta, lam, cfg, target, rng, counter=None, loglik=None, grad_ll=None, stats=None):
-    """One Hamiltonian Monte Carlo step for a single state.
-
-    Draws momentum from N(0, mass), integrates with :func:`leapfrog`,
-    and accepts with probability ``min(1, exp(H - H'))`` where ``H`` is
-    the Hamiltonian of the tempered target.  With cached ``loglik`` and
-    ``grad_ll`` the step charges exactly ``leapfrog_steps`` gradient and
-    one likelihood evaluation; cold caches add one of each.
-
-    Returns
-    -------
-    (theta, accepted, loglik, grad_ll)
-        New state, acceptance flag, and its cached values.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if loglik is None:
-        loglik = target.log_likelihood(theta, counter)
-    if grad_ll is None:
-        grad_ll = target.grad_log_likelihood(theta, counter)
-    pop = Population(
-        theta[None, :].copy(),
-        np.atleast_1d(np.float64(loglik)),
-        np.atleast_1d(target.log_prior(theta)),
-        np.asarray(grad_ll, dtype=float)[None, :].copy(),
-    )
-    z = rng.standard_normal(theta.shape[0])
-    log_u = np.log(rng.random())
-    n_acc = population_step(pop, lam, cfg, target, z[None, :], np.atleast_1d(log_u), counter, stats)
-    return pop.theta[0], bool(n_acc), float(pop.loglik[0]), pop.grad_ll[0]
 
 
 def adapt_step_size(current, observed_rate, target_rate, iteration):

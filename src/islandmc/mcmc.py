@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .kernels import HmcConfig, KernelStats, PcnConfig, Population
+from .kernels import HmcConfig, PcnConfig, Population
 from .seeds import check_seed
 from .targets import EvalCounter
 
@@ -71,38 +71,24 @@ def run_chain_serial(cfg, target, seed, stats=None):
     The chain starts from a prior draw, burns in ``cfg.burn_in`` steps,
     retains the current state, then retains every ``cfg.thin``-th state
     until ``cfg.n_samples`` are collected.  All randomness comes from
-    ``numpy.random.default_rng(seed)``.
+    ``numpy.random.default_rng(seed)``: the prior draw, then per step
+    ``d`` standard normals and one uniform, which move a one-row
+    population through :func:`kernels.population_step`.
     """
     seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     counter = EvalCounter()
-    if stats is None:
-        stats = KernelStats()
-    use_hmc = isinstance(cfg.kernel, HmcConfig)
-    unit_scaling = np.ones(target.dim)
-    theta = target.prior_sample(rng)
-    loglik = target.log_likelihood(theta, counter)
-    grad_ll = target.grad_log_likelihood(theta, counter) if use_hmc else None
-
-    def step(theta, loglik, grad_ll):
-        if use_hmc:
-            theta, _, loglik, grad_ll = kernels.hmc_step(
-                theta, 1.0, cfg.kernel, target, rng, counter, loglik, grad_ll, stats
+    d = target.dim
+    pop = Population.initialize(target, rng, 1, counter, needs_grad=isinstance(cfg.kernel, HmcConfig))
+    samples = np.empty((cfg.n_samples, d))
+    for i in range(cfg.n_samples):
+        for _ in range(cfg.thin if i else cfg.burn_in):
+            z = rng.standard_normal(d)
+            log_u = np.log(rng.random())
+            kernels.population_step(
+                pop, 1.0, cfg.kernel, target, z[None, :], np.atleast_1d(log_u), counter, stats
             )
-        else:
-            theta, _, loglik = kernels.pcn_step(
-                theta, 1.0, cfg.kernel, unit_scaling, target, rng, counter, loglik, stats
-            )
-        return theta, loglik, grad_ll
-
-    for _ in range(cfg.burn_in):
-        theta, loglik, grad_ll = step(theta, loglik, grad_ll)
-    samples = np.empty((cfg.n_samples, target.dim))
-    samples[0] = theta
-    for i in range(1, cfg.n_samples):
-        for _ in range(cfg.thin):
-            theta, loglik, grad_ll = step(theta, loglik, grad_ll)
-        samples[i] = theta
+        samples[i] = pop.theta[0]
     return samples, counter
 
 
@@ -129,8 +115,6 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
     b = cfg.burn_in
     use_hmc = isinstance(cfg.kernel, HmcConfig)
     counter = EvalCounter()
-    if stats is None:
-        stats = KernelStats()
     theta0 = np.empty((n, d))
     normals = np.empty((b, n, d))
     log_u = np.empty((b, n))

@@ -273,7 +273,7 @@ def make_gaussian_target(d, m, sigma, seed, theta_star=None):
 
     Design entries are i.i.d. standard normal and observations are
     ``y = X theta_star + noise``.  By default ``theta_star`` is drawn
-    from the N(0, I) prior; pass an explicit vector to pin it.
+    from the N(0, I) prior; pass an explicit finite vector to pin it.
 
     Returns
     -------
@@ -288,6 +288,8 @@ def make_gaussian_target(d, m, sigma, seed, theta_star=None):
         theta_star = np.asarray(theta_star, dtype=float)
         if theta_star.shape != (d,):
             raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
+        if not np.all(np.isfinite(theta_star)):
+            raise ValueError(f"theta_star must be finite, got {theta_star.tolist()}")
     y = X @ theta_star + sigma * rng.standard_normal(m)
     model = GaussianLinearModel(X, y, sigma)
     model.theta_star = theta_star
@@ -307,7 +309,7 @@ class GmmTarget(_GaussianPriorTarget):
     weights : sequence of float
         Positive component weights summing to one.
     means : ndarray (K, d)
-        Component means.  All components have identity covariance.
+        Finite component means.  All components have identity covariance.
     """
 
     def __init__(self, weights, means):
@@ -315,6 +317,8 @@ class GmmTarget(_GaussianPriorTarget):
         means = np.asarray(means, dtype=float)
         if means.ndim != 2:
             raise ValueError("means must be (K, d)")
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"means must be finite, got {means.tolist()}")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights and means disagree on component count")
         if not np.all(weights > 0.0):

@@ -10,7 +10,7 @@ from islandmc.ais import (
     make_neal_schedule,
     run_ais,
 )
-from islandmc.kernels import HmcConfig, PcnConfig, pcn_step
+from islandmc.kernels import HmcConfig, PcnConfig, Population, population_step
 from islandmc.targets import GaussianLinearModel, make_gaussian_target
 
 
@@ -83,7 +83,7 @@ def test_plain_importance_sampling_matches_bruteforce_oracle():
 
 
 def test_scalar_reference_replay():
-    # independent reimplementation: one pCN step per transition per sample
+    # independent reimplementation: per sample, one pCN step on a one-row population per transition
     target = make_gaussian_target(2, 4, 0.8, seed=5)
     sched = (0.0, 0.05, 0.3, 1.0)
     kernel = PcnConfig(beta=0.5)
@@ -95,15 +95,15 @@ def test_scalar_reference_replay():
     theta = target.prior_sample(rng, 5)
     loglik = np.array([float(target.log_likelihood(t)) for t in theta])
     ref_w = np.zeros(5)
-    ones = np.ones(2)
     lam = 0.0
     for stage, lam_new in enumerate(sched[1:], start=1):
         ref_w += (lam_new - lam) * loglik
         for i in range(5):
             rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
-            theta[i], _, loglik[i] = pcn_step(
-                theta[i], lam_new, kernel, ones, target, rng_i, loglik=loglik[i]
-            )
+            row = Population(theta[i:i + 1].copy(), loglik[i:i + 1].copy())
+            normals, log_u = rng_i.standard_normal((1, 2)), np.log([rng_i.random()])
+            population_step(row, lam_new, kernel, target, normals, log_u)
+            theta[i], loglik[i] = row.theta[0], row.loglik[0]
         lam = lam_new
     assert samples == pytest.approx(theta, abs=1e-12)
     assert log_w == pytest.approx(ref_w, abs=1e-10)

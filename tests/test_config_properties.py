@@ -1,11 +1,12 @@
-"""Property test: every config that ``parse_config`` rejects names its field.
+"""Property tests: every config that ``parse_config`` rejects names its field.
 
-Valid harness configs are mutated in their target, method, kernel and
-sweep fields: wrong types, NaN and infinities, negatives, zeros,
-unknown keys and deleted keys.  Whatever the mutation, ``parse_config``
-either accepts the config or raises a ``ConfigError`` whose message
-starts with a field path.  Sizes stay at most 64, so no mutated config
-builds a large target.
+Valid harness configs are mutated in their top-level, target, method,
+kernel and sweep fields: wrong types, NaN and infinities, negatives,
+zeros, unknown keys and deleted keys.  Whatever the mutation,
+``parse_config`` either accepts the config or raises a ``ConfigError``
+whose message starts with a field path.  An unknown key in any section
+is always rejected, and the message names that section.  Sizes stay at
+most 64, so no mutated config builds a large target.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from islandmc.harness import ConfigError, parse_config
 
 # "target.sigma: ...", "sweep[0].N: ...", "method.kernel.mass[2]: ...", "top level: ..."
-FIELD_PATH = re.compile(r"(top level|target|method|sweep|replicates|master_seed)(\.\w+|\[\d+\])*: ")
+FIELD_PATH = re.compile(r"(top level|target|method|sweep|replicates|master_seed|output)(\.\w+|\[\d+\])*: ")
 
 SIZE = st.integers(1, 64)
 BAD_VALUES = st.sampled_from([
@@ -57,6 +58,7 @@ def valid_configs(draw):
 
 
 KEYS = {
+    "top level": ["target", "method", "sweep", "replicates", "master_seed", "output", "unknown"],
     "target": ["kind", "d", "m", "sigma", "seed", "theta_star", "weight", "weights", "means",
                "prior_var", "csv", "unknown"],
     "method": ["kind", "kernel", "ess_fraction", "max_stages", "resampling", "schedule",
@@ -67,13 +69,18 @@ KEYS = {
 }
 
 
+def config_sections(cfg):
+    """Each section of ``cfg`` by its name in ``KEYS``."""
+    return {"top level": cfg, "target": cfg["target"], "method": cfg["method"],
+            "kernel": cfg["method"]["kernel"], "sweep": cfg["sweep"][0]}
+
+
 @st.composite
 def mutated_configs(draw, section):
     """A valid config with one field of ``section`` mutated, and up to two more anywhere."""
     cfg = draw(valid_configs())
     # taken before any mutation, which may replace method.kernel
-    sections = {"target": cfg["target"], "method": cfg["method"],
-                "kernel": cfg["method"]["kernel"], "sweep": cfg["sweep"][0]}
+    sections = config_sections(cfg)
     for name in [section] + draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=2)):
         fields = sections[name]
         # mostly a field the config sets, sometimes any known or unknown one
@@ -101,3 +108,33 @@ def test_every_config_rejection_names_a_field(section, data):
 @given(valid_configs())
 def test_valid_configs_parse(cfg):
     parse_config(cfg)
+
+
+SECTION_PATHS = {"top level": "top level", "target": "target", "method": "method",
+                 "kernel": "method.kernel", "sweep": "sweep[0]"}
+KNOWN = set().union(*KEYS.values()) - {"unknown"}
+
+
+@st.composite
+def unknown_keys(draw, words):
+    """A one-letter misspelling of one of ``words``, or any name, that no section knows."""
+    word = draw(st.sampled_from(sorted(words)))
+    i = draw(st.integers(0, len(word) - 1))
+    c = draw(st.sampled_from("abcdefghijklmnopqrstuvwxyzNPMBT_0"))
+    typos = [word[:i] + word[i + 1:], word[:i] + c + word[i:], word[:i] + c + word[i + 1:], word + c]
+    name = st.from_regex(r"[A-Za-z_][A-Za-z0-9_ ]{0,11}", fullmatch=True)
+    return draw((st.sampled_from(typos) | name).filter(lambda key: key and key not in KNOWN))
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_PATHS))
+@settings(derandomize=True, deadline=None, max_examples=100, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_unknown_key_is_rejected_with_its_section_path(section, data):
+    cfg = data.draw(valid_configs())
+    fields = config_sections(cfg)[section]
+    key = data.draw(unknown_keys(fields))
+    fields[key] = data.draw(BAD_VALUES | SIZE)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert str(err.value).startswith(f"{SECTION_PATHS[section]}: unknown fields [{key!r}]"), str(err.value)

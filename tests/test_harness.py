@@ -419,6 +419,30 @@ def test_cli_bad_target_fields_exit_2_and_name_the_field(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"outptu": "rows.csv"}, "top level"),
+    ({"output": 1}, "output"),
+    ({"target": {"kind": "gmm", "d": 2, "prior_vr": 5}}, "target"),
+    ({"method": {"kind": "smc", "ess_fracton": 0.9}}, "method"),
+    ({"method": {"kind": "ais", "resampling": "systematic"}}, "method"),
+    ({"target": {"kind": "gaussian", "d": 2, "m": 4, "theta_star": [float("nan"), 1.0]}}, "target.theta_star"),
+    ({"target": {"kind": "gmm", "d": 1, "weights": [0.5, 0.5], "means": [[float("nan")], [1.0]]}},
+     "target.means"),
+    ({"method": {"kind": "smc", "kernel": {"kind": "hmc", "step_size": float("inf")}}}, "method.kernel.step_size"),
+    ({"method": {"kind": "smc", "kernel": {"kind": "pcn", "scaling_floor": float("inf")}}},
+     "method.kernel.scaling_floor"),
+    ({"method": {"kind": "smc", "ess_fraction": 1.5}}, "method.ess_fraction"),
+])
+def test_cli_rejects_unknown_and_non_finite_fields(tmp_path, capsys, overrides, path):
+    # json writes and reads NaN and Infinity
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 def test_cli_requires_output_path(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(base_config(replicates=1)))

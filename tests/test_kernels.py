@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -12,11 +13,9 @@ from islandmc.kernels import (
     adapt_step_size,
     estimate_scaling,
     gradient_cost_per_step,
-    hmc_step,
     leapfrog,
     mutate,
     needs_gradient,
-    pcn_step,
     population_step,
 )
 from islandmc.targets import EvalCounter, GaussianLinearModel, make_gaussian_target
@@ -36,6 +35,21 @@ class FlatTarget:
 
 def prior_only(d):
     return GaussianLinearModel(np.zeros((0, d)), np.zeros(0), sigma=1.0)
+
+
+def one_row(target, theta, needs_grad=False):
+    """A population of the single state ``theta``, its caches filled."""
+    theta = np.array([theta], dtype=float)
+    pop = Population(theta, target.log_likelihood(theta))
+    if needs_grad:
+        pop.logprior = target.log_prior(theta)
+        pop.grad_ll = target.grad_log_likelihood(theta)
+    return pop
+
+
+def one_step_noise(rng, d):
+    """One step's noise for one row: ``d`` standard normals, then the log of one uniform."""
+    return rng.standard_normal((1, d)), np.log([rng.random()])
 
 
 def hamiltonian(target, theta, momentum, lam, mass):
@@ -61,6 +75,11 @@ def test_config_validation():
     for mass in (np.nan, np.inf, -np.inf, 0.0, [1.0, np.nan], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="^mass entries must be finite and positive"):
             HmcConfig(mass=mass)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^step_size must be positive and finite"):
+            HmcConfig(step_size=value)
+        with pytest.raises(ValueError, match="^scaling_floor must be positive and finite"):
+            PcnConfig(scaling_floor=value)
 
 
 def test_cost_helpers():
@@ -191,18 +210,19 @@ def test_pcn_beta_to_zero_is_identity():
     theta0 = np.array([0.3, -0.8])
     rng = np.random.default_rng(0)
     for _ in range(5):
-        theta, accepted, _ = pcn_step(theta0, 1.0, cfg, np.ones(2), target, rng)
+        pop = one_row(target, theta0)
+        accepted = population_step(pop, 1.0, cfg, target, *one_step_noise(rng, 2))
         assert accepted
-        assert theta == pytest.approx(theta0, abs=1e-10)
+        assert pop.theta[0] == pytest.approx(theta0, abs=1e-10)
 
 
 def test_pcn_lambda_zero_always_accepts():
     target = make_gaussian_target(2, 4, 1.0, seed=2)
     cfg = PcnConfig(beta=1.0)
     rng = np.random.default_rng(1)
-    theta = np.array([100.0, -100.0])
+    pop = one_row(target, [100.0, -100.0])
     for _ in range(10):
-        theta, accepted, _ = pcn_step(theta, 0.0, cfg, np.ones(2), target, rng)
+        accepted = population_step(pop, 0.0, cfg, target, *one_step_noise(rng, 2))
         assert accepted
 
 
@@ -212,16 +232,19 @@ def test_pcn_full_refresh_is_prior_draw():
     cfg = PcnConfig(beta=1.0)
     rng = np.random.default_rng(7)
     expected = np.random.default_rng(7).standard_normal(3)
-    theta, accepted, _ = pcn_step(np.full(3, 9.0), 0.0, cfg, np.ones(3), target, rng)
+    pop = one_row(target, np.full(3, 9.0))
+    accepted = population_step(pop, 0.0, cfg, target, *one_step_noise(rng, 3))
     assert accepted
-    assert np.array_equal(theta, expected)
+    assert np.array_equal(pop.theta[0], expected)
 
 
 def test_pcn_scaling_bound_enforced():
     target = prior_only(2)
     cfg = PcnConfig(beta=1.0)
+    pop = one_row(target, np.zeros(2))
+    noise = one_step_noise(np.random.default_rng(0), 2)
     with pytest.raises(ValueError, match="beta"):
-        pcn_step(np.zeros(2), 1.0, cfg, np.array([2.0, 1.0]), target, np.random.default_rng(0))
+        population_step(pop, 1.0, cfg, target, *noise, scaling=np.array([2.0, 1.0]))
 
 
 def test_pcn_step_matches_manual_proposal():
@@ -231,8 +254,10 @@ def test_pcn_step_matches_manual_proposal():
     scaling = np.array([1.0, 0.5, 0.25])
     theta0 = np.array([0.2, -0.1, 0.7])
     lam = 0.6
-    rng = np.random.default_rng(21)
-    theta, accepted, loglik = pcn_step(theta0, lam, cfg, scaling, target, rng)
+    pop = one_row(target, theta0)
+    accepted = population_step(
+        pop, lam, cfg, target, *one_step_noise(np.random.default_rng(21), 3), scaling=scaling
+    )
     ref = np.random.default_rng(21)
     delta = ref.standard_normal(3)
     log_u = math.log(ref.random())
@@ -241,26 +266,28 @@ def test_pcn_step_matches_manual_proposal():
     prop = target.unwhiten(keep * u + cfg.beta * np.sqrt(scaling) * delta)
     want = log_u <= lam * (target.log_likelihood(prop) - target.log_likelihood(theta0))
     assert accepted == want
-    assert np.array_equal(theta, prop if want else theta0)
-    assert loglik == pytest.approx(float(target.log_likelihood(theta)), abs=1e-10)
+    assert np.array_equal(pop.theta[0], prop if want else theta0)
+    assert pop.loglik[0] == pytest.approx(float(target.log_likelihood(pop.theta[0])), abs=1e-10)
 
 
 def test_hmc_identity_limit():
     target = make_gaussian_target(2, 4, 1.0, seed=6)
     cfg = HmcConfig(step_size=1e-10, leapfrog_steps=1)
     theta0 = np.array([0.5, -0.5])
-    theta, accepted, _, _ = hmc_step(theta0, 1.0, cfg, target, np.random.default_rng(3))
+    pop = one_row(target, theta0, needs_grad=True)
+    accepted = population_step(pop, 1.0, cfg, target, *one_step_noise(np.random.default_rng(3), 2))
     assert accepted
-    assert theta == pytest.approx(theta0, abs=1e-8)
+    assert pop.theta[0] == pytest.approx(theta0, abs=1e-8)
 
 
 def test_hmc_nonfinite_trajectory_rejects():
     target = make_gaussian_target(2, 4, 0.1, seed=6)
     cfg = HmcConfig(step_size=1e150, leapfrog_steps=2)
     theta0 = np.array([0.5, -0.5])
-    theta, accepted, _, _ = hmc_step(theta0, 1.0, cfg, target, np.random.default_rng(3))
+    pop = one_row(target, theta0, needs_grad=True)
+    accepted = population_step(pop, 1.0, cfg, target, *one_step_noise(np.random.default_rng(3), 2))
     assert not accepted
-    assert np.array_equal(theta, theta0)
+    assert np.array_equal(pop.theta[0], theta0)
 
 
 def test_hmc_matches_manual_replay():
@@ -268,8 +295,8 @@ def test_hmc_matches_manual_replay():
     cfg = HmcConfig(step_size=0.15, leapfrog_steps=8, mass=2.0)
     theta0 = np.array([0.2, -0.1, 0.7])
     lam = 0.8
-    rng = np.random.default_rng(33)
-    theta, accepted, loglik, grad = hmc_step(theta0, lam, cfg, target, rng)
+    pop = one_row(target, theta0, needs_grad=True)
+    accepted = population_step(pop, lam, cfg, target, *one_step_noise(np.random.default_rng(33), 3))
     ref = np.random.default_rng(33)
     z = ref.standard_normal(3)
     log_u = math.log(ref.random())
@@ -280,9 +307,10 @@ def test_hmc_matches_manual_replay():
     h1 = hamiltonian(target, prop, q1, lam, mass)
     want = log_u <= h0 - h1
     assert accepted == want
+    theta = pop.theta[0]
     assert np.array_equal(theta, prop if want else theta0)
-    assert loglik == pytest.approx(float(target.log_likelihood(theta)), abs=1e-12)
-    assert grad == pytest.approx(target.grad_log_likelihood(theta), abs=1e-12)
+    assert pop.loglik[0] == pytest.approx(float(target.log_likelihood(theta)), abs=1e-12)
+    assert pop.grad_ll[0] == pytest.approx(target.grad_log_likelihood(theta), abs=1e-12)
 
 
 def test_population_step_eval_counts():
@@ -300,23 +328,24 @@ def test_population_step_eval_counts():
 
 
 def test_mutate_matches_scalar_steps_pcn():
-    # the vectorized engine and the scalar wrapper must agree bit for bit
+    # the vectorized engine and one-row steps on each particle's stream must agree bit for bit
     target = make_gaussian_target(3, 6, 0.9, seed=4)
     cfg = PcnConfig(beta=0.3)
     scaling = np.array([1.0, 0.7, 0.2])
     seed, stage, lam, n = 17, 2, 0.45, 6
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     pop = Population.initialize(target, rng, n)
-    ref_theta = pop.theta.copy()
-    ref_ll = pop.loglik.copy()
+    ref = Population.stack([pop])
     mutate(pop, lam, 1, cfg, target, seed, stage, scaling=scaling)
     for i in range(n):
         rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
-        theta, _, ll = pcn_step(ref_theta[i], lam, cfg, scaling, target, rng_i, loglik=ref_ll[i])
+        row = copy.copy(ref)
+        row.take([i])
+        population_step(row, lam, cfg, target, *one_step_noise(rng_i, 3), scaling=scaling)
         # proposals are elementwise, so positions agree bit for bit; the
         # cached loglik may differ in the last ulps (batched vs single matmul)
-        assert np.array_equal(pop.theta[i], theta)
-        assert pop.loglik[i] == pytest.approx(ll, abs=1e-12)
+        assert np.array_equal(pop.theta[i], row.theta[0])
+        assert pop.loglik[i] == pytest.approx(row.loglik[0], abs=1e-12)
 
 
 def test_mutate_matches_scalar_steps_hmc():
@@ -325,18 +354,16 @@ def test_mutate_matches_scalar_steps_hmc():
     seed, stage, lam, n = 23, 3, 0.85, 6
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     pop = Population.initialize(target, rng, n, needs_grad=True)
-    ref_theta = pop.theta.copy()
-    ref_ll = pop.loglik.copy()
-    ref_grad = pop.grad_ll.copy()
+    ref = Population.stack([pop])
     mutate(pop, lam, 1, cfg, target, seed, stage)
     for i in range(n):
         rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
-        theta, _, ll, _ = hmc_step(
-            ref_theta[i], lam, cfg, target, rng_i, loglik=ref_ll[i], grad_ll=ref_grad[i]
-        )
+        row = copy.copy(ref)
+        row.take([i])
+        population_step(row, lam, cfg, target, *one_step_noise(rng_i, 3))
         # trajectories pass through matmuls, so agreement is to ulp level only
-        assert pop.theta[i] == pytest.approx(theta, abs=1e-12)
-        assert pop.loglik[i] == pytest.approx(ll, abs=1e-10)
+        assert pop.theta[i] == pytest.approx(row.theta[0], abs=1e-12)
+        assert pop.loglik[i] == pytest.approx(row.loglik[0], abs=1e-10)
 
 
 def test_mutate_multi_step_noise_layout():

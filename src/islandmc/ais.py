@@ -78,8 +78,8 @@ def run_ais(cfg, target, seed):
 
     Randomness follows the same stream protocol as SMC: prior draws use
     the stream keyed ``(seed, 0, 0)`` and the mutation sweeps of
-    transition ``j`` (1-based) give sample ``i`` the stream keyed
-    ``(seed, j, i + 1)``.
+    transition ``j`` (1-based) draw all their noise from the stream
+    keyed ``(seed, j, 1)``.
 
     Returns
     -------

@@ -174,11 +174,13 @@ def _build(make, section, *args, path=None, **fields):
         raise ConfigError(f"{section + '.' + field if field in fields else path or section}: {exc}") from exc
 
 
-# target kind -> its fields besides kind
+# target kind -> (its fields besides kind, the field that selects its other
+# variant, that variant's fields): a gmm target given means is an explicit
+# mixture, a logistic target given csv reads its data from the file
 _TARGET_FIELDS = {
-    "gaussian": ("d", "m", "sigma", "seed", "theta_star"),
-    "gmm": ("d", "weight", "weights", "means"),
-    "logistic": ("d", "m", "seed", "prior_var", "csv"),
+    "gaussian": (("d", "m", "sigma", "seed", "theta_star"), None, ()),
+    "gmm": (("d", "weight"), "means", ("d", "weights", "means")),
+    "logistic": (("d", "m", "seed", "prior_var"), "csv", ("csv", "prior_var")),
 }
 
 
@@ -188,7 +190,13 @@ def build_target(spec):
     kind = _require(spec, "kind", "target")
     if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
         raise ConfigError(f"target.kind: unknown target kind {kind!r}")
-    _check_fields(spec, ("kind", *_TARGET_FIELDS[kind]), "target", kind)
+    fields, switch, switched = _TARGET_FIELDS[kind]
+    _check_fields(spec, ("kind", *fields, *switched), "target", kind)
+    # a field of the kind that the chosen variant would drop
+    side, fields = ("with", switched) if switch in spec else ("without", fields)
+    ignored = sorted(set(spec) - {"kind", *fields})
+    if ignored:
+        raise ConfigError(f"target.{ignored[0]}: not used {side} target.{switch}")
     if kind == "gaussian":
         d = _as_int(_require(spec, "d", "target"), "target.d", 1)
         theta_star = spec.get("theta_star")

@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
-from .seeds import stream_words
 from .targets import EvalCounter
 
 
@@ -341,19 +339,6 @@ def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=N
     return int(accept.sum())
 
 
-class _StreamSeed(ISeedSequence):
-    """Precomputed PCG64 seed words of one stream from :func:`seeds.stream_words`."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks with the np.uint64 type itself: test for it before building a dtype
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError("stream seed holds exactly 4 uint64 words")
-        return self.words
-
-
 def _per_row(values, n_blocks, block_rows):
     """One value, or one per block, as a scalar or a per-row ``(n, 1)`` column.
 
@@ -373,20 +358,21 @@ def _per_row(values, n_blocks, block_rows):
 def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None, scaling=None, step_size=None):
     """Apply ``n_steps`` kernel sweeps to the whole population.
 
-    Particle ``i`` consumes noise from its own stream seeded by
-    ``SeedSequence((seed, stage, i + 1))``: first an ``(n_steps, d)``
-    standard-normal block, then ``n_steps`` uniforms.  Results therefore
-    do not depend on the order particles are processed in.  The stream
-    seeds of all particles come from one batch hash,
-    :func:`seeds.stream_words`, which gives numpy's values exactly.
+    All noise of one stage comes from one generator per seed,
+    ``default_rng(SeedSequence((seed, stage, 1)))``: first an
+    ``(n, n_steps, d)`` standard-normal block, row ``i``'s draws in
+    ``[i]``, then ``(n, n_steps)`` uniforms.  A row's noise therefore
+    depends only on (seed, stage, row, n, n_steps, d), not on the order
+    in which rows are processed.  The trailing key word keeps the stream
+    apart from a run's base stream ``(seed, 0, 0)``.
 
     A population stacked from B equal blocks of rows (independent
-    populations advanced in one sweep) takes a sequence of B seeds: row
-    ``i`` of block ``b`` then draws from the stream keyed
-    ``(seed[b], stage, i + 1)``, and one :func:`seeds.stream_words`
-    call hashes the streams of all blocks.  ``lam`` and ``step_size``
-    are then one value or one per block, ``scaling`` is ``(d,)`` or
-    ``(B, d)``, and ``stats`` one :class:`KernelStats` or one per block.
+    populations advanced in one sweep) takes a sequence of B seeds:
+    block ``b`` then draws its rows' noise from the generator of
+    ``seed[b]``, exactly as its own one-seed call would.  ``lam`` and
+    ``step_size`` are then one value or one per block, ``scaling`` is
+    ``(d,)`` or ``(B, d)``, and ``stats`` one :class:`KernelStats` or
+    one per block.
 
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
@@ -402,10 +388,11 @@ def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None
         scaling = np.repeat(scaling, block_rows, axis=0)
     normals = np.empty((n, n_steps, d))
     log_u = np.empty((n, n_steps))
-    for i, row_words in enumerate(stream_words(seeds, stage, block_rows)):
-        rng = np.random.Generator(np.random.PCG64(_StreamSeed(row_words)))
-        rng.standard_normal(out=normals[i])
-        rng.random(out=log_u[i])
+    for b, block_seed in enumerate(seeds):
+        rows = slice(b * block_rows, (b + 1) * block_rows)
+        rng = np.random.default_rng(np.random.SeedSequence((int(block_seed), int(stage), 1)))
+        rng.standard_normal(out=normals[rows])
+        rng.random(out=log_u[rows])
     np.log(log_u, out=log_u)
     log_u = log_u.T
     accepted = 0

@@ -430,8 +430,8 @@ def run_smc(cfg, target, seed):
 
     All randomness derives from the non-negative integer ``seed``:
     initialization and resampling use the stream keyed ``(seed, 0, 0)``
-    and the mutation sweeps of stage ``j`` give particle ``i`` the
-    stream keyed ``(seed, j, i + 1)``, so reruns are bit-identical.
+    and the mutation sweeps of stage ``j`` draw all their noise from the
+    stream keyed ``(seed, j, 1)``, so reruns are bit-identical.
 
     Raises
     ------
@@ -468,8 +468,8 @@ def run_smc_islands(cfg, target, seeds):
     ``(P, N)`` log-likelihood block, computes their stage ESS, evidence
     updates, resampling and pCN scalings in one pass each, and mutates
     them as one stacked population in one :func:`kernels.mutate` call,
-    with island ``p``'s rows drawing noise from the streams of
-    ``seeds[p]``.  Island ``p`` resamples with uniforms from its own
+    with island ``p``'s rows drawing all of a stage's noise from the one
+    stream keyed ``(seeds[p], stage, 1)``.  Island ``p`` resamples with uniforms from its own
     base stream.  An island leaves the stack once it reaches
     exponent 1.
 

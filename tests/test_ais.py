@@ -98,11 +98,12 @@ def test_scalar_reference_replay():
     lam = 0.0
     for stage, lam_new in enumerate(sched[1:], start=1):
         ref_w += (lam_new - lam) * loglik
+        # one stream per stage: all normals, then all uniforms
+        rng_j = np.random.default_rng(np.random.SeedSequence((seed, stage, 1)))
+        normals, log_u = rng_j.standard_normal((5, 1, 2)), np.log(rng_j.random((5, 1)))
         for i in range(5):
-            rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
             row = Population(theta[i:i + 1].copy(), loglik[i:i + 1].copy())
-            normals, log_u = rng_i.standard_normal((1, 2)), np.log([rng_i.random()])
-            population_step(row, lam_new, kernel, target, normals, log_u)
+            population_step(row, lam_new, kernel, target, normals[i], log_u[i])
             theta[i], loglik[i] = row.theta[0], row.loglik[0]
         lam = lam_new
     assert samples == pytest.approx(theta, abs=1e-12)

@@ -5,8 +5,10 @@ kernel and sweep fields: wrong types, NaN and infinities, negatives,
 zeros, unknown keys and deleted keys.  Whatever the mutation,
 ``parse_config`` either accepts the config or raises a ``ConfigError``
 whose message starts with a field path.  An unknown key in any section
-is always rejected, and the message names that section.  Sizes stay at
-most 64, so no mutated config builds a large target.
+is always rejected, and the message names that section, and a target
+field of the kind that the chosen variant would drop is rejected under
+its own path.  Sizes stay at most 64, so no mutated config builds a
+large target.
 """
 
 import math
@@ -138,3 +140,36 @@ def test_unknown_key_is_rejected_with_its_section_path(section, data):
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
     assert str(err.value).startswith(f"{SECTION_PATHS[section]}: unknown fields [{key!r}]"), str(err.value)
+
+
+# target variants, with the fields of their kind that they drop; none of
+# those fields selects another variant
+VARIANTS = {
+    "gmm bimodal": ({"kind": "gmm", "d": 2, "weight": 0.3}, ["weights"]),
+    "gmm explicit": ({"kind": "gmm", "d": 2, "weights": [0.5, 0.5], "means": [[1.0, 1.0], [-1.0, -1.0]]},
+                     ["weight"]),
+    "logistic csv": ({"kind": "logistic", "csv": None, "prior_var": 4.0}, ["d", "m", "seed"]),
+}
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "data.csv"
+    path.write_text("x1,label\n0.5,1\n-1.0,0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@settings(derandomize=True, deadline=None, max_examples=50, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_target_field_the_variant_drops_is_named(csv_path, variant, data):
+    cfg = data.draw(valid_configs())
+    target, dropped = VARIANTS[variant]
+    cfg["target"] = {k: csv_path if k == "csv" else v for k, v in target.items()}
+    added = data.draw(st.lists(st.sampled_from(dropped), min_size=1, unique=True))
+    for key in added:
+        cfg["target"][key] = data.draw(BAD_VALUES | SIZE)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert str(err.value).startswith(f"target.{min(added)}: not used "), str(err.value)

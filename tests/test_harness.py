@@ -432,6 +432,12 @@ def test_cli_bad_target_fields_exit_2_and_name_the_field(tmp_path, capsys):
     ({"method": {"kind": "smc", "kernel": {"kind": "pcn", "scaling_floor": float("inf")}}},
      "method.kernel.scaling_floor"),
     ({"method": {"kind": "smc", "ess_fraction": 1.5}}, "method.ess_fraction"),
+    # fields of the target kind that the chosen variant would drop; the
+    # field combination is rejected before the csv file is read
+    ({"target": {"kind": "logistic", "csv": "data.csv", "d": 7, "m": 100, "seed": 3}}, "target.d"),
+    ({"target": {"kind": "gmm", "d": 1, "weights": [0.5, 0.5], "means": [[0.0], [1.0]], "weight": 0.9}},
+     "target.weight"),
+    ({"target": {"kind": "gmm", "d": 2, "weights": [0.5, 0.5]}}, "target.weights"),
 ])
 def test_cli_rejects_unknown_and_non_finite_fields(tmp_path, capsys, overrides, path):
     # json writes and reads NaN and Infinity

@@ -9,7 +9,6 @@ from islandmc.kernels import (
     KernelStats,
     PcnConfig,
     Population,
-    _StreamSeed,
     adapt_step_size,
     estimate_scaling,
     gradient_cost_per_step,
@@ -327,8 +326,15 @@ def test_population_step_eval_counts():
         assert counter.gradient == grad
 
 
+def stage_noise(seed, stage, n, n_steps, d):
+    """One seed's stage noise as ``mutate`` draws it: ``default_rng(SeedSequence((seed, stage, 1)))``
+    gives the ``(n, n_steps, d)`` normals, then the ``(n, n_steps)`` uniforms."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, stage, 1)))
+    return rng.standard_normal((n, n_steps, d)), np.log(rng.random((n, n_steps)))
+
+
 def test_mutate_matches_scalar_steps_pcn():
-    # the vectorized engine and one-row steps on each particle's stream must agree bit for bit
+    # the vectorized engine and one-row steps on each row's share of the stage noise must agree bit for bit
     target = make_gaussian_target(3, 6, 0.9, seed=4)
     cfg = PcnConfig(beta=0.3)
     scaling = np.array([1.0, 0.7, 0.2])
@@ -337,11 +343,11 @@ def test_mutate_matches_scalar_steps_pcn():
     pop = Population.initialize(target, rng, n)
     ref = Population.stack([pop])
     mutate(pop, lam, 1, cfg, target, seed, stage, scaling=scaling)
+    normals, log_u = stage_noise(seed, stage, n, 1, 3)
     for i in range(n):
-        rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
         row = copy.copy(ref)
         row.take([i])
-        population_step(row, lam, cfg, target, *one_step_noise(rng_i, 3), scaling=scaling)
+        population_step(row, lam, cfg, target, normals[i], log_u[i], scaling=scaling)
         # proposals are elementwise, so positions agree bit for bit; the
         # cached loglik may differ in the last ulps (batched vs single matmul)
         assert np.array_equal(pop.theta[i], row.theta[0])
@@ -356,45 +362,32 @@ def test_mutate_matches_scalar_steps_hmc():
     pop = Population.initialize(target, rng, n, needs_grad=True)
     ref = Population.stack([pop])
     mutate(pop, lam, 1, cfg, target, seed, stage)
+    normals, log_u = stage_noise(seed, stage, n, 1, 3)
     for i in range(n):
-        rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
         row = copy.copy(ref)
         row.take([i])
-        population_step(row, lam, cfg, target, *one_step_noise(rng_i, 3))
+        population_step(row, lam, cfg, target, normals[i], log_u[i])
         # trajectories pass through matmuls, so agreement is to ulp level only
         assert pop.theta[i] == pytest.approx(row.theta[0], abs=1e-12)
         assert pop.loglik[i] == pytest.approx(row.loglik[0], abs=1e-10)
 
 
 def test_mutate_multi_step_noise_layout():
-    # per-particle streams: an (n_steps, d) normal block then n_steps uniforms
+    # one stream per stage: an (n, n_steps, d) normal block, row i's steps in [i]
     target = prior_only(2)
     cfg = PcnConfig(beta=1.0)
     seed, stage, n, steps = 5, 1, 3, 4
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     pop = Population.initialize(target, rng, n)
     mutate(pop, 0.0, steps, cfg, target, seed, stage)
-    # at beta=1 and lam=0 the final state is the last normal draw of each stream
-    for i in range(n):
-        rng_i = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
-        block = rng_i.standard_normal((steps, 2))
-        assert np.array_equal(pop.theta[i], block[-1])
-
-
-def _reference_stream_noise(seed, stage, n, n_steps, d):
-    """Per-particle loop over ``SeedSequence((seed, stage, i + 1))`` streams."""
-    normals = np.empty((n_steps, n, d))
-    log_u = np.empty((n_steps, n))
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, stage, i + 1)))
-        normals[:, i, :] = rng.standard_normal((n_steps, d))
-        log_u[:, i] = np.log(rng.random(n_steps))
-    return normals, log_u
+    # at beta=1 and lam=0 the final state is each row's last normal draw
+    normals, _ = stage_noise(seed, stage, n, steps, 2)
+    assert np.array_equal(pop.theta, normals[:, -1])
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 16])
 def test_mutate_matches_reference_stream_loop(n_steps):
-    # batch-derived streams must reproduce the per-particle loop bit for bit
+    # mutate must replay its stage's one stream, step by step, bit for bit
     target = make_gaussian_target(3, 6, 0.9, seed=4)
     cfg = PcnConfig(beta=0.4)
     seed, stage, lam, n = 2**64 - 59, 2**32 + 3, 0.7, 37
@@ -403,9 +396,9 @@ def test_mutate_matches_reference_stream_loop(n_steps):
     ref = Population(pop.theta.copy(), pop.loglik.copy())
     stats, ref_stats = KernelStats(), KernelStats()
     accepted = mutate(pop, lam, n_steps, cfg, target, seed, stage, stats=stats)
-    normals, log_u = _reference_stream_noise(seed, stage, n, n_steps, 3)
+    normals, log_u = stage_noise(seed, stage, n, n_steps, 3)
     ref_accepted = sum(
-        population_step(ref, lam, cfg, target, normals[s], log_u[s], stats=ref_stats)
+        population_step(ref, lam, cfg, target, normals[:, s], log_u[:, s], stats=ref_stats)
         for s in range(n_steps)
     )
     assert accepted == ref_accepted
@@ -513,16 +506,6 @@ def test_mutate_rejects_unequal_blocks():
         mutate(pop, [0.5, 0.5], 1, PcnConfig(), target, [1, 2], 1)
     with pytest.raises(ValueError, match="one value per block"):
         mutate(_block_population(target, 1, 4, False), [0.5, 0.5, 0.5], 1, PcnConfig(), target, [1, 2], 1)
-
-
-def test_stream_seed_serves_only_pcg64_request():
-    words = np.arange(4, dtype=np.uint64)
-    for dtype in (np.uint64, np.dtype("u8"), "u8"):
-        assert _StreamSeed(words).generate_state(4, dtype) is words
-    for n_words, dtype in ((4, np.uint32), (4, np.dtype("u4")), (4, np.int64), (4, np.float64),
-                           (2, np.uint64), (8, np.uint64), (2, np.dtype("u8"))):
-        with pytest.raises(ValueError):
-            _StreamSeed(words).generate_state(n_words, dtype)
 
 
 def _python_squares_differ(count, seed):

@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,10 @@ class SweepPoint:
     M: int = 1
     B: int = 0
     T: int = 1
+
+
+# sweep point field -> its least value; a field left out takes SweepPoint's default
+_POINT_MINIMA = {"N": 1, "P": 1, "M": 0, "B": 0, "T": 1}
 
 
 @dataclass
@@ -113,10 +118,6 @@ def _as_choice(value, path, choices):
     return value
 
 
-# method config fields set from a sweep point, by the name their errors start with
-_POINT_FIELDS = {"n_particles": "N", "n_samples": "N", "mutation_steps": "M", "burn_in": "B", "thin": "T"}
-
-
 def parse_config(payload) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(payload, dict):
@@ -137,15 +138,10 @@ def parse_config(payload) -> ExperimentConfig:
         path = f"sweep[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object with N, P, M, B, T")
-        _check_fields(entry, ("N", "P", "M", "B", "T"), path)
-        point = SweepPoint(
-            N=_as_int(_require(entry, "N", path), f"{path}.N", 1),
-            P=_as_int(entry.get("P", 1), f"{path}.P", 1),
-            M=_as_int(entry.get("M", 1), f"{path}.M", 0),
-            B=_as_int(entry.get("B", 0), f"{path}.B", 0),
-            T=_as_int(entry.get("T", 1), f"{path}.T", 1),
-        )
-        sweep.append(point)
+        _check_fields(entry, _POINT_MINIMA, path)
+        _require(entry, "N", path)
+        sweep.append(SweepPoint(**{k: _as_int(entry[k], f"{path}.{k}", least)
+                                   for k, least in _POINT_MINIMA.items() if k in entry}))
     cfg = ExperimentConfig(target_spec, method_spec, sweep, replicates, master_seed, output)
     # fail fast on bad specs before any run starts
     target = build_target(cfg.target_spec)
@@ -163,15 +159,16 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(payload)
 
 
-def _build(make, section, *args, path=None, **fields):
-    """``make(*args, **fields)``; an error names ``section.<field>`` when its message
-    starts with one of ``fields``, else ``path`` (default ``section``)."""
+def _build(make, section, *args, path=None, paths=None, **fields):
+    """``make(*args, **fields)``; an error names its field's path in ``paths``, else
+    ``section.<field>`` for one of ``fields``, else ``path`` (default ``section``)."""
     try:
         return make(*args, **fields)
     except (OSError, ValueError) as exc:
         # the library starts each field's message with the field's name
         field = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"{section + '.' + field if field in fields else path or section}: {exc}") from exc
+        where = (paths or {}).get(field) or (f"{section}.{field}" if field in fields else path or section)
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # target kind -> (its fields besides kind, the field that selects its other
@@ -289,40 +286,6 @@ def _method_kind(method_spec):
     return kind
 
 
-def _smc_config(method_spec, point, kernel):
-    return SmcConfig(
-        n_particles=point.N,
-        mutation_steps=point.M,
-        kernel=kernel,
-        ess_fraction=_as_float(method_spec.get("ess_fraction", 0.5), "method.ess_fraction"),
-        max_stages=_as_int(method_spec.get("max_stages", 1000), "method.max_stages", 1),
-        resampling=_as_choice(method_spec.get("resampling", "multinomial"), "method.resampling",
-                              RESAMPLING_SCHEMES),
-        schedule=None if method_spec.get("schedule") is None
-        else _as_vector(method_spec["schedule"], "method.schedule"),
-        adapt_steps=_as_bool(method_spec.get("adapt_steps", True), "method.adapt_steps"),
-    )
-
-
-def _ais_config(method_spec, point, kernel):
-    sched = method_spec.get("schedule", "neal")
-    if sched == "neal":
-        sched = ais_mod.make_neal_schedule()
-    else:
-        sched = _as_vector(sched, "method.schedule")
-    return AisConfig(
-        n_samples=point.N,
-        schedule=sched,
-        kernel=kernel,
-        mutation_steps=point.M,
-    )
-
-
-def _mcmc_config(mode):
-    return lambda method_spec, point, kernel: McmcConfig(
-        n_samples=point.N, burn_in=point.B, thin=point.T, kernel=kernel, mode=mode)
-
-
 def _run_islands_cell(cfg, n_islands, target, seed):
     """SMC or MCMC islands combined by evidence; MCMC evidences are all 1, so logZ is 0."""
     ens = islands_mod.run_islands(n_islands, cfg, target, seed)
@@ -348,18 +311,26 @@ def _run_ais_cell(cfg, n_islands, target, seed):
     return ais_mod.ais_estimate(samples, log_ws), ais_mod.log_evidence_estimate(log_ws), tallies
 
 
-_SMC_FIELDS = ("ess_fraction", "max_stages", "resampling", "schedule", "adapt_steps")
+# a null SMC schedule is the adaptive one; an AIS "neal" ladder is make_neal_schedule's
+_SMC_FIELDS = {"ess_fraction": _as_float, "max_stages": _as_int,
+               "resampling": partial(_as_choice, choices=RESAMPLING_SCHEMES),
+               "schedule": lambda v, path: None if v is None else _as_vector(v, path),
+               "adapt_steps": _as_bool}
 
-# method kind -> (config builder taking (method spec, sweep point, kernel),
-# cell runner taking (config, P, target, seed) and returning the estimate,
-# the log evidence and the evaluation tally of each island,
-# the method spec's fields besides kind and kernel)
+# method kind -> (config class, the config field each sweep-point field sets,
+# parser of each method spec field besides kind and kernel, cell runner taking
+# (config, P, target, seed) and returning the estimate, the log evidence and
+# the evaluation tally of each island); a field the spec leaves out takes
+# the config class's default
 _METHODS = {
-    "smc": (_smc_config, _run_islands_cell, _SMC_FIELDS),
-    "smc_par": (_smc_config, _run_islands_cell, _SMC_FIELDS),
-    "mcmc": (_mcmc_config("serial"), _run_chain_cell, ()),
-    "mcmc_par": (_mcmc_config("parallel"), _run_islands_cell, ()),
-    "ais": (_ais_config, _run_ais_cell, ("schedule",)),
+    "smc": (SmcConfig, {"N": "n_particles", "M": "mutation_steps"}, _SMC_FIELDS, _run_islands_cell),
+    "smc_par": (SmcConfig, {"N": "n_particles", "M": "mutation_steps"}, _SMC_FIELDS, _run_islands_cell),
+    "mcmc": (McmcConfig, {"N": "n_samples", "B": "burn_in", "T": "thin"}, {}, _run_chain_cell),
+    "mcmc_par": (partial(McmcConfig, mode="parallel"), {"N": "n_samples", "B": "burn_in", "T": "thin"}, {},
+                 _run_islands_cell),
+    "ais": (partial(AisConfig, schedule=ais_mod.make_neal_schedule()), {"N": "n_samples", "M": "mutation_steps"},
+            {"schedule": lambda v, path: ais_mod.make_neal_schedule() if v == "neal" else _as_vector(v, path)},
+            _run_ais_cell),
 }
 
 
@@ -374,20 +345,11 @@ def _point_config(method_spec, point, target, index):
         )
     if kind in ("smc", "mcmc") and point.P != 1:
         raise ConfigError(f"sweep[{index}].P: method {kind!r} requires P = 1 (use {kind}_par for islands)")
-    try:
-        return _METHODS[kind][0](method_spec, point, kernel)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # the config classes start each field's message with the field's name
-        field = str(exc).split(" ", 1)[0]
-        if field in _POINT_FIELDS:
-            path = f"sweep[{index}].{_POINT_FIELDS[field]}"
-        elif field in _METHODS[kind][2]:
-            path = f"method.{field}"
-        else:
-            path = f"sweep[{index}]"
-        raise ConfigError(f"{path}: {exc}") from exc
+    make, point_fields, parsers, _ = _METHODS[kind]
+    opts = {k: parse(method_spec[k], f"method.{k}") for k, parse in parsers.items() if k in method_spec}
+    opts.update({name: getattr(point, f) for f, name in point_fields.items()})
+    paths = {name: f"sweep[{index}].{f}" for f, name in point_fields.items()}
+    return _build(make, "method", path=f"sweep[{index}]", paths=paths, kernel=kernel, **opts)
 
 
 def run_seed(master_seed, sweep_index, replicate) -> int:
@@ -405,7 +367,7 @@ def run_experiment(cfg):
     target = build_target(cfg.target_spec)
     truth = analytic_truth(target)
     kind = _method_kind(cfg.method_spec)
-    run_cell = _METHODS[kind][1]
+    run_cell = _METHODS[kind][3]
     rows = []
     for si, point in enumerate(cfg.sweep):
         method_cfg = _point_config(cfg.method_spec, point, target, si)
@@ -449,13 +411,17 @@ class FitResult(NamedTuple):
 def _column_value(row, name):
     name = COLUMN_ALIASES.get(name, name)
     if name == "NP":
-        return float(row["N"]) * float(row["P"])
+        n, p = _column_value(row, "N"), _column_value(row, "P")
+        return None if n is None or p is None else n * p
     if name not in row:
         raise ValueError(f"unknown column {name!r}")
     value = row[name]
     if value == "" or value is None:
         return None
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"column {name!r} is not numeric, got {value!r}") from None
 
 
 def fit_rate(rows, x_column, y_column) -> FitResult:

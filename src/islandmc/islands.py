@@ -71,11 +71,11 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     block pass per stage; MCMC islands run one after another.  With
     ``parallelism == 1`` everything runs in this process.  With
     ``parallelism > 1`` the islands run on ``min(parallelism,
-    n_islands)`` worker processes: each worker makes one stacked SMC or
-    AIS run on a contiguous share of the seeds, or runs MCMC islands one
-    task per island.  Results come back in seed order.  MCMC islands are
-    identical either way, and so are SMC and AIS islands when the
-    target's likelihood block height divides the population size.
+    n_islands)`` worker processes, each of which runs the islands of a
+    contiguous share of the seeds the way this process would.  Results
+    come back in seed order.  MCMC islands are identical either way,
+    and so are SMC and AIS islands when the target's likelihood block
+    height divides the population size.
     Otherwise a worker's stack splits the rows into other blocks, and an
     island can differ in the last bits (see :func:`smc.run_smc_islands`).
     """
@@ -100,10 +100,7 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(parallelism, n_islands)
-        if tag != "mcmc":
-            shares = [seeds[w * n_islands // workers:(w + 1) * n_islands // workers] for w in range(workers)]
-        else:
-            shares = [[seed] for seed in seeds]
+        shares = [seeds[w * n_islands // workers:(w + 1) * n_islands // workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [r for share in pool.map(run, repeat(island_cfg), repeat(target), shares) for r in share]
     return IslandEnsemble(results, seeds, tag)

@@ -333,7 +333,8 @@ def resample(log_weights, cfg, rng, shifted=None):
     and leave ``rng`` in the same state: the cumulative weights are
     divided by their last entry, and ``N`` uniforms are located in them
     by ``searchsorted(side="right")``, the steps ``Generator.choice``
-    takes.  A NaN weight raises ``ValueError``, as ``choice`` does.
+    takes.  Under either scheme a weight that is NaN after the shift (a
+    NaN or ``+inf`` log-weight) raises ``ValueError``, as ``choice`` does.
 
     A ``(k, N)`` block of k islands' log-weights takes a sequence of k
     generators: the weights are normalized and summed up in one pass,
@@ -346,9 +347,9 @@ def resample(log_weights, cfg, rng, shifted=None):
     rngs = [rng] if w.ndim == 1 else rng
     n = block.shape[1]
     cdf = np.cumsum(block / block.sum(axis=1, keepdims=True), axis=1)
+    if np.isnan(cdf[:, -1]).any():
+        raise ValueError("probabilities contain NaN")
     if cfg.resampling == "multinomial":
-        if np.isnan(cdf[:, -1]).any():
-            raise ValueError("probabilities contain NaN")
         cdf /= cdf[:, -1:]
         draws = [g.random(n) for g in rngs]
     else:

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import islandmc
+from islandmc.ais import AisConfig, make_neal_schedule
 from islandmc.harness import (
     CSV_COLUMNS,
     ConfigError,
     FitResult,
+    SweepPoint,
+    _point_config,
     build_kernel,
     build_target,
     fit_rate,
@@ -24,6 +27,8 @@ from islandmc.harness import (
     write_csv,
 )
 from islandmc.kernels import HmcConfig, PcnConfig
+from islandmc.mcmc import McmcConfig
+from islandmc.smc import SmcConfig
 from islandmc.targets import GaussianLinearModel, GmmTarget, LogisticTarget
 
 
@@ -141,6 +146,23 @@ def test_parse_config_validates_method_eagerly():
         parse_config(payload)
     with pytest.raises(ConfigError, match="method.kind"):
         parse_config(base_config(method={"kind": "vi"}))
+
+
+@pytest.mark.parametrize("kernel", [None, {"kind": "hmc", "step_size": 0.2, "leapfrog_steps": 3}])
+def test_method_fields_left_out_take_the_config_class_defaults(kernel):
+    target = build_target(base_config()["target"])
+    point = SweepPoint(N=8, P=1, M=3, B=5, T=2)
+    k = build_kernel(kernel)
+    want = {
+        "smc": SmcConfig(8, 3, k),
+        "smc_par": SmcConfig(8, 3, k),
+        "ais": AisConfig(8, make_neal_schedule(), k, 3),
+        "mcmc": McmcConfig(8, 5, 2, k),
+        "mcmc_par": McmcConfig(8, 5, 2, k, mode="parallel"),
+    }
+    for kind, cfg in want.items():
+        spec = {"kind": kind} if kernel is None else {"kind": kind, "kernel": kernel}
+        assert _point_config(spec, point, target, 0) == cfg, kind
 
 
 def test_load_config_reports_json_line(tmp_path):
@@ -345,6 +367,18 @@ def test_cli_run_and_fit(tmp_path, capsys):
     assert main(["fit", "--csv", str(out), "--x", "N", "--y", "mse"]) == 0
     captured = capsys.readouterr().out
     assert "slope" in captured and "r2" in captured
+
+
+def test_cli_fit_names_a_non_numeric_column(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    write_csv(run_experiment(parse_config(base_config(sweep=[{"N": 8}, {"N": 16}], replicates=1))), out)
+    assert main(["fit", "--csv", str(out), "--x", "method", "--y", "mse"]) == 2
+    assert "error: column 'method' is not numeric, got 'smc'" in capsys.readouterr().err
+    # the derived NP column names the column it lacks
+    bad = tmp_path / "bad.csv"
+    bad.write_text("P,mse_vs_truth\n1,0.5\n2,0.25\n")
+    assert main(["fit", "--csv", str(bad), "--x", "NP", "--y", "mse"]) == 2
+    assert "error: unknown column 'N'" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_rows(tmp_path):

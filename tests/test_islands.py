@@ -332,6 +332,20 @@ def test_run_islands_runs_ais_islands():
         assert np.array_equal(got.log_weights, want.log_weights)
 
 
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_run_islands_mcmc_processes_equal_serial(mode):
+    # 3 islands on 2 workers: each worker runs a contiguous share of the seeds
+    target = make_gaussian_target(2, 4, 1.0, seed=2)
+    cfg = McmcConfig(n_samples=6, burn_in=3, thin=2, kernel=PcnConfig(beta=0.5), mode=mode)
+    serial = run_islands(3, cfg, target, master_seed=4)
+    parallel = run_islands(3, cfg, target, master_seed=4, parallelism=2)
+    assert parallel.seeds == serial.seeds
+    assert parallel.method_tag == serial.method_tag == "mcmc"
+    for got, want in zip(parallel.results, serial.results):
+        assert_same_island(got, want)
+    assert len({r.samples.tobytes() for r in serial.results}) == 3
+
+
 def test_stacked_islands_overflow_names_first_unfinished_island():
     target = make_gaussian_target(4, 64, 0.05, seed=8)
     cfg = SmcConfig(n_particles=16, mutation_steps=1, max_stages=2)

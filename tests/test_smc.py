@@ -320,6 +320,19 @@ def test_resample_nan_weight_raises_value_error():
         resample(np.stack([np.zeros(3), lw]), cfg, [np.random.default_rng(0), np.random.default_rng(1)])
 
 
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+@pytest.mark.parametrize("lw", [[0.0, np.nan, 0.0, 0.0], [np.nan] * 4, [0.0, 0.0, np.inf, 0.0]])
+def test_resample_weight_nan_after_shift_raises_under_both_schemes(scheme, lw):
+    cfg = mini_cfg(n_particles=4, resampling=scheme)
+    lw = np.array(lw)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+        resample(lw, cfg, np.random.default_rng(0))
+    # one bad row in a block of three islands
+    block = np.stack([np.zeros(4), lw, np.log([0.1, 0.2, 0.3, 0.4])])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+        resample(block, cfg, [np.random.default_rng(seed) for seed in range(3)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 257])
 def test_block_update_logz_equals_per_row_calls(n):
     lw = _weight_block(8, n, n)

@@ -221,27 +221,38 @@ class GaussianLinearModel(_GaussianPriorTarget):
         self.sigma = float(sigma)
         self._set_prior(d, 1.0)
         self._block_rows = _block_height(m)
+        # G and b of the gradient b - theta G, and the constants of the
+        # log-likelihood, which stays in residual form (a Gram form would cancel)
+        self._gram = X.T @ X / self.sigma**2
+        self._xty = X.T @ y / self.sigma**2
+        self._ll_const = -0.5 * m * (LOG_2PI + 2.0 * np.log(self.sigma))
+        self._two_var = 2.0 * self.sigma**2
 
     def _log_likelihood(self, theta):
-        m = self.X.shape[0]
-        if m == 0:
+        if self.X.shape[0] == 0:
             return np.zeros(theta.shape[:-1]) if theta.ndim > 1 else 0.0
         resid = self.y - theta @ self.X.T
-        quad = np.sum(np.square(resid), axis=-1) / (2.0 * self.sigma**2)
-        return -0.5 * m * (LOG_2PI + 2.0 * np.log(self.sigma)) - quad
+        quad = np.sum(np.square(resid), axis=-1) / self._two_var
+        return self._ll_const - quad
 
     def _grad_log_likelihood(self, theta):
-        if self.X.shape[0] == 0:
-            return np.zeros_like(theta)
-        resid = theta @ self.X.T
-        np.subtract(self.y, resid, out=resid)
-        grad = resid @ self.X
-        if self.sigma != 1.0:
-            grad /= self.sigma**2
-        return grad
+        """``X^T (y - X theta) / sigma**2`` as ``b - theta G``: d**2 multiply-adds per row.
+
+        At ``m = 0`` the Gram matrix is zero: a finite row gets ``+0.0``
+        entries, and a row with a NaN or infinite entry gets NaN entries.
+        """
+        grad = theta @ self._gram
+        return np.subtract(self._xty, grad, out=grad)
 
     def analytic_posterior(self):
         """Closed-form posterior mean, covariance, and log evidence.
+
+        Everything is d x d, from the cached ``G = X^T X / sigma**2`` and
+        ``b = X^T y / sigma**2``: the posterior precision is ``I + G``,
+        and with ``S = sigma**2 I + X X^T`` the evidence takes
+        ``log|S| = 2 m log(sigma) + log|I + G|`` and
+        ``y^T S^-1 y = |y - X mean|**2 / sigma**2 + |mean|**2``, which
+        does not cancel at small sigma as ``y^T y / sigma**2 - b^T cov b`` would.
 
         Returns
         -------
@@ -251,21 +262,16 @@ class GaussianLinearModel(_GaussianPriorTarget):
             Log of the marginal likelihood of ``y``; zero when ``m = 0``.
         """
         m = self.X.shape[0]
-        precision = np.eye(self.dim) + self.X.T @ self.X / self.sigma**2
+        precision = np.eye(self.dim) + self._gram
         cov = np.linalg.inv(precision)
         cov = 0.5 * (cov + cov.T)
-        mean = cov @ (self.X.T @ self.y / self.sigma**2)
+        mean = cov @ self._xty
         if m == 0:
             return mean, cov, 0.0
-        # X @ X.T on one buffer would take BLAS syrk, whose last bits can
-        # differ from the gemm product this evidence has always used
-        S = self.X.copy() @ self.X.T + self.sigma**2 * np.eye(m)
-        chol = np.linalg.cholesky(S)
-        w = np.linalg.solve(chol, self.y)
-        log_evidence = -0.5 * (
-            m * LOG_2PI + 2.0 * np.sum(np.log(np.diag(chol))) + np.dot(w, w)
-        )
-        return mean, cov, float(log_evidence)
+        log_det = 2.0 * (m * np.log(self.sigma) + np.sum(np.log(np.diag(np.linalg.cholesky(precision)))))
+        resid = self.y - self.X @ mean
+        quad = np.dot(resid, resid) / self.sigma**2 + np.dot(mean, mean)
+        return mean, cov, float(-0.5 * (m * LOG_2PI + log_det + quad))
 
 
 def make_gaussian_target(d, m, sigma, seed, theta_star=None):

@@ -285,6 +285,24 @@ def test_stacked_islands_equal_one_island_runs(name):
         assert len({len(r.schedule) for r in ens.results}) > 1
 
 
+@pytest.mark.parametrize("master", [0, 1, 2])
+def test_c1_hmc_islands_equal_one_island_runs_and_processes(master):
+    # the C1 target and kernel: the Gram-form gradient's (rows, d) @ (d, d)
+    # product gives each island the bits of its own 32-row run, stacked or
+    # in a worker process
+    target = make_gaussian_target(16, 32, 1.0, seed=0, theta_star=np.ones(16))
+    cfg = SmcConfig(n_particles=32, mutation_steps=4, kernel=HmcConfig(step_size=0.1, leapfrog_steps=10))
+    serial = run_islands(8, cfg, target, master_seed=master)
+    for seed, got in zip(serial.seeds, serial.results):
+        one = run_smc(cfg, target, seed)
+        assert np.array_equal(got.samples, one.samples)
+        assert got.logz == one.logz
+    parallel = run_islands(8, cfg, target, master_seed=master, parallelism=2)
+    assert parallel.seeds == serial.seeds
+    for got, want in zip(parallel.results, serial.results):
+        assert_same_island(got, want)
+
+
 @pytest.mark.parametrize("kernel", [PcnConfig(beta=0.5), HmcConfig(step_size=0.1, leapfrog_steps=3)])
 def test_ais_islands_on_the_stage_loop(kernel):
     # 16-row likelihood blocks: each island of the stack fills its own block

@@ -68,6 +68,20 @@ def test_loglik_no_data_is_zero_everywhere():
     assert np.all(batch == 0.0)
 
 
+def test_grad_no_data_is_positive_zero():
+    # the zero Gram matrix gives +0.0 for finite rows, whatever their signs
+    model = GaussianLinearModel(np.zeros((0, 3)), np.zeros(0), sigma=0.5)
+    rng = np.random.default_rng(3)
+    for theta in (-np.abs(rng.standard_normal(3)), -np.ones((1, 3)), rng.standard_normal((257, 3)),
+                  np.full((2, 3), -0.0)):
+        grad = model.grad_log_likelihood(theta)
+        assert grad.shape == theta.shape
+        assert _same_bits(grad, np.zeros_like(theta))
+    with np.errstate(invalid="ignore"):
+        grad = model.grad_log_likelihood(np.array([[1.0, np.inf, 0.0], [0.5, -0.5, 1.0]]))
+    assert np.isnan(grad[0]).all() and _same_bits(grad[1], np.zeros(3))
+
+
 def test_loglik_single_gaussian_zero_residual():
     model = GaussianLinearModel(np.array([[1.0]]), np.array([2.0]), sigma=1.0)
     assert model.log_likelihood(np.array([2.0])) == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
@@ -121,6 +135,32 @@ def test_analytic_posterior_conjugate_hand_case():
     # marginal likelihood: y ~ N(0, X X^T + sigma^2) = N(0, 2) at y=2
     expected = -0.5 * math.log(2.0 * math.pi * 2.0) - 4.0 / (2.0 * 2.0)
     assert logz == pytest.approx(expected, abs=1e-12)
+
+
+# log evidence of make_gaussian_target(d, m, sigma, seed=0), computed offline
+# with mpmath at 50 digits as log N(y; 0, sigma**2 I + X X^T) from the float64
+# X and y; at sigma = 1e-6 a Cholesky factor of the m x m S is off by 2.9e-5
+# nats, the d x d form by 3.7e-11
+EVIDENCE_REFERENCES = {
+    (16, 32, 1.0): -73.111550071489636228,
+    (4, 64, 0.05): 78.718455258512718382,
+    (16, 4, 0.01): -10.048024739256293401,
+    (4, 8, 0.8): -11.255643904909677372,
+    (2, 4, 1e-6): 21.678146009806882491,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EVIDENCE_REFERENCES))
+def test_analytic_posterior_matches_high_precision_evidence(shape):
+    model = make_gaussian_target(*shape, seed=0)
+    X, sigma = model.X, model.sigma
+    mean, cov, logz = model.analytic_posterior()
+    assert abs(logz - EVIDENCE_REFERENCES[shape]) <= 1e-10
+    # the mean and covariance are the plain expressions, bit for bit
+    old_cov = np.linalg.inv(np.eye(model.dim) + X.T @ X / sigma**2)
+    old_cov = 0.5 * (old_cov + old_cov.T)
+    assert _same_bits(cov, old_cov)
+    assert _same_bits(mean, old_cov @ (X.T @ model.y / sigma**2))
 
 
 def test_analytic_posterior_bayes_identity_constant_in_theta():
@@ -391,16 +431,32 @@ def test_logistic_grad_in_place_equals_old_expression():
     assert np.array_equal(target.grad_log_likelihood(theta[0]), old(theta[0]))
 
 
-def test_gaussian_grads_in_place_equal_old_expressions():
-    # the in-place prior and linear-model gradients keep every operation
+def _check_gram_gradient(model, theta):
+    """The linear-model gradient is ``b - theta G`` bit for bit, and agrees
+    with the residual form ``(y - theta X^T) X / sigma**2`` on finite rows."""
+    X, sigma = model.X, model.sigma
+    assert _same_bits(model._gram, X.T @ X / sigma**2)
+    assert _same_bits(model._xty, X.T @ model.y / sigma**2)
+    with np.errstate(invalid="ignore"):
+        product = theta @ model._gram
+        got = model._grad_log_likelihood(theta)
+        assert _same_bits(got, model._xty - product)
+        resid_form = (model.y - theta @ X.T) @ X / sigma**2
+    finite = np.isfinite(theta).all(axis=-1)
+    scale = np.abs(model._xty).max() + np.abs(product[finite]).max(initial=0.0)
+    assert np.all(np.abs(got[finite] - resid_form[finite]) <= 1e-12 * scale)
+
+
+def test_gaussian_grads_equal_gram_and_prior_expressions():
+    # the linear-model gradient is the Gram form; the in-place prior
+    # gradients keep every operation
     rng = np.random.default_rng(13)
     model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), 0.7)
     scaled = LogisticTarget(np.ones((1, 5)), np.ones(1), prior_var=1.7**2)
     for theta in (rng.standard_normal(5), 2.0 * rng.standard_normal((1, 5)),
                   2.0 * rng.standard_normal((257, 5))):
         before = theta.copy()
-        old_ll = (model.y - theta @ model.X.T) @ model.X / model.sigma**2
-        assert np.array_equal(model._grad_log_likelihood(theta), old_ll)
+        _check_gram_gradient(model, theta)
         for target in (model, scaled):
             u = theta / target.prior_std
             assert np.array_equal(target.grad_log_prior(theta), -u / target.prior_std)
@@ -482,14 +538,27 @@ def test_prior_std_must_be_positive_and_finite():
             target._set_prior(2, std)
 
 
-def test_unit_sigma_gradient_equals_old_expression():
-    # dividing by sigma**2 == 1.0 is exact, so sigma = 1 skips it
+def test_unit_sigma_gradient_equals_gram_form():
+    # sigma = 1 takes the same path: 1 / sigma**2 is folded into G and b
     rng = np.random.default_rng(33)
     model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), 1.0)
-    for theta in (rng.standard_normal(5), _special_rows(rng, 1, 5), 2.0 * rng.standard_normal((257, 5))):
-        old = (model.y - theta @ model.X.T) @ model.X / model.sigma**2
-        with np.errstate(invalid="ignore"):
-            assert _same_bits(model._grad_log_likelihood(theta), old)
+    for theta in (rng.standard_normal(5), _special_rows(rng, 1, 5), 2.0 * rng.standard_normal((257, 5)),
+                  _special_rows(rng, 257, 5)):
+        _check_gram_gradient(model, theta)
+
+
+def test_gaussian_loglik_equals_old_expression():
+    # the constants kept on the target are built by the plain expression's operations
+    rng = np.random.default_rng(34)
+    for sigma in (0.7, 1.0, 1e-3):
+        model = GaussianLinearModel(rng.standard_normal((40, 5)), rng.standard_normal(40), sigma)
+        for theta in (rng.standard_normal(5), 2.0 * rng.standard_normal((1, 5)),
+                      2.0 * rng.standard_normal((257, 5))):
+            resid = model.y - theta @ model.X.T
+            quad = np.sum(np.square(resid), axis=-1) / (2.0 * model.sigma**2)
+            old = -0.5 * 40 * (LOG_2PI + 2.0 * np.log(model.sigma)) - quad
+            assert _same_bits(model._log_likelihood(theta), old)
+            assert _same_bits(model.log_likelihood(theta), old)
 
 
 def test_counter_merge_and_copy():

@@ -12,8 +12,12 @@ Cost accounting (fresh evaluations, caches warm after the one-time
 initialization): a serial chain takes ``B + (n - 1) * thin`` kernel
 steps, so its likelihood tally is ``steps + 1`` and, for HMC, its
 gradient tally is ``steps * leapfrog_steps + 1``.  A parallel chain is
-the ``n = 1``, ``thin`` irrelevant case: ``B + 1`` likelihood
+the ``n = 1`` case, and ``thin`` must be 1: ``B + 1`` likelihood
 evaluations.
+
+Both kernels reject every NaN proposal and every proposal from a NaN or
++inf state, so a chain that meets a NaN or +inf log-likelihood still
+holds it after its last step: that state and the start are checked.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from . import kernels
 from .kernels import HmcConfig, PcnConfig, Population
 from .seeds import check_seed
-from .targets import EvalCounter
+from .targets import EvalCounter, check_finite_loglik
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,8 @@ class McmcConfig:
     burn_in : int
         Kernel steps discarded before retaining anything.
     thin : int
-        Steps between retained samples in serial mode.
+        Steps between retained samples in serial mode; parallel mode
+        retains one state per chain and takes only 1.
     kernel : PcnConfig or HmcConfig
         Transition kernel; standalone chains always use unit pCN
         scaling.
@@ -63,6 +68,8 @@ class McmcConfig:
             raise ValueError("thin must be positive")
         if self.mode not in ("serial", "parallel"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "parallel" and self.thin != 1:
+            raise ValueError("thin must be 1 in parallel mode, which keeps only each chain's final state")
 
 
 def run_chain_serial(cfg, target, seed, stats=None):
@@ -73,13 +80,16 @@ def run_chain_serial(cfg, target, seed, stats=None):
     until ``cfg.n_samples`` are collected.  All randomness comes from
     ``numpy.random.default_rng(seed)``: the prior draw, then per step
     ``d`` standard normals and one uniform, which move a one-row
-    population through :func:`kernels.population_step`.
+    population through :func:`kernels.population_step`.  A NaN or +inf
+    log-likelihood at the start or after the last step raises
+    :class:`targets.NumericalDomainError`.
     """
     seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     counter = EvalCounter()
     d = target.dim
     pop = Population.initialize(target, rng, 1, counter, needs_grad=isinstance(cfg.kernel, HmcConfig))
+    check_finite_loglik(pop.loglik, pop.theta, 1.0, "at the start", "chains")
     samples = np.empty((cfg.n_samples, d))
     for i in range(cfg.n_samples):
         for _ in range(cfg.thin if i else cfg.burn_in):
@@ -89,6 +99,7 @@ def run_chain_serial(cfg, target, seed, stats=None):
                 pop, 1.0, cfg.kernel, target, z[None, :], np.atleast_1d(log_u), counter, stats
             )
         samples[i] = pop.theta[0]
+    check_finite_loglik(pop.loglik, pop.theta, 1.0, "after the last step", "chains")
     return samples, counter
 
 
@@ -99,6 +110,8 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
     ``numpy.random.default_rng(seeds[c])``, consuming first the prior
     draw, then its standard-normal block for all steps, then its
     uniforms.  Outputs are exchangeable under permutation of the seeds.
+    A NaN or +inf log-likelihood at the start or after the last step
+    raises :class:`targets.NumericalDomainError`.
 
     Returns
     -------
@@ -124,6 +137,7 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
         normals[:, c, :] = rng.standard_normal((b, d))
         log_u[:, c] = np.log(rng.random(b))
     loglik = np.atleast_1d(target.log_likelihood(theta0, counter))
+    check_finite_loglik(loglik, theta0, 1.0, "at the start", "chains")
     logprior = grad_ll = None
     if use_hmc and b > 0:
         logprior = np.atleast_1d(target.log_prior(theta0))
@@ -133,6 +147,7 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
         kernels.population_step(
             pop, 1.0, cfg.kernel, target, normals[step], log_u[step], counter, stats
         )
+    check_finite_loglik(pop.loglik, pop.theta, 1.0, "after the last step", "chains")
     per_chain_lik = b + 1
     per_chain_grad = b * kernels.gradient_cost_per_step(cfg.kernel)
     if use_hmc and b > 0:

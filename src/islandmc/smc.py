@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
 from .seeds import check_seed
-from .targets import EvalCounter, NumericalDomainError
+from .targets import EvalCounter, check_finite_loglik
 
 
 RESAMPLING_SCHEMES = ("multinomial", "systematic")
@@ -48,6 +48,10 @@ class ScheduleOverflowError(RuntimeError):
             f"(last exponent {schedule[-1] if schedule else 0.0})"
         )
         self.schedule = list(schedule)
+
+    def __reduce__(self):
+        # a worker process pickles its error; rebuild it from the constructor's fields
+        return type(self), (self.schedule,)
 
 
 # next_temperature's absolute tolerance on the increment
@@ -77,6 +81,9 @@ class StalledTemperingError(ScheduleOverflowError):
         self.lam = lam
         self.ess = ess
         self.target_ess = target_ess
+
+    def __reduce__(self):
+        return type(self), (self.schedule, self.stage, self.lam, self.ess, self.target_ess)
 
 
 @dataclass(frozen=True)
@@ -189,25 +196,28 @@ def _ess_of(w):
     return s * s / (w[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
-def update_logz(acc, stage_log_weights, shifted=None):
-    """Fold one stage's unnormalized log-weights into the accumulator.
+def _block(a, name):
+    """``a`` as floats; it must be a ``(k, N)`` block of k islands' rows."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a (k, N) block of k islands' rows, got shape {a.shape}")
+    return a
 
-    The stage factor is ``log mean(exp(w))``, stored as the max
-    log-weight plus the log mean of the max-shifted weights.  A caller
+
+def update_logz(accs, stage_log_weights, shifted=None):
+    """Fold row ``b`` of a ``(k, N)`` block of stage log-weights into ``accs[b]``.
+
+    The stage factor is ``log mean(exp(w))``, stored as the row's max
+    log-weight plus the log mean of its max-shifted weights.  A caller
     that already holds ``shifted = _max_shift(stage_log_weights)``
-    passes it to skip the shift and ``exp``.
-
-    A ``(k, N)`` block of k islands' stage log-weights folds each row
-    into its own accumulator: ``acc`` is then a sequence of k of them,
-    and the k updated accumulators are returned as a list, each equal
-    to the one-row call on its row.
+    passes it to skip the shift and ``exp``.  Returns the k updated
+    accumulators as a list.
     """
-    m, w = _max_shift(stage_log_weights) if shifted is None else shifted
+    lw = _block(stage_log_weights, "stage_log_weights")
+    m, w = _max_shift(lw) if shifted is None else shifted
     residual = np.log(np.mean(w, axis=-1))
-    if np.ndim(w) == 1:
-        return LogZAccumulator(acc.offset_sum + float(m), acc.residual_log + float(residual))
     return [LogZAccumulator(a.offset_sum + off, a.residual_log + res)
-            for a, off, res in zip(acc, m.tolist(), residual.tolist())]
+            for a, off, res in zip(accs, m.tolist(), residual.tolist())]
 
 
 def ess(log_weights):
@@ -217,11 +227,6 @@ def ess(log_weights):
     is invariant to the shift and cannot overflow.
     """
     return float(_ess_of(_max_shift(log_weights)[1]))
-
-
-def _ess_rows(log_weights, top):
-    """:func:`ess` of every row of a ``(..., N)`` block with row maxima ``top``, bit for bit."""
-    return _ess_of(_shifted_exp(log_weights, top))
 
 
 # bisection steps settled per block evaluation, and the iteration cap
@@ -250,28 +255,24 @@ def _bisection_grid(lo, hi):
     return grid
 
 
-def next_temperature(loglik, lambda_prev, cfg, return_stalled=False):
-    """Choose the next tempering exponent by pinning the stage ESS.
+def next_temperature(loglik, lambda_prev, cfg):
+    """Choose the next tempering exponent of each row of a ``(k, N)`` log-likelihood block.
 
-    Finds the increment ``h`` with ``ESS(h * loglik) = ess_fraction * N``
-    by bisection of ``[0, 1 - lambda_prev]`` (absolute tolerance 1e-10
-    in ``h``, at most 200 iterations).  Returns exactly 1.0 when the
-    full remaining increment already satisfies the ESS constraint.
+    Row ``p``'s increment ``h`` with ``ESS(h * loglik[p]) = ess_fraction
+    * N`` is found by bisection of ``[0, 1 - lambda_prev[p]]`` (absolute
+    tolerance 1e-10 in ``h``, at most 200 iterations); its exponent is
+    exactly 1.0 when the full remaining increment already satisfies the
+    ESS constraint.  ``lambda_prev`` holds k exponents, or one for all.
+    The rows are bisected together in rounds: one block pass evaluates
+    the ESS at the 15 points the next 4 steps of each row can visit,
+    then each row walks its path through them, so each row gets exactly
+    its own bisection's exponent.
 
-    ``loglik`` is one island's ``(N,)`` vector, giving one exponent, or
-    a ``(P, N)`` block of P islands, giving an array of P exponents;
-    ``lambda_prev`` is then one exponent or P of them.  Each row gets
-    exactly the exponent of its own bisection, with its own stopping
-    step.  The rows are bisected together in rounds: one block pass
-    evaluates the ESS at the 15 points the next 4 steps of each row can
-    visit, then each row walks its path through them.
-
-    With ``return_stalled`` the result is a pair: the exponents and, for
-    each row (one bool for one island), whether the bisection stalled,
-    closing on ``[0, tol]`` with no tested increment passing.
+    Returns the k exponents as an array and, as a list, whether each
+    row's bisection stalled, closing on ``[0, tol]`` with no tested
+    increment passing.
     """
-    loglik = np.asarray(loglik, dtype=float)
-    block = loglik.reshape(-1, loglik.shape[-1])
+    block = _block(loglik, "loglik")
     lam_prev = np.broadcast_to(np.asarray(lambda_prev, dtype=float), block.shape[:1]).tolist()
     if not all(0.0 <= lam < 1.0 for lam in lam_prev):
         raise ValueError("lambda_prev must lie in [0, 1)")
@@ -291,7 +292,7 @@ def next_temperature(loglik, lambda_prev, cfg, return_stalled=False):
         rows = [p for p, _, _ in live]
         ll, tp = (block, top) if len(rows) == len(block) else (block[rows], top[rows])
         # h > 0 scales monotonically, so max(h * loglik) is h * max(loglik)
-        passes = (_ess_rows(points[:, :, None] * ll[:, None, :], points * tp[:, None])
+        passes = (_ess_of(_shifted_exp(points[:, :, None] * ll[:, None, :], points * tp[:, None]))
                   >= target_ess).tolist()
         still = []
         for (p, _, _), grid, ok in zip(live, grids, passes):
@@ -313,40 +314,31 @@ def next_temperature(loglik, lambda_prev, cfg, return_stalled=False):
         live = still
     for p, lo, hi in live:  # out of iterations
         new[p] = lam_prev[p] + 0.5 * (lo + hi)
-    if loglik.ndim == 1:
-        new, stalled = new[0], stalled[0]
-    else:
-        new = np.array(new)
-    return (new, stalled) if return_stalled else new
+    return np.array(new), stalled
 
 
-def resample(log_weights, cfg, rng, shifted=None):
-    """Draw ancestor indices proportional to the stage weights.
+def resample(log_weights, cfg, rngs, shifted=None):
+    """Draw ancestor indices for each row of a ``(k, N)`` block of stage log-weights.
 
-    Multinomial resampling draws independently; systematic resampling
-    places one stratified point per offspring slot, giving each index
-    exactly one copy under uniform weights when N divides evenly.
-    ``shifted``, the weights ``exp(lw - max(lw))`` when the caller
-    already holds them, skips the shift and ``exp``.
-
-    Multinomial indices are those of ``rng.choice(N, N, p=w / w.sum())``
-    and leave ``rng`` in the same state: the cumulative weights are
-    divided by their last entry, and ``N`` uniforms are located in them
-    by ``searchsorted(side="right")``, the steps ``Generator.choice``
+    Returns the ``(k, N)`` block of within-row indices.  The weights are
+    normalized and summed up in one pass, and row ``b`` draws its
+    uniforms from ``rngs[b]``.  ``shifted``, the weights ``exp(lw -
+    max(lw))`` when the caller already holds them, skips the shift and
+    ``exp``.  Multinomial resampling draws independently; systematic
+    resampling places one stratified point per offspring slot, giving
+    each index exactly one copy under uniform weights when N divides
+    evenly.  Row ``b``'s multinomial indices are those of
+    ``rngs[b].choice(N, N, p=w / w.sum())``, leaving ``rngs[b]`` in the
+    same state: the cumulative weights are divided by their last entry,
+    and ``N`` uniforms are located in them by
+    ``searchsorted(side="right")``, the steps ``Generator.choice``
     takes.  Under either scheme a weight that is NaN after the shift (a
     NaN or ``+inf`` log-weight) raises ``ValueError``, as ``choice`` does.
-
-    A ``(k, N)`` block of k islands' log-weights takes a sequence of k
-    generators: the weights are normalized and summed up in one pass,
-    and row ``b`` draws its uniforms from ``rng[b]``.  The result is the
-    ``(k, N)`` block of within-row indices, each row equal to the
-    one-row call with its own generator.
     """
-    w = _max_shift(log_weights)[1] if shifted is None else shifted
-    block = w.reshape(-1, w.shape[-1])
-    rngs = [rng] if w.ndim == 1 else rng
-    n = block.shape[1]
-    cdf = np.cumsum(block / block.sum(axis=1, keepdims=True), axis=1)
+    lw = _block(log_weights, "log_weights")
+    w = _max_shift(lw)[1] if shifted is None else shifted
+    n = w.shape[1]
+    cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
     if np.isnan(cdf[:, -1]).any():
         raise ValueError("probabilities contain NaN")
     if cfg.resampling == "multinomial":
@@ -355,10 +347,10 @@ def resample(log_weights, cfg, rng, shifted=None):
     else:
         cdf[:, -1] = 1.0
         draws = (np.array([g.random() for g in rngs])[:, None] + np.arange(n)) / n
-    idx = np.empty(block.shape, dtype=np.intp)
+    idx = np.empty(w.shape, dtype=np.intp)
     for b, (row, u) in enumerate(zip(cdf, draws)):
         idx[b] = row.searchsorted(u, side="right")
-    return idx[0] if w.ndim == 1 else idx
+    return idx
 
 
 @dataclass
@@ -525,7 +517,7 @@ def run_smc_islands(cfg, target, seeds):
         if ladder is not None:
             lams_new = [ladder[len(island.schedule)] for island in active[:first_bad]]
         else:
-            lams_new, stalled = next_temperature(loglik[:first_bad], lams, cfg, return_stalled=True)
+            lams_new, stalled = next_temperature(loglik[:first_bad], lams, cfg)
             lams_new = lams_new.tolist()
         stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
         if ais:
@@ -546,18 +538,9 @@ def run_smc_islands(cfg, target, seeds):
                 island.logz = acc
                 island.stage_ess.append(island_ess)
         if first_bad < k:
-            island = active[first_bad]
-            nan = np.isnan(loglik[first_bad])
-            inf = loglik[first_bad] == np.inf
-            bad = nan | inf
-            if not bad.any():
-                raise DegenerateWeightsError("all weights are zero")
-            what = " or ".join(name for name, hit in (("NaN", nan), ("+inf", inf)) if hit.any())
-            raise NumericalDomainError(
-                f"stage {stage}: log-likelihood is {what} for {int(bad.sum())} "
-                f"of {n} particles (lambda={island.lam})",
-                theta=pop.theta[rows(first_bad)][bad], lam=island.lam,
-            )
+            check_finite_loglik(loglik[first_bad], pop.theta[rows(first_bad)], active[first_bad].lam,
+                                f"stage {stage}", "particles")
+            raise DegenerateWeightsError("all weights are zero")
         if not ais:
             ancestors += np.arange(0, k * n, n)[:, None]
             pop.take(ancestors.ravel())
@@ -587,7 +570,7 @@ def run_smc_islands(cfg, target, seeds):
             island.schedule.append(lam_new)
             if lam_new == 1.0:
                 if ais:
-                    island.logz = update_logz(island.logz, island.log_weights)
+                    island.logz = update_logz([island.logz], island.log_weights[None])[0]
                 island.result = IslandResult(
                     pop.theta[rows(b)].copy(), island.logz, island.schedule,
                     island.counter, island.stats, island.stage_ess, island.log_weights,

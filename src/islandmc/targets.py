@@ -62,6 +62,24 @@ class NumericalDomainError(ValueError):
         self.lam = lam
 
 
+def check_finite_loglik(loglik, theta, lam, where, units):
+    """Raise :class:`NumericalDomainError` if an entry of ``loglik`` is NaN or +inf.
+
+    The message starts with ``where`` and says which of the two occur in
+    how many of ``loglik``'s ``units``; the error carries the rows of
+    ``theta`` that hold one, and ``lam``.
+    """
+    nan = np.isnan(loglik)
+    inf = loglik == np.inf
+    bad = nan | inf
+    if bad.any():
+        what = " or ".join(name for name, hit in (("NaN", nan), ("+inf", inf)) if hit.any())
+        raise NumericalDomainError(
+            f"{where}: log-likelihood is {what} for {int(bad.sum())} of {bad.size} {units} (lambda={lam})",
+            theta=theta[bad], lam=lam,
+        )
+
+
 @dataclass
 class EvalCounter:
     """Running tally of likelihood and gradient evaluations.

@@ -55,6 +55,8 @@ def valid_configs(draw):
         {"kind": "ais"},
         {"kind": "mcmc_par"},
     ]))
+    if method["kind"] == "mcmc_par":
+        point["T"] = 1  # parallel chains take no thinning
     return {"target": target, "method": {**method, "kernel": kernel}, "sweep": [point],
             "replicates": draw(st.integers(1, 4)), "master_seed": draw(st.integers(0, 64))}
 

@@ -158,11 +158,15 @@ def test_method_fields_left_out_take_the_config_class_defaults(kernel):
         "smc_par": SmcConfig(8, 3, k),
         "ais": AisConfig(8, make_neal_schedule(), k, 3),
         "mcmc": McmcConfig(8, 5, 2, k),
-        "mcmc_par": McmcConfig(8, 5, 2, k, mode="parallel"),
+        "mcmc_par": McmcConfig(8, 5, 1, k, mode="parallel"),
     }
     for kind, cfg in want.items():
         spec = {"kind": kind} if kernel is None else {"kind": kind, "kernel": kernel}
-        assert _point_config(spec, point, target, 0) == cfg, kind
+        # parallel chains keep one state each and take no thinning
+        at = SweepPoint(N=8, P=1, M=3, B=5, T=1) if kind == "mcmc_par" else point
+        assert _point_config(spec, at, target, 0) == cfg, kind
+    with pytest.raises(ConfigError, match=r"^sweep\[0\]\.T: thin must be 1 in parallel mode"):
+        _point_config({"kind": "mcmc_par"}, point, target, 0)
 
 
 def test_load_config_reports_json_line(tmp_path):
@@ -424,6 +428,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         cfg_path.write_text(json.dumps(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}})))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "error: method.kernel.mass: mass entries must be finite and positive" in capsys.readouterr().err
+
+
+def test_cli_thinned_parallel_chains_exit_2_and_name_the_sweep_field(tmp_path, capsys):
+    cfg_path = tmp_path / "mcmc_par.json"
+    cfg_path.write_text(json.dumps(base_config(method={"kind": "mcmc_par"}, sweep=[{"N": 8, "P": 2, "B": 4, "T": 2}])))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "error: sweep[0].T: thin must be 1 in parallel mode" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_bad_target_fields_exit_2_and_name_the_field(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 
 from islandmc import smc
 from islandmc.ais import AisConfig, ais_estimate, log_evidence_estimate, run_ais
+from islandmc.harness import ConfigError
 from islandmc.islands import (
     IslandEnsemble,
     combine_unweighted,
@@ -27,9 +29,16 @@ from islandmc.smc import (
     LogZAccumulator,
     ScheduleOverflowError,
     SmcConfig,
+    StalledTemperingError,
     run_smc,
 )
-from islandmc.targets import EvalCounter, make_gaussian_target, make_logistic_target
+from islandmc.targets import (
+    EvalCounter,
+    GaussianLinearModel,
+    NumericalDomainError,
+    make_gaussian_target,
+    make_logistic_target,
+)
 
 
 def stub_ensemble(sample_sets, logzs):
@@ -354,7 +363,8 @@ def test_run_islands_runs_ais_islands():
 def test_run_islands_mcmc_processes_equal_serial(mode):
     # 3 islands on 2 workers: each worker runs a contiguous share of the seeds
     target = make_gaussian_target(2, 4, 1.0, seed=2)
-    cfg = McmcConfig(n_samples=6, burn_in=3, thin=2, kernel=PcnConfig(beta=0.5), mode=mode)
+    # parallel chains keep one state each and take no thinning
+    cfg = McmcConfig(n_samples=6, burn_in=3, thin=2 if mode == "serial" else 1, kernel=PcnConfig(beta=0.5), mode=mode)
     serial = run_islands(3, cfg, target, master_seed=4)
     parallel = run_islands(3, cfg, target, master_seed=4, parallelism=2)
     assert parallel.seeds == serial.seeds
@@ -372,3 +382,50 @@ def test_stacked_islands_overflow_names_first_unfinished_island():
     with pytest.raises(ScheduleOverflowError) as want:
         run_smc(cfg, target, island_seed(5, 0))
     assert err.value.schedule == want.value.schedule
+
+
+def test_library_errors_survive_pickling():
+    # a worker process sends its error back pickled
+    errors = [
+        DegenerateWeightsError("all weights are zero"),
+        ScheduleOverflowError([0.25, 0.5]),
+        ScheduleOverflowError([]),
+        StalledTemperingError([1e-11], 3, 1e-11, 1.5, 8.0),
+        NumericalDomainError("stage 2: log-likelihood is NaN for 2 of 8 particles (lambda=0.5)",
+                             theta=np.ones((2, 3)), lam=0.5),
+        ConfigError("sweep[0].T: thin must be 1 in parallel mode"),
+    ]
+    for err in errors:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert (str(back), back.args) == (str(err), err.args)
+        assert vars(back).keys() == vars(err).keys()
+        for name, value in vars(err).items():
+            assert np.array_equal(getattr(back, name), value), name
+
+
+class _SharpGaussian(GaussianLinearModel):
+    """Linear model with its log-likelihood scaled by 1e13 (module level, so workers unpickle it)."""
+
+    def _log_likelihood(self, theta):
+        return 1e13 * super()._log_likelihood(theta)
+
+
+def test_worker_errors_equal_in_process_errors():
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    cases = [
+        # every increment above the bisection tolerance leaves one particle dominant
+        (SmcConfig(16, 1, PcnConfig(beta=0.5)), _SharpGaussian(base.X, base.y, base.sigma),
+         StalledTemperingError, ("schedule", "stage", "lam", "ess", "target_ess")),
+        (SmcConfig(16, 1, PcnConfig(beta=0.5), max_stages=1), base, ScheduleOverflowError, ("schedule",)),
+    ]
+    for cfg, target, error, fields in cases:
+        with pytest.raises(error) as want:
+            run_islands(2, cfg, target, master_seed=0)
+        with pytest.raises(error) as got:
+            run_islands(2, cfg, target, master_seed=0, parallelism=2)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert [getattr(got.value, f) for f in fields] == [getattr(want.value, f) for f in fields]
+    # the overflow message is built from its one-stage schedule, not from its own characters
+    assert str(got.value).startswith("tempering did not reach 1.0 within 1 stages (last exponent 0.")

@@ -6,7 +6,7 @@ import pytest
 from islandmc.diagnostics import iact
 from islandmc.kernels import HmcConfig, PcnConfig
 from islandmc.mcmc import McmcConfig, run_chain_serial, run_chains_parallel
-from islandmc.targets import GaussianLinearModel, make_gaussian_target
+from islandmc.targets import GaussianLinearModel, NumericalDomainError, make_gaussian_target
 
 
 def prior_only(d):
@@ -136,3 +136,88 @@ def test_parallel_hmc_reduces_initialization_bias():
         samples, _ = run_chains_parallel(cfg, target, list(range(400)))
         estimates[b] = samples.mean()
     assert abs(estimates[40] - 1.0) < abs(estimates[0] - 1.0)
+
+
+def test_parallel_mode_rejects_thin():
+    with pytest.raises(ValueError, match=r"^thin must be 1 in parallel mode"):
+        McmcConfig(n_samples=8, burn_in=5, thin=7, mode="parallel")
+    assert McmcConfig(n_samples=8, burn_in=5, thin=7).thin == 7
+
+
+class _LoglikAbove:
+    """Gaussian target whose log-likelihood is ``value`` wherever ``theta[0] > cut``."""
+
+    def __init__(self, base, cut, value):
+        self.base = base
+        self.cut = cut
+        self.value = value
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def log_likelihood(self, theta, counter=None):
+        ll = np.atleast_1d(self.base.log_likelihood(theta, counter))
+        return np.where(np.atleast_2d(theta)[:, 0] > self.cut, self.value, ll)
+
+
+def _starts_above(target, seeds, cut):
+    """Whether each seed's chain starts at ``theta[0] > cut`` (its first prior draw)."""
+    return [target.prior_sample(np.random.default_rng(s))[0] > cut for s in seeds]
+
+
+KERNELS = [PcnConfig(beta=0.5), HmcConfig(step_size=0.2, leapfrog_steps=5)]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_chains_raise_on_nan_start(kernel):
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    target = _LoglikAbove(base, 0.5, np.nan)
+    seeds = list(range(20))
+    above = _starts_above(base, seeds, 0.5)
+    # a NaN state rejects every proposal, so the serial chain would return its start 200 times
+    serial = McmcConfig(n_samples=200, kernel=kernel)
+    with pytest.raises(NumericalDomainError) as err:
+        run_chain_serial(serial, target, seeds[above.index(True)])
+    assert str(err.value) == "at the start: log-likelihood is NaN for 1 of 1 chains (lambda=1.0)"
+    assert err.value.lam == 1.0
+    assert err.value.theta.shape == (1, 2) and err.value.theta[0, 0] > 0.5
+    # a chain that starts below the cut never takes a NaN proposal
+    samples, _ = run_chain_serial(serial, target, seeds[above.index(False)])
+    assert samples[:, 0].max() <= 0.5
+    parallel = McmcConfig(n_samples=1, burn_in=30, kernel=kernel, mode="parallel")
+    with pytest.raises(NumericalDomainError) as err:
+        run_chains_parallel(parallel, target, seeds)
+    assert str(err.value) == f"at the start: log-likelihood is NaN for {sum(above)} of 20 chains (lambda=1.0)"
+    assert err.value.theta.shape == (sum(above), 2) and (err.value.theta[:, 0] > 0.5).all()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_chains_raise_on_pos_inf_reached_mid_chain(kernel):
+    # a +inf proposal is always accepted and then never left
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    target = _LoglikAbove(base, 0.5, np.inf)
+    seeds = [s for s, up in zip(range(60), _starts_above(base, range(60), 0.5)) if not up][:20]
+    with pytest.raises(NumericalDomainError) as err:
+        run_chain_serial(McmcConfig(n_samples=200, kernel=kernel), target, seeds[0])
+    assert str(err.value) == "after the last step: log-likelihood is +inf for 1 of 1 chains (lambda=1.0)"
+    assert err.value.lam == 1.0 and err.value.theta[0, 0] > 0.5
+    cfg = McmcConfig(n_samples=1, burn_in=30, kernel=kernel, mode="parallel")
+    with pytest.raises(NumericalDomainError, match=r"^after the last step: log-likelihood is \+inf for \d+ of 20 chains") as err:
+        run_chains_parallel(cfg, target, seeds)
+    hits = err.value.theta.shape[0]
+    assert 0 < hits < 20 and f"for {hits} of 20" in str(err.value)
+    assert (err.value.theta[:, 0] > 0.5).all()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_chains_may_start_at_zero_likelihood(kernel):
+    # a -inf start accepts the first finite proposal and goes on
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    target = _LoglikAbove(base, 0.5, -np.inf)
+    seeds = list(range(20))
+    above = _starts_above(base, seeds, 0.5)
+    samples, _ = run_chain_serial(McmcConfig(n_samples=200, kernel=kernel), target, seeds[above.index(True)])
+    assert samples[0, 0] > 0.5 and samples[-1, 0] <= 0.5
+    final, _ = run_chains_parallel(McmcConfig(n_samples=1, burn_in=200, kernel=kernel, mode="parallel"),
+                                   target, seeds)
+    assert sum(above) > 0 and (final[:, 0] <= 0.5).all()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_ess_matches_logsumexp_oracle(lw):
 
 def test_next_temperature_equal_logliks_jumps_to_one():
     cfg = mini_cfg(n_particles=4)
-    assert next_temperature(np.full(4, -3.7), 0.0, cfg) == 1.0
+    assert next_temperature(np.full((1, 4), -3.7), 0.0, cfg)[0][0] == 1.0
 
 
 def test_next_temperature_matches_bisection_oracle():
@@ -109,7 +110,7 @@ def test_next_temperature_matches_bisection_oracle():
         else:
             hi = mid
     h_star = 0.5 * (lo + hi)
-    lam = next_temperature(loglik, 0.0, cfg)
+    lam = next_temperature(loglik[None], 0.0, cfg)[0][0]
     assert lam == pytest.approx(h_star, abs=1e-9)
     assert ess(lam * loglik) == pytest.approx(1.6, abs=1e-8)
 
@@ -119,8 +120,8 @@ def test_next_temperature_respects_previous_exponent():
     loglik = np.array([0.0, math.log(100.0)])
     cfg = mini_cfg(ess_fraction=0.8)
     h_exact = math.log(3.0) / math.log(100.0)
-    h1 = next_temperature(loglik, 0.0, cfg)
-    h2 = next_temperature(loglik, h1, cfg)
+    h1 = next_temperature(loglik[None], 0.0, cfg)[0][0]
+    h2 = next_temperature(loglik[None], h1, cfg)[0][0]
     assert h1 == pytest.approx(h_exact, abs=1e-9)
     assert h2 == pytest.approx(2 * h_exact, abs=1e-8)
     assert ess((h2 - h1) * loglik) == pytest.approx(1.6, abs=1e-8)
@@ -129,7 +130,7 @@ def test_next_temperature_respects_previous_exponent():
 def test_next_temperature_terminal_clamp():
     loglik = np.array([0.0, 0.001])
     cfg = mini_cfg()
-    assert next_temperature(loglik, 0.999, cfg) == 1.0
+    assert next_temperature(loglik[None], 0.999, cfg)[0][0] == 1.0
 
 
 def sequential_next_temperature(loglik, lambda_prev, cfg):
@@ -159,19 +160,19 @@ def test_block_next_temperature_equals_sequential_rows(n):
         loglik = rng.standard_normal((p, n)) * rng.choice([0.01, 1.0, 30.0, 1e4], size=(p, 1)) - 500.0
         loglik[p // 2, 0] = -np.inf  # a zero-weight particle
         lams = rng.choice([0.0, 0.25, 0.9, 0.999, 1.0 - 1e-7], size=p)
-        got = next_temperature(loglik, lams, cfg)
+        got = next_temperature(loglik, lams, cfg)[0]
         assert got.shape == (p,)
         want = [sequential_next_temperature(row, lam, cfg) for row, lam in zip(loglik, lams.tolist())]
         assert [v.hex() for v in got.tolist()] == [float(v).hex() for v, _ in want]
         for row, lam, (v, _) in zip(loglik, lams.tolist(), want):
-            assert float(next_temperature(row, lam, cfg)).hex() == float(v).hex()
+            assert float(next_temperature(row[None], lam, cfg)[0][0]).hex() == float(v).hex()
         if trial > 0:
             # rows clamp to 1 or stop in different rounds of the block pass
             rounds = {(steps - 1) // smc._ROUND_STEPS for _, steps in want if steps}
             assert len(rounds) > 1 or any(steps == 0 for _, steps in want)
     # one shared exponent broadcasts over the rows
     loglik = rng.standard_normal((3, n)) * 5.0
-    assert np.array_equal(next_temperature(loglik, 0.5, cfg), next_temperature(loglik, [0.5] * 3, cfg))
+    assert np.array_equal(next_temperature(loglik, 0.5, cfg)[0], next_temperature(loglik, [0.5] * 3, cfg)[0])
 
 
 def test_block_next_temperature_mixed_stopping_rounds_and_clamps():
@@ -185,7 +186,7 @@ def test_block_next_temperature_mixed_stopping_rounds_and_clamps():
     want = [sequential_next_temperature(row, lam, cfg) for row, lam in zip(loglik, lams)]
     assert {steps for _, steps in want} >= {0}
     assert len({(steps - 1) // smc._ROUND_STEPS for _, steps in want if steps}) >= 3
-    got = next_temperature(loglik, lams, cfg)
+    got = next_temperature(loglik, lams, cfg)[0]
     assert [v.hex() for v in got.tolist()] == [float(v).hex() for v, _ in want]
 
 
@@ -198,19 +199,35 @@ def test_block_next_temperature_rejects_dead_rows_and_finished_islands():
         next_temperature(loglik[:1], [1.0], cfg)
 
 
+def test_stage_functions_reject_one_island_vectors():
+    # each takes a (k, N) block of k islands, and a one-island vector is an error
+    cfg = mini_cfg(n_particles=4)
+    x = np.log([0.1, 0.2, 0.3, 0.4])
+    calls = [
+        ("loglik", lambda a: next_temperature(a, 0.0, cfg)),
+        ("log_weights", lambda a: resample(a, cfg, [np.random.default_rng(0)])),
+        ("stage_log_weights", lambda a: update_logz([LogZAccumulator()], a)),
+    ]
+    for name, call in calls:
+        for bad in (x, x[None, None], 0.5):
+            with pytest.raises(ValueError, match=rf"^{name} must be a \(k, N\) block .*got shape {re.escape(str(np.shape(bad)))}$"):
+                call(bad)
+        call(x[None])
+
+
 @pytest.mark.parametrize("n", [2, 16, 32, 257])
 def test_row_ess_equals_ess(n):
     rng = np.random.default_rng(100 + n)
     lw = rng.standard_normal((40, n)) * rng.choice([0.01, 1.0, 40.0, 700.0], size=(40, 1))
     lw += rng.choice([-700.0, 0.0, 700.0], size=(40, 1))
     lw[::5, : n // 2] = -np.inf
-    got = smc._ess_rows(lw, lw.max(axis=1))
+    got = smc._ess_of(smc._shifted_exp(lw, lw.max(axis=1)))
     assert [v.hex() for v in got.tolist()] == [ess(row).hex() for row in lw]
 
 
 def test_resample_systematic_uniform_is_permutation_free():
     cfg = mini_cfg(n_particles=8, resampling="systematic")
-    idx = resample(np.zeros(8), cfg, np.random.default_rng(0))
+    idx = resample(np.zeros((1, 8)), cfg, [np.random.default_rng(0)])[0]
     assert np.array_equal(np.sort(idx), np.arange(8))
 
 
@@ -220,7 +237,7 @@ def test_resample_systematic_stratification_counts():
     cfg = mini_cfg(n_particles=4, resampling="systematic")
     rng = np.random.default_rng(3)
     for _ in range(50):
-        idx = resample(np.log(w), cfg, rng)
+        idx = resample(np.log(w)[None], cfg, [rng])[0]
         counts = np.bincount(idx, minlength=4)
         assert np.all(counts >= np.floor(4 * w))
         assert np.all(counts <= np.ceil(4 * w))
@@ -231,7 +248,7 @@ def test_resample_point_mass():
     lw[3] = 0.0
     for scheme in ("multinomial", "systematic"):
         cfg = mini_cfg(n_particles=6, resampling=scheme)
-        idx = resample(lw, cfg, np.random.default_rng(1))
+        idx = resample(lw[None], cfg, [np.random.default_rng(1)])[0]
         assert np.all(idx == 3)
 
 
@@ -242,7 +259,7 @@ def test_resample_multinomial_unbiased():
     counts = np.zeros(4)
     trials = 20000
     for _ in range(trials):
-        counts += np.bincount(resample(np.log(w), cfg, rng), minlength=4)
+        counts += np.bincount(resample(np.log(w)[None], cfg, [rng])[0], minlength=4)
     freq = counts / (4 * trials)
     se = np.sqrt(w * (1 - w) / (4 * trials))
     assert np.all(np.abs(freq - w) < 5 * se)
@@ -258,7 +275,7 @@ def test_resample_weights_match_logsumexp_oracle(lw):
     for scheme in ("multinomial", "systematic"):
         cfg = mini_cfg(n_particles=n, resampling=scheme)
         for seed in range(5):
-            idx = resample(lw, cfg, np.random.default_rng(seed))
+            idx = resample(lw[None], cfg, [np.random.default_rng(seed)])[0]
             rng = np.random.default_rng(seed)
             if scheme == "multinomial":
                 expect = rng.choice(n, size=n, replace=True, p=oracle)
@@ -305,7 +322,7 @@ def test_block_resample_equals_per_row_draws(n, k):
         for g, ref in zip(rngs, ref_rngs):
             assert g.bit_generator.state == ref.bit_generator.state
         # the shifted weights give the same draws, and each row its one-row call's
-        one_row = [resample(row, cfg, np.random.default_rng(seed)) for seed, row in enumerate(lw)]
+        one_row = [resample(row[None], cfg, [np.random.default_rng(seed)])[0] for seed, row in enumerate(lw)]
         shifted = resample(lw, cfg, [np.random.default_rng(seed) for seed in range(k)], smc._max_shift(lw)[1])
         assert np.array_equal(np.array(one_row), got)
         assert np.array_equal(shifted, got)
@@ -315,7 +332,7 @@ def test_resample_nan_weight_raises_value_error():
     cfg = mini_cfg()
     lw = np.array([0.0, np.nan, 1.0])
     with pytest.raises(ValueError, match="NaN"):
-        resample(lw, cfg, np.random.default_rng(0))
+        resample(lw[None], cfg, [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="NaN"):
         resample(np.stack([np.zeros(3), lw]), cfg, [np.random.default_rng(0), np.random.default_rng(1)])
 
@@ -326,7 +343,7 @@ def test_resample_weight_nan_after_shift_raises_under_both_schemes(scheme, lw):
     cfg = mini_cfg(n_particles=4, resampling=scheme)
     lw = np.array(lw)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
-        resample(lw, cfg, np.random.default_rng(0))
+        resample(lw[None], cfg, [np.random.default_rng(0)])
     # one bad row in a block of three islands
     block = np.stack([np.zeros(4), lw, np.log([0.1, 0.2, 0.3, 0.4])])
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
@@ -340,43 +357,43 @@ def test_block_update_logz_equals_per_row_calls(n):
     got = update_logz(accs, lw)
     assert got == update_logz(accs, lw, smc._max_shift(lw))
     for acc, row, out in zip(accs, lw, got):
-        want = update_logz(acc, row)
+        want = update_logz([acc], row[None])[0]
         assert (out.offset_sum.hex(), out.residual_log.hex()) == (want.offset_sum.hex(), want.residual_log.hex())
 
 
 def test_resample_degenerate():
     cfg = mini_cfg(n_particles=3)
     with pytest.raises(DegenerateWeightsError):
-        resample(np.full(3, -np.inf), cfg, np.random.default_rng(0))
+        resample(np.full((1, 3), -np.inf), cfg, [np.random.default_rng(0)])
 
 
 def test_update_logz_identity_stage():
     acc = LogZAccumulator(2.5, -0.25)
-    out = update_logz(acc, np.zeros(16))
+    out = update_logz([acc], np.zeros((1, 16)))[0]
     assert out.total == pytest.approx(acc.total, abs=1e-12)
 
 
 def test_update_logz_hand_value():
-    out = update_logz(LogZAccumulator(), np.array([0.0, math.log(3.0)]))
+    out = update_logz([LogZAccumulator()], np.array([[0.0, math.log(3.0)]]))[0]
     assert out.total == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_update_logz_deep_underflow():
-    out = update_logz(LogZAccumulator(), np.array([-800.0, -800.0]))
+    out = update_logz([LogZAccumulator()], np.array([[-800.0, -800.0]]))[0]
     assert out.offset_sum == -800.0
     assert out.residual_log == 0.0
     assert out.total == -800.0
 
 
 def test_update_logz_accumulates_across_stages():
-    acc = update_logz(LogZAccumulator(), np.array([0.0, math.log(3.0)]))
-    acc = update_logz(acc, np.array([-700.0, -700.0]))
+    acc = update_logz([LogZAccumulator()], np.array([[0.0, math.log(3.0)]]))[0]
+    acc = update_logz([acc], np.array([[-700.0, -700.0]]))[0]
     assert acc.total == pytest.approx(math.log(2.0) - 700.0, abs=1e-9)
 
 
 def test_update_logz_degenerate():
     with pytest.raises(DegenerateWeightsError):
-        update_logz(LogZAccumulator(), np.full(4, -np.inf))
+        update_logz([LogZAccumulator()], np.full((1, 4), -np.inf))
 
 
 def test_run_smc_deterministic():
@@ -506,13 +523,13 @@ def test_next_temperature_reports_stalled_rows():
     # midpoint, and one where no increment above the tolerance passes
     cfg = mini_cfg(n_particles=16)
     x = np.random.default_rng(0).standard_normal(16)
-    loglik = np.stack([x, x * (next_temperature(x, 0.0, cfg) / 8.7e-11), -1e13 * np.arange(16.0)])
-    lams, stalled = next_temperature(loglik, 0.0, cfg, return_stalled=True)
-    assert np.array_equal(lams, next_temperature(loglik, 0.0, cfg))
+    loglik = np.stack([x, x * (next_temperature(x[None], 0.0, cfg)[0][0] / 8.7e-11), -1e13 * np.arange(16.0)])
+    lams, stalled = next_temperature(loglik, 0.0, cfg)
     assert stalled == [False, False, True]
     assert 5.8e-11 < lams[1] <= 1e-10 and 0.0 < lams[2] <= 0.5e-10
     for row, lam, stall in zip(loglik, lams.tolist(), stalled):
-        assert next_temperature(row, 0.0, cfg, return_stalled=True) == (lam, stall)
+        got, got_stalled = next_temperature(row[None], 0.0, cfg)
+        assert (got.tolist(), got_stalled) == ([lam], [stall])
 
 
 class _NanLikelihood:

@@ -30,8 +30,8 @@ class AisConfig:
     n_samples : int
         Number of independently annealed samples.
     schedule : sequence of float
-        Tempering exponents starting at exactly 0, strictly increasing,
-        ending at exactly 1.  See :func:`make_neal_schedule`.
+        Finite tempering exponents starting at exactly 0, strictly
+        increasing, ending at exactly 1.  See :func:`make_neal_schedule`.
     kernel : PcnConfig or HmcConfig
         Mutation kernel applied after each reweighting.
     mutation_steps : int
@@ -50,6 +50,8 @@ class AisConfig:
         if self.mutation_steps < 0:
             raise ValueError("mutation_steps must be non-negative")
         sched = tuple(float(v) for v in self.schedule)
+        if not np.isfinite(sched).all():
+            raise ValueError("schedule entries must be finite")
         if len(sched) < 2 or sched[0] != 0.0 or sched[-1] != 1.0:
             raise ValueError("schedule must start at exactly 0 and end at exactly 1")
         if any(b <= a for a, b in zip(sched, sched[1:])):

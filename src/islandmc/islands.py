@@ -11,7 +11,6 @@ combination degenerates to the plain average of island means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -51,13 +50,16 @@ def _run_mcmc_islands(cfg, target, seeds):
             samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed, stats=stats)
         else:
             chain_seeds = [derive_seed(seed, 1, c) for c in range(cfg.n_samples)]
-            samples, per_chain = mcmc_mod.run_chains_parallel(cfg, target, chain_seeds, stats=stats)
-            counter = EvalCounter()
-            for c in per_chain:
-                counter.merge(c)
+            samples, counter = mcmc_mod.run_chains_parallel(cfg, target, chain_seeds, stats=stats)
         # MCMC targets the posterior directly; its evidence estimate is defined as 1
         results.append(IslandResult(samples, LogZAccumulator(), [1.0], counter, stats))
     return results
+
+
+def _failure_rank(error):
+    """Sort key of a worker's error: its stage, with the errors that have none last."""
+    stage = getattr(error, "stage", None)
+    return (stage is None, stage or 0)
 
 
 def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
@@ -78,6 +80,11 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     height divides the population size.
     Otherwise a worker's stack splits the rows into other blocks, and an
     island can differ in the last bits (see :func:`smc.run_smc_islands`).
+
+    A failing run raises the error of the first island to fail, by stage
+    and then by seed order; the worker path waits for every share and
+    ranks their errors the same way, an error without a ``stage`` (such
+    as :class:`smc.ScheduleOverflowError`) last.
     """
     if n_islands < 1:
         raise ValueError("n_islands must be positive")
@@ -102,7 +109,11 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
         workers = min(parallelism, n_islands)
         shares = [seeds[w * n_islands // workers:(w + 1) * n_islands // workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [r for share in pool.map(run, repeat(island_cfg), repeat(target), shares) for r in share]
+            futures = [pool.submit(run, island_cfg, target, share) for share in shares]
+            errors = [e for e in (f.exception() for f in futures) if e is not None]
+            if errors:
+                raise min(errors, key=_failure_rank)
+            results = [r for f in futures for r in f.result()]
     return IslandEnsemble(results, seeds, tag)
 
 

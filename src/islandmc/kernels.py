@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .targets import EvalCounter
-
 
 @dataclass(frozen=True)
 class PcnConfig:
@@ -125,15 +123,19 @@ class Population:
     grad_ll: np.ndarray | None = None
 
     @classmethod
-    def initialize(cls, target, rng, n, counter=None, needs_grad=False):
-        """Draw n prior particles and fill every cache the kernel needs."""
-        theta = target.prior_sample(rng, n)
+    def at(cls, target, theta, counter=None, needs_grad=False):
+        """The population at the ``(n, d)`` states ``theta``, with every cache the kernel needs."""
         loglik = np.atleast_1d(target.log_likelihood(theta, counter))
         logprior = grad_ll = None
         if needs_grad:
             logprior = np.atleast_1d(target.log_prior(theta))
             grad_ll = target.grad_log_likelihood(theta, counter)
         return cls(theta, loglik, logprior, grad_ll)
+
+    @classmethod
+    def initialize(cls, target, rng, n, counter=None, needs_grad=False):
+        """Draw n prior particles and fill every cache the kernel needs."""
+        return cls.at(target, target.prior_sample(rng, n), counter, needs_grad)
 
     @classmethod
     def stack(cls, blocks):
@@ -156,11 +158,6 @@ class Population:
 
 def needs_gradient(cfg) -> bool:
     return isinstance(cfg, HmcConfig)
-
-
-def gradient_cost_per_step(cfg) -> int:
-    """Fresh gradient evaluations per kernel step with warm caches."""
-    return cfg.leapfrog_steps if isinstance(cfg, HmcConfig) else 0
 
 
 def _mass_vector(cfg, d):

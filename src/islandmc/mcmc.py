@@ -13,7 +13,8 @@ initialization): a serial chain takes ``B + (n - 1) * thin`` kernel
 steps, so its likelihood tally is ``steps + 1`` and, for HMC, its
 gradient tally is ``steps * leapfrog_steps + 1``.  A parallel chain is
 the ``n = 1`` case, and ``thin`` must be 1: ``B + 1`` likelihood
-evaluations.
+evaluations, and no gradient at all when ``B = 0``.  Both runners return
+the tally the target charged, not these formulas.
 
 Both kernels reject every NaN proposal and every proposal from a NaN or
 +inf state, so a chain that meets a NaN or +inf log-likelihood still
@@ -88,7 +89,7 @@ def run_chain_serial(cfg, target, seed, stats=None):
     rng = np.random.default_rng(seed)
     counter = EvalCounter()
     d = target.dim
-    pop = Population.initialize(target, rng, 1, counter, needs_grad=isinstance(cfg.kernel, HmcConfig))
+    pop = Population.initialize(target, rng, 1, counter, needs_grad=kernels.needs_gradient(cfg.kernel))
     check_finite_loglik(pop.loglik, pop.theta, 1.0, "at the start", "chains")
     samples = np.empty((cfg.n_samples, d))
     for i in range(cfg.n_samples):
@@ -115,8 +116,9 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
 
     Returns
     -------
-    (samples, epochs_per_chain)
-        Final states ``(len(seeds), d)`` and one EvalCounter per chain.
+    (samples, epochs)
+        Final states ``(len(seeds), d)`` and the EvalCounter of every
+        evaluation the chains made, together.
     """
     seeds = [check_seed(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
@@ -126,7 +128,6 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
         raise ValueError("need at least one seed")
     d = target.dim
     b = cfg.burn_in
-    use_hmc = isinstance(cfg.kernel, HmcConfig)
     counter = EvalCounter()
     theta0 = np.empty((n, d))
     normals = np.empty((b, n, d))
@@ -136,23 +137,12 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
         theta0[c] = target.prior_sample(rng)
         normals[:, c, :] = rng.standard_normal((b, d))
         log_u[:, c] = np.log(rng.random(b))
-    loglik = np.atleast_1d(target.log_likelihood(theta0, counter))
-    check_finite_loglik(loglik, theta0, 1.0, "at the start", "chains")
-    logprior = grad_ll = None
-    if use_hmc and b > 0:
-        logprior = np.atleast_1d(target.log_prior(theta0))
-        grad_ll = target.grad_log_likelihood(theta0, counter)
-    pop = Population(theta0, loglik, logprior, grad_ll)
+    # the gradient is needed only for the steps
+    pop = Population.at(target, theta0, counter, needs_grad=b > 0 and kernels.needs_gradient(cfg.kernel))
+    check_finite_loglik(pop.loglik, pop.theta, 1.0, "at the start", "chains")
     for step in range(b):
         kernels.population_step(
             pop, 1.0, cfg.kernel, target, normals[step], log_u[step], counter, stats
         )
     check_finite_loglik(pop.loglik, pop.theta, 1.0, "after the last step", "chains")
-    per_chain_lik = b + 1
-    per_chain_grad = b * kernels.gradient_cost_per_step(cfg.kernel)
-    if use_hmc and b > 0:
-        per_chain_grad += 1
-    assert counter.likelihood == n * per_chain_lik
-    assert counter.gradient == n * per_chain_grad
-    per_chain = [EvalCounter(per_chain_lik, per_chain_grad) for _ in range(n)]
-    return pop.theta, per_chain
+    return pop.theta, counter

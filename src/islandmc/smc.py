@@ -36,7 +36,15 @@ RESAMPLING_SCHEMES = ("multinomial", "systematic")
 
 
 class DegenerateWeightsError(ValueError):
-    """All weights are zero: the population cannot be normalized."""
+    """All weights are zero: the population cannot be normalized.
+
+    ``stage`` is the tempering stage of the weights, None outside the
+    stage loop.
+    """
+
+    def __init__(self, message, stage=None):
+        super().__init__(message)
+        self.stage = stage
 
 
 class ScheduleOverflowError(RuntimeError):
@@ -107,7 +115,8 @@ class SmcConfig:
         ``"multinomial"`` or ``"systematic"``.
     schedule : sequence of float, optional
         Fixed tempering exponents replacing the adaptive choice.  Must
-        be strictly increasing, start above 0, and end at exactly 1.
+        be finite, strictly increasing, start above 0, and end at
+        exactly 1.
         Fixing the schedule keeps the evidence estimate unbiased as
         long as the kernel settings are fixed too (``adapt_steps=False``
         and, for pCN, ``use_scaling=False``); estimating either from
@@ -140,6 +149,8 @@ class SmcConfig:
             raise ValueError(f"unknown resampling scheme {self.resampling!r}")
         if self.schedule is not None:
             sched = tuple(float(v) for v in self.schedule)
+            if not np.isfinite(sched).all():
+                raise ValueError("schedule entries must be finite")
             if len(sched) == 0 or sched[-1] != 1.0 or sched[0] <= 0.0:
                 raise ValueError("schedule must start above 0 and end at exactly 1")
             if any(b <= a for a, b in zip(sched, sched[1:])):
@@ -396,26 +407,13 @@ class IslandResult:
 
 @dataclass
 class _Island:
-    """The per-island state of the stage loop."""
+    """The per-island state of the stage loop; ``result`` is filled in place, its samples at the end."""
 
     seed: int
     rng: np.random.Generator
-    counter: EvalCounter
     step_size: float
+    result: IslandResult
     lam: float = 0.0
-    logz: LogZAccumulator = LogZAccumulator()
-    stats: KernelStats = field(default_factory=KernelStats)
-    schedule: list = field(default_factory=list)
-    stage_ess: list = field(default_factory=list)
-    log_weights: np.ndarray | None = None
-    result: IslandResult | None = None
-
-
-def _check_stall(islands, lams_new, stalled, stage_ess, stage, target_ess):
-    """Raise :class:`StalledTemperingError` for the first island whose bisection stalled."""
-    for island, lam_new, stall, island_ess in zip(islands, lams_new, stalled, stage_ess):
-        if stall:
-            raise StalledTemperingError(island.schedule + [lam_new], stage, lam_new, island_ess, target_ess)
 
 
 def run_smc(cfg, target, seed):
@@ -488,12 +486,13 @@ def run_smc_islands(cfg, target, seeds):
     pcn = isinstance(cfg.kernel, PcnConfig)
     step_size = cfg.kernel.beta if pcn else cfg.kernel.step_size
     islands = [
-        _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), EvalCounter(), step_size,
-                log_weights=np.zeros(n) if ais else None)
+        _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), step_size,
+                IslandResult(None, LogZAccumulator(), [], EvalCounter(), KernelStats(),
+                             log_weights=np.zeros(n) if ais else None))
         for seed in seeds
     ]
     pop = Population.stack([
-        Population.initialize(target, island.rng, n, island.counter,
+        Population.initialize(target, island.rng, n, island.result.epochs,
                               needs_grad=kernels.needs_gradient(cfg.kernel))
         for island in islands
     ])
@@ -515,14 +514,14 @@ def run_smc_islands(cfg, target, seeds):
         lams = [island.lam for island in active[:first_bad]]
         stalled = None
         if ladder is not None:
-            lams_new = [ladder[len(island.schedule)] for island in active[:first_bad]]
+            lams_new = [ladder[len(island.result.schedule)] for island in active[:first_bad]]
         else:
             lams_new, stalled = next_temperature(loglik[:first_bad], lams, cfg)
             lams_new = lams_new.tolist()
         stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
         if ais:
             for island, lw in zip(active, stage_lw):
-                island.log_weights += lw
+                island.result.log_weights += lw
         else:
             # one shift and exp of the stage weights feed the ESS, the
             # evidence and the resampling of every island, each in one
@@ -530,17 +529,19 @@ def run_smc_islands(cfg, target, seeds):
             head = active[:first_bad]
             top, w = _max_shift(stage_lw)
             stage_ess = _ess_of(w).tolist()
-            if stalled is not None:
-                _check_stall(head, lams_new, stalled, stage_ess, stage, cfg.ess_fraction * n)
-            logz = update_logz([island.logz for island in head], stage_lw, (top, w))
+            if stalled is not None and any(stalled):
+                b = stalled.index(True)
+                raise StalledTemperingError(head[b].result.schedule + [lams_new[b]], stage, lams_new[b],
+                                            stage_ess[b], cfg.ess_fraction * n)
+            logz = update_logz([island.result.logz for island in head], stage_lw, (top, w))
             ancestors = resample(stage_lw, cfg, [island.rng for island in head], w)
             for island, acc, island_ess in zip(head, logz, stage_ess):
-                island.logz = acc
-                island.stage_ess.append(island_ess)
+                island.result.logz = acc
+                island.result.stage_ess.append(island_ess)
         if first_bad < k:
             check_finite_loglik(loglik[first_bad], pop.theta[rows(first_bad)], active[first_bad].lam,
-                                f"stage {stage}", "particles")
-            raise DegenerateWeightsError("all weights are zero")
+                                f"stage {stage}", "particles", stage)
+            raise DegenerateWeightsError("all weights are zero", stage)
         if not ais:
             ancestors += np.arange(0, k * n, n)[:, None]
             pop.take(ancestors.ravel())
@@ -556,10 +557,11 @@ def run_smc_islands(cfg, target, seeds):
         )
         keep = []
         for b, (island, stats, lam_new) in enumerate(zip(active, stage_stats, lams_new)):
+            result = island.result
             # every evaluation of the sweep covers all blocks alike
-            island.counter.add_likelihood(stage_counter.likelihood // len(active))
-            island.counter.add_gradient(stage_counter.gradient // len(active))
-            island.stats.record(stats.proposals, stats.accepts)
+            result.epochs.add_likelihood(stage_counter.likelihood // len(active))
+            result.epochs.add_gradient(stage_counter.gradient // len(active))
+            result.kernel_stats.record(stats.proposals, stats.accepts)
             if not ais and cfg.adapt_steps and cfg.mutation_steps > 0:
                 island.step_size = kernels.adapt_step_size(
                     island.step_size, stats.last_rate, cfg.kernel.target_accept, stage - 1
@@ -567,14 +569,12 @@ def run_smc_islands(cfg, target, seeds):
                 if pcn:
                     island.step_size = min(island.step_size, 1.0)
             island.lam = lam_new
-            island.schedule.append(lam_new)
+            result.schedule.append(lam_new)
             if lam_new == 1.0:
                 if ais:
-                    island.logz = update_logz([island.logz], island.log_weights[None])[0]
-                island.result = IslandResult(
-                    pop.theta[rows(b)].copy(), island.logz, island.schedule,
-                    island.counter, island.stats, island.stage_ess, island.log_weights,
-                )
+                    result.logz = update_logz([result.logz], result.log_weights[None])[0]
+                result.samples = pop.theta[rows(b)].copy()
+                result.__post_init__()  # check the finished schedule
             else:
                 keep.append(b)
         if not keep:
@@ -582,4 +582,4 @@ def run_smc_islands(cfg, target, seeds):
         if len(keep) < len(active):
             pop.take(np.concatenate([np.arange(n * b, n * (b + 1)) for b in keep]))
             active = [active[b] for b in keep]
-    raise ScheduleOverflowError(active[0].schedule)
+    raise ScheduleOverflowError(active[0].result.schedule)

@@ -54,20 +54,25 @@ def logsumexp(a, axis=None, keepdims=False):
 
 
 class NumericalDomainError(ValueError):
-    """Raised when a sampler meets a NaN or +inf log-likelihood."""
+    """Raised when a sampler meets a NaN or +inf log-likelihood.
 
-    def __init__(self, message, theta=None, lam=None):
+    ``stage`` is the tempering stage it was met at, None outside the
+    SMC stage loop.
+    """
+
+    def __init__(self, message, theta=None, lam=None, stage=None):
         super().__init__(message)
         self.theta = theta
         self.lam = lam
+        self.stage = stage
 
 
-def check_finite_loglik(loglik, theta, lam, where, units):
+def check_finite_loglik(loglik, theta, lam, where, units, stage=None):
     """Raise :class:`NumericalDomainError` if an entry of ``loglik`` is NaN or +inf.
 
     The message starts with ``where`` and says which of the two occur in
     how many of ``loglik``'s ``units``; the error carries the rows of
-    ``theta`` that hold one, and ``lam``.
+    ``theta`` that hold one, ``lam`` and ``stage``.
     """
     nan = np.isnan(loglik)
     inf = loglik == np.inf
@@ -76,7 +81,7 @@ def check_finite_loglik(loglik, theta, lam, where, units):
         what = " or ".join(name for name, hit in (("NaN", nan), ("+inf", inf)) if hit.any())
         raise NumericalDomainError(
             f"{where}: log-likelihood is {what} for {int(bad.sum())} of {bad.size} {units} (lambda={lam})",
-            theta=theta[bad], lam=lam,
+            theta=theta[bad], lam=lam, stage=stage,
         )
 
 
@@ -98,16 +103,9 @@ class EvalCounter:
     def add_gradient(self, n: int = 1) -> None:
         self.gradient += int(n)
 
-    def merge(self, other: "EvalCounter") -> None:
-        self.likelihood += other.likelihood
-        self.gradient += other.gradient
-
     @property
     def epochs(self) -> int:
         return self.likelihood + self.gradient
-
-    def copy(self) -> "EvalCounter":
-        return EvalCounter(self.likelihood, self.gradient)
 
 
 def _block_height(width):

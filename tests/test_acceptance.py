@@ -366,11 +366,11 @@ def test_csv_determinism_and_epoch_accounting(tmp_path):
     exact &= counter.likelihood == steps + 1
     exact &= counter.gradient == steps * hmc.leapfrog_steps + 1
 
-    _, counters = run_chains_parallel(
+    _, counter = run_chains_parallel(
         McmcConfig(n_samples=1, burn_in=6, thin=1, kernel=hmc, mode="parallel"),
         target, seeds=list(range(8)))
-    exact &= all(c.likelihood == 7 for c in counters)
-    exact &= all(c.gradient == 6 * hmc.leapfrog_steps + 1 for c in counters)
+    exact &= counter.likelihood == 8 * 7
+    exact &= counter.gradient == 8 * (6 * hmc.leapfrog_steps + 1)
 
     sched = make_neal_schedule()
     _, _, counter = run_ais(AisConfig(n_samples=8, schedule=sched, kernel=pcn,

@@ -44,6 +44,8 @@ def test_config_validation():
         AisConfig(n_samples=4, schedule=(0.0, 0.5, 0.5, 1.0))
     with pytest.raises(ValueError):
         AisConfig(n_samples=4, schedule=(0.0, 1.0), mutation_steps=-1)
+    with pytest.raises(ValueError, match="^schedule entries must be finite"):
+        AisConfig(n_samples=8, schedule=(0.0, float("nan"), 1.0))
 
 
 def test_flat_likelihood_gives_zero_weights():

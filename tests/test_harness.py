@@ -484,6 +484,9 @@ def test_cli_bad_target_fields_exit_2_and_name_the_field(tmp_path, capsys):
     ({"target": {"kind": "gmm", "d": 1, "weights": [0.5, 0.5], "means": [[0.0], [1.0]], "weight": 0.9}},
      "target.weight"),
     ({"target": {"kind": "gmm", "d": 2, "weights": [0.5, 0.5]}}, "target.weights"),
+    # NaN passes every ordering check of a schedule
+    ({"method": {"kind": "smc_par", "schedule": [float("nan"), 1.0]}}, "method.schedule"),
+    ({"method": {"kind": "ais", "schedule": [0.0, float("nan"), 1.0]}}, "method.schedule"),
 ])
 def test_cli_rejects_unknown_and_non_finite_fields(tmp_path, capsys, overrides, path):
     # json writes and reads NaN and Infinity

@@ -388,11 +388,12 @@ def test_library_errors_survive_pickling():
     # a worker process sends its error back pickled
     errors = [
         DegenerateWeightsError("all weights are zero"),
+        DegenerateWeightsError("all weights are zero", stage=4),
         ScheduleOverflowError([0.25, 0.5]),
         ScheduleOverflowError([]),
         StalledTemperingError([1e-11], 3, 1e-11, 1.5, 8.0),
         NumericalDomainError("stage 2: log-likelihood is NaN for 2 of 8 particles (lambda=0.5)",
-                             theta=np.ones((2, 3)), lam=0.5),
+                             theta=np.ones((2, 3)), lam=0.5, stage=2),
         ConfigError("sweep[0].T: thin must be 1 in parallel mode"),
     ]
     for err in errors:
@@ -411,9 +412,20 @@ class _SharpGaussian(GaussianLinearModel):
         return 1e13 * super()._log_likelihood(theta)
 
 
+class _NanAbove(GaussianLinearModel):
+    """Linear model whose log-likelihood is NaN where theta_0 > 1.371 (module level, so workers unpickle it)."""
+
+    def _log_likelihood(self, theta):
+        return np.where(theta[..., 0] > 1.371, np.nan, super()._log_likelihood(theta))
+
+
 def test_worker_errors_equal_in_process_errors():
     base = make_gaussian_target(2, 4, 1.0, seed=0)
     cases = [
+        # the cut lies between the islands' largest initial theta_0 (1.124 and 1.618 at master 0):
+        # island 1 fails at stage 1, while island 0's worker share overflows the one-stage budget
+        (SmcConfig(16, 1, PcnConfig(beta=0.5), max_stages=1), _NanAbove(base.X, base.y, base.sigma),
+         NumericalDomainError, ("stage", "lam")),
         # every increment above the bisection tolerance leaves one particle dominant
         (SmcConfig(16, 1, PcnConfig(beta=0.5)), _SharpGaussian(base.X, base.y, base.sigma),
          StalledTemperingError, ("schedule", "stage", "lam", "ess", "target_ess")),
@@ -427,5 +439,8 @@ def test_worker_errors_equal_in_process_errors():
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert [getattr(got.value, f) for f in fields] == [getattr(want.value, f) for f in fields]
+        if error is NumericalDomainError:
+            assert str(want.value).startswith("stage 1: log-likelihood is NaN for 1 of 16 particles")
+            assert want.value.stage == 1 and np.array_equal(got.value.theta, want.value.theta)
     # the overflow message is built from its one-stage schedule, not from its own characters
     assert str(got.value).startswith("tempering did not reach 1.0 within 1 stages (last exponent 0.")

@@ -11,7 +11,6 @@ from islandmc.kernels import (
     Population,
     adapt_step_size,
     estimate_scaling,
-    gradient_cost_per_step,
     leapfrog,
     mutate,
     needs_gradient,
@@ -84,8 +83,6 @@ def test_config_validation():
 def test_cost_helpers():
     pcn, hmc = PcnConfig(), HmcConfig(leapfrog_steps=7)
     assert not needs_gradient(pcn) and needs_gradient(hmc)
-    assert gradient_cost_per_step(pcn) == 0
-    assert gradient_cost_per_step(hmc) == 7
 
 
 def test_leapfrog_free_flight():

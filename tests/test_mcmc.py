@@ -83,21 +83,21 @@ def test_parallel_no_burn_in_returns_prior_draws():
     target = prior_only(3)
     cfg = McmcConfig(n_samples=4, burn_in=0, kernel=PcnConfig(beta=0.5), mode="parallel")
     seeds = [5, 17, 99, 3]
-    samples, per_chain = run_chains_parallel(cfg, target, seeds)
+    samples, counter = run_chains_parallel(cfg, target, seeds)
     for c, s in enumerate(seeds):
         assert np.array_equal(samples[c], np.random.default_rng(s).standard_normal(3))
-    assert all(t.likelihood == 1 and t.gradient == 0 for t in per_chain)
+    assert counter.likelihood == 4 * 1 and counter.gradient == 0
 
 
 def test_parallel_eval_accounting():
     target = make_gaussian_target(2, 4, 1.0, seed=1)
     cfg = McmcConfig(n_samples=3, burn_in=25, kernel=PcnConfig(beta=0.5), mode="parallel")
-    _, per_chain = run_chains_parallel(cfg, target, [0, 1, 2])
-    assert all(t.likelihood == 26 and t.gradient == 0 for t in per_chain)
+    _, counter = run_chains_parallel(cfg, target, [0, 1, 2])
+    assert counter.likelihood == 3 * 26 and counter.gradient == 0
     kernel = HmcConfig(step_size=0.2, leapfrog_steps=3)
     cfg = McmcConfig(n_samples=3, burn_in=25, kernel=kernel, mode="parallel")
-    _, per_chain = run_chains_parallel(cfg, target, [0, 1, 2])
-    assert all(t.likelihood == 26 and t.gradient == 25 * 3 + 1 for t in per_chain)
+    _, counter = run_chains_parallel(cfg, target, [0, 1, 2])
+    assert counter.likelihood == 3 * 26 and counter.gradient == 3 * (25 * 3 + 1)
 
 
 def test_parallel_chains_exchangeable_under_seed_permutation():
@@ -179,7 +179,7 @@ def test_chains_raise_on_nan_start(kernel):
     with pytest.raises(NumericalDomainError) as err:
         run_chain_serial(serial, target, seeds[above.index(True)])
     assert str(err.value) == "at the start: log-likelihood is NaN for 1 of 1 chains (lambda=1.0)"
-    assert err.value.lam == 1.0
+    assert err.value.lam == 1.0 and err.value.stage is None
     assert err.value.theta.shape == (1, 2) and err.value.theta[0, 0] > 0.5
     # a chain that starts below the cut never takes a NaN proposal
     samples, _ = run_chain_serial(serial, target, seeds[above.index(False)])

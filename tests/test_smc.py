@@ -56,6 +56,10 @@ def test_config_validation():
         SmcConfig(n_particles=4, mutation_steps=1, schedule=(0.0, 1.0))
     with pytest.raises(ValueError):
         SmcConfig(n_particles=4, mutation_steps=1, schedule=(0.5, 0.5, 1.0))
+    # NaN passes every ordering comparison, so it is rejected on its own
+    for schedule in ((float("nan"), 1.0), (0.5, float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="^schedule entries must be finite"):
+            SmcConfig(n_particles=8, mutation_steps=1, schedule=schedule)
 
 
 def test_ess_uniform_weights():
@@ -623,10 +627,12 @@ def test_stacked_islands_raise_the_first_failing_islands_error(schedule):
     assert np.array_equal(got.value.theta, want.value.theta)
     assert got.value.theta.shape == (2, 2)
     assert got.value.lam == want.value.lam == 0.0
+    assert got.value.stage == want.value.stage == 1
     # an island with no finite log-likelihood before a NaN island: its error wins
     target = _BadInitialRows(base, {1: (all_rows, -np.inf), 2: ([4], np.nan)})
-    with pytest.raises(DegenerateWeightsError, match="all weights are zero"):
+    with pytest.raises(DegenerateWeightsError, match="all weights are zero") as err:
         smc.run_smc_islands(cfg, target, seeds)
+    assert err.value.stage == 1
     with pytest.raises(DegenerateWeightsError, match="all weights are zero"):
         run_smc(cfg, _BadInitialRows(base, {0: (all_rows, -np.inf)}), seeds[1])
     # and a NaN island before a dead one raises the NaN
@@ -673,7 +679,7 @@ def test_run_smc_pos_inf_likelihood_raises_domain_error(resampling):
     target = _BadInitialRows(base, {0: ([2, 6, 7], np.inf)})
     with pytest.raises(NumericalDomainError, match=r"stage 1: log-likelihood is \+inf for 3 of 8 particles \(lambda=0.0\)") as err:
         run_smc(cfg, target, seed=0)
-    assert err.value.lam == 0.0
+    assert (err.value.lam, err.value.stage) == (0.0, 1)
     assert err.value.theta.shape == (3, 3)
     target = _BadInitialRows(base, {0: ([1, 4], [np.inf, np.nan])})
     with pytest.raises(NumericalDomainError, match=r"stage 1: log-likelihood is NaN or \+inf for 2 of 8"):
@@ -683,7 +689,7 @@ def test_run_smc_pos_inf_likelihood_raises_domain_error(resampling):
     target = _BadInitialRows(base, {1: ([0, 5], np.inf)})
     with pytest.raises(NumericalDomainError, match=r"stage 2: log-likelihood is \+inf for 2 of 8") as err:
         run_smc(cfg, target, seed=0)
-    assert err.value.theta.shape == (2, 3)
+    assert err.value.theta.shape == (2, 3) and err.value.stage == 2
     assert 0.0 < err.value.lam < 1.0
 
 

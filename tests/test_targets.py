@@ -561,14 +561,6 @@ def test_gaussian_loglik_equals_old_expression():
             assert _same_bits(model.log_likelihood(theta), old)
 
 
-def test_counter_merge_and_copy():
-    a = EvalCounter(3, 2)
-    b = a.copy()
-    a.merge(EvalCounter(1, 1))
-    assert (a.likelihood, a.gradient) == (4, 3)
-    assert (b.likelihood, b.gradient) == (3, 2)
-
-
 def test_logistic_requires_intercept_and_binary_labels():
     with pytest.raises(ValueError):
         LogisticTarget(np.array([[0.0, 1.0]]), np.array([1.0]))

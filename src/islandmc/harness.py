@@ -341,7 +341,7 @@ def _point_config(method_spec, point, target, index):
     if isinstance(kernel, HmcConfig) and np.ndim(kernel.mass) != 0 and np.shape(kernel.mass) != (target.dim,):
         raise ConfigError(
             f"method.kernel.mass: expected a number or a list of {target.dim} numbers "
-            f"(target.dim), got {kernel.mass!r}"
+            f"(target.dim), got {list(kernel.mass)!r}"
         )
     if kind in ("smc", "mcmc") and point.P != 1:
         raise ConfigError(f"sweep[{index}].P: method {kind!r} requires P = 1 (use {kind}_par for islands)")

@@ -76,8 +76,8 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     n_islands)`` worker processes, each of which runs the islands of a
     contiguous share of the seeds the way this process would.  Results
     come back in seed order.  MCMC islands are identical either way,
-    and so are SMC and AIS islands when the target's likelihood block
-    height divides the population size.
+    and so are SMC and AIS islands when the target's likelihood and
+    gradient block heights both divide the population size.
     Otherwise a worker's stack splits the rows into other blocks, and an
     island can differ in the last bits (see :func:`smc.run_smc_islands`).
 

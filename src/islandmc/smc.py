@@ -465,8 +465,8 @@ def run_smc_islands(cfg, target, seeds):
     exponent 1.
 
     Island ``p`` equals its one-seed run bit for bit when the target's
-    likelihood block height (see ``targets._GaussianPriorTarget``)
-    divides the population size: its rows then fill whole blocks of the
+    likelihood and gradient block heights (see
+    ``targets._GaussianPriorTarget``) both divide the population size: its rows then fill whole blocks of the
     stack, and each block is evaluated as in the one-island run.
     Otherwise a block mixes rows of several islands, and a row can get
     a different last bit: BLAS need not give a row of a product the

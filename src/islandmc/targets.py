@@ -128,17 +128,19 @@ class _GaussianPriorTarget:
     The public likelihood and gradient methods check the input, charge
     the counter once for the whole batch, and evaluate the subclass's
     ``_log_likelihood``/``_grad_log_likelihood`` in row blocks of at most
-    ``_block_rows`` rows.  Each subclass sets ``_block_rows`` once, with
-    :func:`_block_height` of the width of its widest per-row temporary,
-    so that those temporaries stay in the per-core cache however wide the
-    batch.  A single vector or a batch of at most ``_block_rows`` rows is
-    one call.  A row's value depends only on its own block, so two calls
-    whose blocks hold the same rows return the same values for them.
+    ``_block_rows``/``_grad_block_rows`` rows.  Each subclass sets both
+    once, with :func:`_block_height` of the width of the widest per-row
+    temporary of each method, so that those temporaries stay in the
+    per-core cache however wide the batch.  A single vector or a batch
+    of at most that many rows is one call.  A row's value depends only
+    on its own block, so two calls whose blocks hold the same rows
+    return the same values for them.
     """
 
     dim: int
     prior_std: float
     _block_rows: int
+    _grad_block_rows: int
 
     def _set_prior(self, dim, std):
         """Set the N(0, std**2 I) prior on ``dim`` parameters."""
@@ -181,16 +183,16 @@ class _GaussianPriorTarget:
         theta = self._check(theta)
         if counter is not None:
             counter.add_likelihood(1 if theta.ndim == 1 else theta.shape[0])
-        return self._in_blocks(self._log_likelihood, theta)
+        return self._in_blocks(self._log_likelihood, theta, self._block_rows)
 
     def grad_log_likelihood(self, theta, counter: EvalCounter | None = None):
         theta = self._check(theta)
         if counter is not None:
             counter.add_gradient(1 if theta.ndim == 1 else theta.shape[0])
-        return self._in_blocks(self._grad_log_likelihood, theta)
+        return self._in_blocks(self._grad_log_likelihood, theta, self._grad_block_rows)
 
-    def _in_blocks(self, evaluate, theta):
-        h = self._block_rows
+    @staticmethod
+    def _in_blocks(evaluate, theta, h):
         if theta.ndim == 1 or theta.shape[0] <= h:
             return evaluate(theta)
         return np.concatenate([evaluate(theta[i:i + h]) for i in range(0, theta.shape[0], h)])
@@ -236,19 +238,40 @@ class GaussianLinearModel(_GaussianPriorTarget):
         self.y = y
         self.sigma = float(sigma)
         self._set_prior(d, 1.0)
+        # the gradient's only per-row temporary is d wide, the log-likelihood's m
         self._block_rows = _block_height(m)
+        self._grad_block_rows = _block_height(d)
         # G and b of the gradient b - theta G, and the constants of the
         # log-likelihood, which stays in residual form (a Gram form would cancel)
         self._gram = X.T @ X / self.sigma**2
         self._xty = X.T @ y / self.sigma**2
         self._ll_const = -0.5 * m * (LOG_2PI + 2.0 * np.log(self.sigma))
         self._two_var = 2.0 * self.sigma**2
+        self._tiles = {}
+
+    def __getstate__(self):
+        return {**self.__dict__, "_tiles": {}}
+
+    def _from_tile(self, name, rows):
+        """``self.<name> - rows``, in place in ``rows``.
+
+        numpy subtracts a full-shape operand faster than a broadcast row,
+        with the same differences, so the row is kept repeated in a tile
+        as tall as the tallest batch met.
+        """
+        row = getattr(self, name)
+        if rows.ndim == 2:
+            tile = self._tiles.get(name)
+            if tile is None or len(tile) < len(rows):
+                tile = self._tiles[name] = np.tile(row, (len(rows), 1))
+            row = tile[:len(rows)]
+        return np.subtract(row, rows, out=rows)
 
     def _log_likelihood(self, theta):
         if self.X.shape[0] == 0:
             return np.zeros(theta.shape[:-1]) if theta.ndim > 1 else 0.0
-        resid = self.y - theta @ self.X.T
-        quad = np.sum(np.square(resid), axis=-1) / self._two_var
+        resid = self._from_tile("y", theta @ self.X.T)
+        quad = np.sum(np.square(resid, out=resid), axis=-1) / self._two_var
         return self._ll_const - quad
 
     def _grad_log_likelihood(self, theta):
@@ -257,8 +280,7 @@ class GaussianLinearModel(_GaussianPriorTarget):
         At ``m = 0`` the Gram matrix is zero: a finite row gets ``+0.0``
         entries, and a row with a NaN or infinite entry gets NaN entries.
         """
-        grad = theta @ self._gram
-        return np.subtract(self._xty, grad, out=grad)
+        return self._from_tile("_xty", theta @ self._gram)
 
     def analytic_posterior(self):
         """Closed-form posterior mean, covariance, and log evidence.
@@ -351,7 +373,7 @@ class GmmTarget(_GaussianPriorTarget):
         self.means = means
         self._log_weights = np.log(weights)
         self._set_prior(means.shape[1], 1.0)
-        self._block_rows = _block_height(means.size)
+        self._block_rows = self._grad_block_rows = _block_height(means.size)
 
     def mixture_mean(self) -> np.ndarray:
         return self.weights @ self.means
@@ -419,7 +441,7 @@ class LogisticTarget(_GaussianPriorTarget):
         self.y = y
         self.prior_var = float(prior_var)
         self._set_prior(X.shape[1], np.sqrt(prior_var))
-        self._block_rows = _block_height(X.shape[0])
+        self._block_rows = self._grad_block_rows = _block_height(X.shape[0])
         # one buffer per concurrent caller for the second temporary of
         # _log_likelihood, as large as the largest block it has seen
         self._scratch = []

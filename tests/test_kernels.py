@@ -1,9 +1,11 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from islandmc import kernels
 from islandmc.kernels import (
     HmcConfig,
     KernelStats,
@@ -78,6 +80,37 @@ def test_config_validation():
             HmcConfig(step_size=value)
         with pytest.raises(ValueError, match="^scaling_floor must be positive and finite"):
             PcnConfig(scaling_floor=value)
+
+
+def test_hmc_config_mass_compares_hashes_and_keeps_no_alias():
+    # the mass is stored as a float or a tuple of floats: configs compare
+    # and hash by value, and the caller's array is not kept
+    a, b = HmcConfig(mass=np.array([2.0, 2.0])), HmcConfig(mass=[2.0, 2.0])
+    assert a == b and hash(a) == hash(b)
+    assert a.mass == (2.0, 2.0) and all(type(v) is float for v in a.mass)
+    assert HmcConfig(mass=2) == HmcConfig(mass=np.float64(2.0)) and type(HmcConfig(mass=2).mass) is float
+    assert HmcConfig(mass=[2.0, 2.0]) != HmcConfig(mass=2.0)
+    assert len({a, b, HmcConfig(), HmcConfig(mass=1.0)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.mass = 1.0
+    with pytest.raises(ValueError, match="^mass must be a number or a vector"):
+        HmcConfig(mass=[[1.0, 2.0]])
+    m = np.array([2.0, 2.0])
+    cfg = HmcConfig(step_size=0.3, leapfrog_steps=3, mass=m)
+    m[0] = -1.0
+    assert cfg.mass == (2.0, 2.0)
+    vec = kernels._mass_vector(cfg.mass, 2)
+    assert np.array_equal(vec, [2.0, 2.0]) and not vec.flags.writeable
+    # an all-ones vector is still a unit mass
+    assert kernels._mass_vector(HmcConfig(mass=[1.0, 1.0]).mass, 2) is None
+    with pytest.raises(ValueError, match=r"mass has shape \(2,\), expected \(3,\)"):
+        kernels._mass_vector(cfg.mass, 3)
+    # the sweep moves with the validated mass: finite momenta and states
+    target = make_gaussian_target(2, 5, 1.0, seed=1)
+    pop = Population.initialize(target, np.random.default_rng(2), 8, needs_grad=True)
+    z = np.random.default_rng(3).standard_normal((8, 2))
+    accepted = population_step(pop, 1.0, cfg, target, z, np.log(np.full(8, 0.5)))
+    assert accepted > 0 and np.isfinite(pop.theta).all() and np.isfinite(pop.grad_ll).all()
 
 
 def test_cost_helpers():
@@ -494,6 +527,42 @@ def test_hmc_population_step_replays_boolean_mask_reference(mass, sigma):
             assert np.array_equal(getattr(pop, name), getattr(ref, name))
         assert stats == ref_stats
         assert counter == ref_counter
+
+
+def test_mutate_at_the_workload_shape_replays_the_reference_sweep_by_sweep(monkeypatch):
+    # the C1 shape: d = 16, m = 32, unit mass, 8 stacked blocks of 32 rows
+    # with their own exponent and step size; mutate's stage constants (full
+    # (n, d) exponents and steps, the half step, the cached mass) and its
+    # full-shape masks must give every sweep the reference's every bit
+    target = make_gaussian_target(16, 32, 1.0, seed=0, theta_star=np.ones(16))
+    cfg = HmcConfig(step_size=0.1, leapfrog_steps=10)
+    seeds, n, stage, steps = list(range(40, 48)), 32, 5, 3
+    lams = np.linspace(0.05, 0.9, len(seeds))
+    step_sizes = np.linspace(0.04, 0.25, len(seeds))
+    pop = Population.stack([_block_population(target, s, n, True) for s in seeds])
+    ref = Population(pop.theta.copy(), pop.loglik.copy(), pop.logprior.copy(), pop.grad_ll.copy())
+    snapshots = []
+    sweep = kernels.population_step
+
+    def recording(p, *args, **kwargs):
+        accepted = sweep(p, *args, **kwargs)
+        snapshots.append((accepted, [getattr(p, name).copy() for name in ("theta", "loglik", "logprior", "grad_ll")]))
+        return accepted
+
+    monkeypatch.setattr(kernels, "population_step", recording)
+    counter, ref_counter = EvalCounter(), EvalCounter()
+    accepted = mutate(pop, lams, steps, cfg, target, seeds, stage, counter, step_size=step_sizes)
+    assert len(snapshots) == steps and accepted == sum(a for a, _ in snapshots)
+    noise = [stage_noise(s, stage, n, steps, 16) for s in seeds]
+    normals = np.concatenate([z for z, _ in noise])
+    log_u = np.concatenate([u for _, u in noise])
+    lam, dt = np.repeat(lams, n)[:, None], np.repeat(step_sizes, n)[:, None]
+    for s, (got_accepted, got) in enumerate(snapshots):
+        accept = _reference_hmc_population_step(ref, lam, cfg, dt, target, normals[:, s], log_u[:, s], ref_counter)
+        assert got_accepted == accept.sum() and 0 < accept.sum() < accept.size
+        for name, value in zip(("theta", "loglik", "logprior", "grad_ll"), got):
+            assert np.array_equal(value, getattr(ref, name))
+    assert counter == ref_counter
 
 
 def test_mutate_rejects_unequal_blocks():

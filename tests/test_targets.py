@@ -463,6 +463,72 @@ def test_gaussian_grads_equal_gram_and_prior_expressions():
         assert np.array_equal(theta, before)
 
 
+def test_gaussian_tiles_equal_the_broadcast_formulas():
+    # b - theta G and y - theta X^T subtract from a kept tile of repeated
+    # rows; every edge gives the broadcast expressions' every bit
+    rng = np.random.default_rng(14)
+
+    def grad(model, theta):
+        return model._xty - theta @ model._gram
+
+    def loglik(model, theta):
+        if model.X.shape[0] == 0:
+            return np.zeros(theta.shape[:-1]) if theta.ndim > 1 else 0.0
+        resid = model.y - theta @ model.X.T
+        return model._ll_const - np.sum(np.square(resid), axis=-1) / model._two_var
+
+    model = GaussianLinearModel(rng.standard_normal((9, 4)), rng.standard_normal(9), 0.8)
+    wide = rng.standard_normal((30, 8))
+    batches = {
+        "vector": rng.standard_normal(4),
+        "one row": rng.standard_normal((1, 4)),
+        "short": rng.standard_normal((5, 4)),
+        "taller than the tile": rng.standard_normal((40, 4)),
+        "back under the tile": rng.standard_normal((3, 4)),
+        "non-contiguous": wide[::3, ::2],
+    }
+    for name, theta in batches.items():
+        assert _same_bits(model.grad_log_likelihood(theta), grad(model, theta)), name
+        assert _same_bits(model.log_likelihood(theta), loglik(model, theta)), name
+    # each tile grew to the tallest batch met, and is left out of a pickle
+    assert {k: t.shape for k, t in model._tiles.items()} == {"_xty": (40, 4), "y": (40, 9)}
+    assert np.array_equal(model._tiles["y"], np.tile(model.y, (40, 1)))
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy._tiles == {} and model._tiles
+    assert _same_bits(copy.grad_log_likelihood(batches["short"]), grad(model, batches["short"]))
+    empty = GaussianLinearModel(np.zeros((0, 3)), np.zeros(0), 1.0)
+    for theta in (rng.standard_normal(3), rng.standard_normal((6, 3))):
+        assert _same_bits(empty.grad_log_likelihood(theta), grad(empty, theta))
+        assert _same_bits(np.asarray(empty.log_likelihood(theta)), np.asarray(loglik(empty, theta)))
+
+
+def test_gaussian_gradient_runs_in_its_own_block_height():
+    # the Gram-form gradient's per-row temporary is d wide: at m = 4096 the
+    # log-likelihood takes a 256-row batch in 8-row blocks, the gradient in one call
+    model = make_gaussian_target(2, 4096, 1.0, seed=0)
+    assert (model._block_rows, model._grad_block_rows) == (8, 16384)
+    assert make_gaussian_target(16, 32, 1.0, seed=0)._grad_block_rows == 2048
+    logistic, gmm = make_logistic_target(15, 690, seed=0), make_bimodal_gmm(3)
+    assert logistic._grad_block_rows == logistic._block_rows and gmm._grad_block_rows == gmm._block_rows
+    calls = {"ll": 0, "grad": 0}
+    ll, grad = model._log_likelihood, model._grad_log_likelihood
+
+    def counted(key, fn):
+        def wrapper(theta):
+            calls[key] += 1
+            return fn(theta)
+        return wrapper
+
+    model._log_likelihood, model._grad_log_likelihood = counted("ll", ll), counted("grad", grad)
+    theta = np.random.default_rng(15).standard_normal((256, 2))
+    counter = EvalCounter()
+    model.log_likelihood(theta, counter)
+    got = model.grad_log_likelihood(theta, counter)
+    assert calls == {"ll": 32, "grad": 1}
+    assert (counter.likelihood, counter.gradient) == (256, 256)
+    assert _same_bits(got, grad(theta))
+
+
 def _same_bits(a, b):
     """Equal values, NaN and the sign of zero included."""
     a, b = np.asarray(a), np.asarray(b)

@@ -196,7 +196,7 @@ def _spread(x, shape):
     return np.broadcast_to(x, shape).copy() if np.ndim(x) and np.shape(x) != shape else x
 
 
-def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step_size=None, half_step=None):
+def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step_size=None):
     """Integrate Hamiltonian dynamics for ``cfg.leapfrog_steps`` steps.
 
     Uses the kick-drift-kick scheme: a half momentum update, a full
@@ -206,7 +206,7 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step
     log-likelihood gradient ``grad_ll`` is supplied, one more otherwise.
     ``lam`` and ``step_size`` (default ``cfg.step_size``) are scalars,
     per-row ``(n, 1)`` columns or full arrays of ``theta``'s shape, used
-    as given; ``half_step`` defaults to ``0.5 * step_size``.
+    as given.
 
     The integration runs in place in copies of ``theta`` and
     ``momentum``: the arrays passed in, ``grad_ll`` included, are never
@@ -223,7 +223,7 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step
     shape = theta.shape
     mass = _mass_vector(cfg.mass, shape[-1])
     dt = cfg.step_size if step_size is None else step_size
-    half_dt = _spread(0.5 * dt if half_step is None else half_step, shape)
+    half_dt = _spread(0.5 * dt, shape)
     dt = _spread(dt, shape)
     lam = _spread(lam, shape)
     steps = cfg.leapfrog_steps
@@ -288,7 +288,7 @@ def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter)
     return accept
 
 
-def _hmc_population_step(pop, lam, cfg, dt, half_dt, target, z, log_u, counter):
+def _hmc_population_step(pop, lam, cfg, dt, target, z, log_u, counter):
     """One HMC sweep over the population with pre-drawn noise; returns the accept mask.
 
     ``z`` holds standard-normal draws; momenta are ``sqrt(mass) * z``,
@@ -303,7 +303,7 @@ def _hmc_population_step(pop, lam, cfg, dt, half_dt, target, z, log_u, counter):
     h0 = -(lam_rows * pop.loglik + pop.logprior) + _kinetic(momentum, mass)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         theta_new, momentum_new, grad_new = leapfrog(
-            pop.theta, momentum, lam, cfg, target, counter, grad_ll=pop.grad_ll, step_size=dt, half_step=half_dt
+            pop.theta, momentum, lam, cfg, target, counter, grad_ll=pop.grad_ll, step_size=dt
         )
         ll_new = np.atleast_1d(target.log_likelihood(theta_new, counter))
         lp_new = np.atleast_1d(target.log_prior(theta_new))
@@ -317,14 +317,12 @@ def _hmc_population_step(pop, lam, cfg, dt, half_dt, target, z, log_u, counter):
     return accept
 
 
-def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=None, scaling=None, step_size=None,
-                    half_step=None):
+def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=None, scaling=None, step_size=None):
     """Dispatch one kernel sweep and return the number of accepted proposals.
 
     ``lam`` and ``step_size`` (pCN ``beta`` or HMC ``step_size``; the
     config value when omitted) are scalars or per-row ``(n, 1)`` columns;
-    HMC also takes full ``(n, d)`` arrays and the ``half_step`` of
-    :func:`leapfrog`.  The pCN ``scaling`` is ``(d,)`` or per-row
+    HMC also takes full ``(n, d)`` arrays.  The pCN ``scaling`` is ``(d,)`` or per-row
     ``(n, d)``, unit when omitted.  ``stats`` is one
     :class:`KernelStats` or a sequence of them, one per equal block of
     rows.
@@ -336,7 +334,7 @@ def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=N
         accept = _pcn_population_step(pop, lam, beta, scaling, target, normals, log_u, counter)
     else:
         dt = cfg.step_size if step_size is None else step_size
-        accept = _hmc_population_step(pop, lam, cfg, dt, half_step, target, normals, log_u, counter)
+        accept = _hmc_population_step(pop, lam, cfg, dt, target, normals, log_u, counter)
     if isinstance(stats, KernelStats):
         stats.record(accept.size, accept.sum())
     elif stats is not None:
@@ -382,8 +380,8 @@ def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None
     ``(d,)`` or ``(B, d)``, and ``stats`` one :class:`KernelStats` or
     one per block.
 
-    HMC spreads ``lam`` and the step sizes to full ``(n, d)`` arrays and
-    builds the half step once for all the stage's sweeps.
+    HMC spreads ``lam`` and the step sizes to full ``(n, d)`` arrays
+    once for all the stage's sweeps.
 
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
@@ -395,11 +393,9 @@ def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None
     block_rows = n // n_blocks
     lam = _per_row(lam, n_blocks, block_rows)
     step_size = None if step_size is None else _per_row(step_size, n_blocks, block_rows)
-    half_step = None
     if needs_gradient(cfg):
         lam = _spread(lam, (n, d))
         step_size = _spread(cfg.step_size if step_size is None else step_size, (n, d))
-        half_step = 0.5 * step_size
     if scaling is not None and np.ndim(scaling) == 2:
         scaling = np.repeat(scaling, block_rows, axis=0)
     normals = np.empty((n, n_steps, d))
@@ -414,7 +410,7 @@ def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None
     accepted = 0
     for s, step_normals in enumerate(normals.transpose(1, 0, 2)):
         accepted += population_step(
-            pop, lam, cfg, target, step_normals, log_u[s], counter, stats, scaling, step_size, half_step
+            pop, lam, cfg, target, step_normals, log_u[s], counter, stats, scaling, step_size
         )
     return accepted
 

@@ -532,7 +532,7 @@ def test_hmc_population_step_replays_boolean_mask_reference(mass, sigma):
 def test_mutate_at_the_workload_shape_replays_the_reference_sweep_by_sweep(monkeypatch):
     # the C1 shape: d = 16, m = 32, unit mass, 8 stacked blocks of 32 rows
     # with their own exponent and step size; mutate's stage constants (full
-    # (n, d) exponents and steps, the half step, the cached mass) and its
+    # (n, d) exponents and steps, the cached mass) and its
     # full-shape masks must give every sweep the reference's every bit
     target = make_gaussian_target(16, 32, 1.0, seed=0, theta_star=np.ones(16))
     cfg = HmcConfig(step_size=0.1, leapfrog_steps=10)

@@ -30,7 +30,6 @@ class IslandEnsemble:
 
     results: list
     seeds: list
-    method_tag: str
 
     def logz_totals(self) -> np.ndarray:
         return np.array([r.logz.total for r in self.results])
@@ -90,12 +89,10 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
         raise ValueError("n_islands must be positive")
     if parallelism < 1:
         raise ValueError("parallelism must be positive")
-    if isinstance(island_cfg, SmcConfig):
-        tag, run = "smc", smc_mod.run_smc_islands
-    elif isinstance(island_cfg, AisConfig):
-        tag, run = "ais", smc_mod.run_smc_islands
+    if isinstance(island_cfg, (SmcConfig, AisConfig)):
+        run = smc_mod.run_smc_islands
     elif isinstance(island_cfg, McmcConfig):
-        tag, run = "mcmc", _run_mcmc_islands
+        run = _run_mcmc_islands
     else:
         raise TypeError(
             f"island_cfg must be an SmcConfig, AisConfig or McmcConfig, not {type(island_cfg).__name__}"
@@ -114,7 +111,7 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
             if errors:
                 raise min(errors, key=_failure_rank)
             results = [r for f in futures for r in f.result()]
-    return IslandEnsemble(results, seeds, tag)
+    return IslandEnsemble(results, seeds)
 
 
 def _checked_evidence(logz_totals):

@@ -220,12 +220,9 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step
     """
     theta = np.array(theta, dtype=float)
     momentum = np.array(momentum, dtype=float)
-    shape = theta.shape
-    mass = _mass_vector(cfg.mass, shape[-1])
+    mass = _mass_vector(cfg.mass, theta.shape[-1])
     dt = cfg.step_size if step_size is None else step_size
-    half_dt = _spread(0.5 * dt, shape)
-    dt = _spread(dt, shape)
-    lam = _spread(lam, shape)
+    half_dt = 0.5 * dt
     steps = cfg.leapfrog_steps
     if grad_ll is None:
         grad_ll = target.grad_log_likelihood(theta, counter)

@@ -443,26 +443,23 @@ def run_smc_islands(cfg, target, seeds):
 
     ``cfg`` is an :class:`SmcConfig`, or an :class:`ais.AisConfig` for
     annealed importance sampling.  An AIS island walks the fixed ladder
-    ``cfg.schedule[1:]`` and adds each stage's ``(lambda_new - lambda)
-    * loglik`` to per-particle log weights, in stage order.  It has no
-    ESS bisection, evidence accumulation or resampling, uses unit pCN
-    scaling and never adapts its step size.  Its result carries the
-    final ``log_weights``, their log mean as ``logz`` and an empty
+    ``cfg.schedule[1:]`` and keeps per-particle log weights in place of
+    stage ESS, evidence accumulation and resampling.  Its result carries
+    the final ``log_weights``, their log mean as ``logz`` and an empty
     ``stage_ess``.
 
     Island ``p`` has its own base stream, tempering ladder, evidence,
     resampling, pCN scaling, step size, kernel statistics and
     evaluation tally, as in the one-seed call with ``seeds[p]``
-    (:func:`run_smc`, :func:`ais.run_ais`).  Only the block passes are
-    shared: each stage bisects the next exponents of the islands still
-    below exponent 1 in one :func:`next_temperature` call on their
-    ``(P, N)`` log-likelihood block, computes their stage ESS, evidence
-    updates, resampling and pCN scalings in one pass each, and mutates
-    them as one stacked population in one :func:`kernels.mutate` call,
-    with island ``p``'s rows drawing all of a stage's noise from the one
-    stream keyed ``(seeds[p], stage, 1)``.  Island ``p`` resamples with uniforms from its own
-    base stream.  An island leaves the stack once it reaches
-    exponent 1.
+    (:func:`run_smc`, :func:`ais.run_ais`): its rows draw all of a
+    stage's noise from the one stream keyed ``(seeds[p], stage, 1)``,
+    and its resampling uniforms from its base stream.  Only the block
+    passes are shared.  Each stage scans the ``(P, N)`` log-likelihood
+    block of the P islands still below exponent 1 for failures, then
+    runs four phases over them: :func:`_reweight`, :func:`_weigh`,
+    :func:`_mutate` and :func:`_settle`.  Their docstrings say what
+    each phase does and where SMC and AIS differ.  An island leaves the
+    stack once it reaches exponent 1.
 
     Island ``p`` equals its one-seed run bit for bit when the target's
     likelihood and gradient block heights (see
@@ -483,8 +480,7 @@ def run_smc_islands(cfg, target, seeds):
     ais = not isinstance(cfg, SmcConfig)
     n = cfg.n_samples if ais else cfg.n_particles
     ladder = cfg.schedule[1:] if ais else cfg.schedule  # None: adaptive
-    pcn = isinstance(cfg.kernel, PcnConfig)
-    step_size = cfg.kernel.beta if pcn else cfg.kernel.step_size
+    step_size = cfg.kernel.beta if isinstance(cfg.kernel, PcnConfig) else cfg.kernel.step_size
     islands = [
         _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), step_size,
                 IslandResult(None, LogZAccumulator(), [], EvalCounter(), KernelStats(),
@@ -497,89 +493,121 @@ def run_smc_islands(cfg, target, seeds):
         for island in islands
     ])
     active = list(islands)
-
-    def rows(b):
-        """The rows of block ``b`` of ``pop``, which holds ``active[b]``."""
-        return slice(b * n, (b + 1) * n)
-
     for stage in range(1, (len(ladder) if ais else cfg.max_stages) + 1):
-        k = len(active)
-        loglik = pop.loglik.reshape(k, n)
+        loglik = pop.loglik.reshape(len(active), n)
         # a row with a NaN or +inf, or with no finite log-likelihood, fails;
-        # the islands before the first such row still reweight and resample
+        # the islands before the first such row still reweight and weigh
         # first, as their one-island runs would
-        top = loglik.max(axis=1)
-        failed = np.flatnonzero(~np.isfinite(top))
-        first_bad = failed[0] if failed.size else k
-        lams = [island.lam for island in active[:first_bad]]
-        stalled = None
-        if ladder is not None:
-            lams_new = [ladder[len(island.result.schedule)] for island in active[:first_bad]]
-        else:
-            lams_new, stalled = next_temperature(loglik[:first_bad], lams, cfg)
-            lams_new = lams_new.tolist()
-        stage_lw = np.subtract(lams_new, lams)[:, None] * loglik[:first_bad]
-        if ais:
-            for island, lw in zip(active, stage_lw):
-                island.result.log_weights += lw
-        else:
-            # one shift and exp of the stage weights feed the ESS, the
-            # evidence and the resampling of every island, each in one
-            # block pass
-            head = active[:first_bad]
-            top, w = _max_shift(stage_lw)
-            stage_ess = _ess_of(w).tolist()
-            if stalled is not None and any(stalled):
-                b = stalled.index(True)
-                raise StalledTemperingError(head[b].result.schedule + [lams_new[b]], stage, lams_new[b],
-                                            stage_ess[b], cfg.ess_fraction * n)
-            logz = update_logz([island.result.logz for island in head], stage_lw, (top, w))
-            ancestors = resample(stage_lw, cfg, [island.rng for island in head], w)
-            for island, acc, island_ess in zip(head, logz, stage_ess):
-                island.result.logz = acc
-                island.result.stage_ess.append(island_ess)
-        if first_bad < k:
-            check_finite_loglik(loglik[first_bad], pop.theta[rows(first_bad)], active[first_bad].lam,
+        failed = np.flatnonzero(~np.isfinite(loglik.max(axis=1)))
+        head = active[:failed[0]] if failed.size else active
+        lams_new, stalled, stage_lw = _reweight(cfg, ladder, head, loglik[:len(head)])
+        ancestors = _weigh(cfg, head, stage, lams_new, stalled, stage_lw)
+        if failed.size:
+            b = failed[0]
+            check_finite_loglik(loglik[b], pop.theta[b * n:(b + 1) * n], active[b].lam,
                                 f"stage {stage}", "particles", stage)
             raise DegenerateWeightsError("all weights are zero", stage)
-        if not ais:
-            ancestors += np.arange(0, k * n, n)[:, None]
-            pop.take(ancestors.ravel())
-        scaling = None
-        if not ais and pcn and cfg.kernel.use_scaling:
-            scaling = kernels.estimate_scaling(pop.theta.reshape(k, n, -1), cfg.kernel.scaling_floor)
-        stage_stats = [KernelStats() for _ in active]
-        stage_counter = EvalCounter()
-        kernels.mutate(
-            pop, lams_new, cfg.mutation_steps, cfg.kernel, target,
-            [island.seed for island in active], stage, stage_counter, stage_stats,
-            scaling, [island.step_size for island in active],
-        )
-        keep = []
-        for b, (island, stats, lam_new) in enumerate(zip(active, stage_stats, lams_new)):
-            result = island.result
-            # every evaluation of the sweep covers all blocks alike
-            result.epochs.add_likelihood(stage_counter.likelihood // len(active))
-            result.epochs.add_gradient(stage_counter.gradient // len(active))
-            result.kernel_stats.record(stats.proposals, stats.accepts)
-            if not ais and cfg.adapt_steps and cfg.mutation_steps > 0:
-                island.step_size = kernels.adapt_step_size(
-                    island.step_size, stats.last_rate, cfg.kernel.target_accept, stage - 1
-                )
-                if pcn:
-                    island.step_size = min(island.step_size, 1.0)
-            island.lam = lam_new
-            result.schedule.append(lam_new)
-            if lam_new == 1.0:
-                if ais:
-                    result.logz = update_logz([result.logz], result.log_weights[None])[0]
-                result.samples = pop.theta[rows(b)].copy()
-                result.__post_init__()  # check the finished schedule
-            else:
-                keep.append(b)
-        if not keep:
+        stage_stats, stage_counter = _mutate(cfg, target, pop, active, stage, lams_new, ancestors)
+        active = _settle(cfg, pop, active, stage, lams_new, stage_stats, stage_counter)
+        if not active:
             return [island.result for island in islands]
-        if len(keep) < len(active):
-            pop.take(np.concatenate([np.arange(n * b, n * (b + 1)) for b in keep]))
-            active = [active[b] for b in keep]
     raise ScheduleOverflowError(active[0].result.schedule)
+
+
+def _reweight(cfg, ladder, islands, loglik):
+    """Each island's next exponent, stalled flag and row of the ``(k, N)`` stage log-weights.
+
+    The exponent is the next rung of ``ladder``, or one block bisection's when ``ladder`` is None.
+    """
+    lams = [island.lam for island in islands]
+    if ladder is None:
+        lams_new, stalled = next_temperature(loglik, lams, cfg)
+        lams_new = lams_new.tolist()
+    else:
+        lams_new = [ladder[len(island.result.schedule)] for island in islands]
+        stalled = [False] * len(islands)
+    return lams_new, stalled, np.subtract(lams_new, lams)[:, None] * loglik
+
+
+def _weigh(cfg, islands, stage, lams_new, stalled, stage_lw):
+    """Fold the stage log-weights into the islands; returns SMC's ``(k, N)`` ancestors, None for AIS.
+
+    AIS adds each row to its island's per-particle log weights.  SMC
+    takes its stage ESS, a stall's :class:`StalledTemperingError`, the
+    evidence updates and the resampling from one max shift of the block.
+    """
+    if not isinstance(cfg, SmcConfig):
+        for island, lw in zip(islands, stage_lw):
+            island.result.log_weights += lw
+        return None
+    top, w = _max_shift(stage_lw)
+    stage_ess = _ess_of(w).tolist()
+    if any(stalled):
+        b = stalled.index(True)
+        raise StalledTemperingError(islands[b].result.schedule + [lams_new[b]], stage, lams_new[b],
+                                    stage_ess[b], cfg.ess_fraction * cfg.n_particles)
+    logz = update_logz([island.result.logz for island in islands], stage_lw, (top, w))
+    ancestors = resample(stage_lw, cfg, [island.rng for island in islands], w)
+    for island, acc, island_ess in zip(islands, logz, stage_ess):
+        island.result.logz = acc
+        island.result.stage_ess.append(island_ess)
+    return ancestors
+
+
+def _mutate(cfg, target, pop, islands, stage, lams_new, ancestors):
+    """Resample ``pop`` by ``ancestors`` (None for AIS) and sweep it in one :func:`kernels.mutate` call.
+
+    SMC's pCN scaling comes from each island's resampled rows; AIS keeps unit scaling.
+    Returns each island's stage :class:`KernelStats` and the stage's evaluation tally.
+    """
+    if ancestors is not None:
+        ancestors += np.arange(0, ancestors.size, ancestors.shape[1])[:, None]
+        pop.take(ancestors.ravel())
+    scaling = None
+    if isinstance(cfg, SmcConfig) and isinstance(cfg.kernel, PcnConfig) and cfg.kernel.use_scaling:
+        blocks = pop.theta.reshape(len(islands), -1, pop.theta.shape[1])
+        scaling = kernels.estimate_scaling(blocks, cfg.kernel.scaling_floor)
+    stage_stats = [KernelStats() for _ in islands]
+    stage_counter = EvalCounter()
+    kernels.mutate(
+        pop, lams_new, cfg.mutation_steps, cfg.kernel, target,
+        [island.seed for island in islands], stage, stage_counter, stage_stats,
+        scaling, [island.step_size for island in islands],
+    )
+    return stage_stats, stage_counter
+
+
+def _settle(cfg, pop, islands, stage, lams_new, stage_stats, stage_counter):
+    """Book the stage into each island; returns the islands still below exponent 1.
+
+    SMC adapts step sizes under ``adapt_steps``, AIS never does.  An island
+    that reaches exponent 1 takes its samples, AIS also the log mean of its
+    weights as its evidence, and its rows leave ``pop``.
+    """
+    n = len(pop.loglik) // len(islands)
+    adapt = isinstance(cfg, SmcConfig) and cfg.adapt_steps and cfg.mutation_steps > 0
+    keep = []
+    for b, (island, stats, lam_new) in enumerate(zip(islands, stage_stats, lams_new)):
+        result = island.result
+        # every evaluation of the sweep covers all blocks alike
+        result.epochs.add_likelihood(stage_counter.likelihood // len(islands))
+        result.epochs.add_gradient(stage_counter.gradient // len(islands))
+        result.kernel_stats.record(stats.proposals, stats.accepts)
+        if adapt:
+            island.step_size = kernels.adapt_step_size(
+                island.step_size, stats.last_rate, cfg.kernel.target_accept, stage - 1
+            )
+            if isinstance(cfg.kernel, PcnConfig):
+                island.step_size = min(island.step_size, 1.0)
+        island.lam = lam_new
+        result.schedule.append(lam_new)
+        if lam_new == 1.0:
+            if result.log_weights is not None:
+                result.logz = update_logz([result.logz], result.log_weights[None])[0]
+            result.samples = pop.theta[b * n:(b + 1) * n].copy()
+            result.__post_init__()  # check the finished schedule
+        else:
+            keep.append(b)
+    if 0 < len(keep) < len(islands):
+        pop.take(np.concatenate([np.arange(n * b, n * (b + 1)) for b in keep]))
+    return [islands[b] for b in keep]

@@ -384,11 +384,6 @@ class GmmTarget(_GaussianPriorTarget):
         logs = self._log_weights - 0.5 * sq - 0.5 * self.dim * LOG_2PI
         return logs if theta.ndim > 1 else logs[0]
 
-    def log_density(self, theta):
-        """Log-density of the mixture itself (the lambda = 1 target)."""
-        theta = self._check(theta)
-        return logsumexp(self._log_components(theta), axis=-1)
-
     def _log_likelihood(self, theta):
         return logsumexp(self._log_components(theta), axis=-1) - self._log_prior(theta)
 

@@ -47,7 +47,7 @@ def stub_ensemble(sample_sets, logzs):
                      EvalCounter(), KernelStats())
         for s, z in zip(sample_sets, logzs)
     ]
-    return IslandEnsemble(results, list(range(len(results))), "smc")
+    return IslandEnsemble(results, list(range(len(results))))
 
 
 def test_island_seed_deterministic_and_spread():
@@ -163,7 +163,6 @@ def test_run_islands_process_shares_equal_serial_stack():
     serial = run_islands(5, cfg, target, master_seed=9)
     parallel = run_islands(5, cfg, target, master_seed=9, parallelism=2)
     assert parallel.seeds == serial.seeds
-    assert parallel.method_tag == serial.method_tag == "smc"
     for got, want in zip(parallel.results, serial.results):
         assert_same_island(got, want)
     assert len({len(r.schedule) for r in serial.results}) > 1
@@ -183,7 +182,6 @@ def test_run_islands_mcmc_serial_islands():
     target = make_gaussian_target(2, 4, 1.0, seed=2)
     cfg = McmcConfig(n_samples=10, burn_in=5, kernel=PcnConfig(beta=0.5))
     ens = run_islands(3, cfg, target, master_seed=4)
-    assert ens.method_tag == "mcmc"
     # MCMC islands carry unit evidence, so weighting degenerates to the mean
     assert np.all(ens.logz_totals() == 0.0)
     assert combine_weighted(ens) == pytest.approx(combine_unweighted(ens), abs=1e-12)
@@ -340,7 +338,6 @@ def test_run_islands_runs_ais_islands():
     assert target._block_rows == 16
     cfg = AisConfig(n_samples=16, schedule=(0.0, 0.1, 0.4, 1.0), kernel=PcnConfig(beta=0.5), mutation_steps=2)
     ens = run_islands(3, cfg, target, master_seed=6)
-    assert ens.method_tag == "ais"
     assert ens.seeds == [island_seed(6, p) for p in range(3)]
     estimates = []
     for seed, got in zip(ens.seeds, ens.results):
@@ -353,7 +350,6 @@ def test_run_islands_runs_ais_islands():
     w = island_weights(ens.logz_totals())
     assert np.array_equal(combine_weighted(ens), np.tensordot(w, np.array(estimates), axes=1))
     parallel = run_islands(3, cfg, target, master_seed=6, parallelism=2)
-    assert parallel.method_tag == "ais"
     for got, want in zip(parallel.results, ens.results):
         assert_same_island(got, want)
         assert np.array_equal(got.log_weights, want.log_weights)
@@ -368,7 +364,6 @@ def test_run_islands_mcmc_processes_equal_serial(mode):
     serial = run_islands(3, cfg, target, master_seed=4)
     parallel = run_islands(3, cfg, target, master_seed=4, parallelism=2)
     assert parallel.seeds == serial.seeds
-    assert parallel.method_tag == serial.method_tag == "mcmc"
     for got, want in zip(parallel.results, serial.results):
         assert_same_island(got, want)
     assert len({r.samples.tobytes() for r in serial.results}) == 3

@@ -669,6 +669,84 @@ def test_stacked_islands_raise_the_first_stalled_islands_error():
     assert run_smc(fixed, _BadInitialRows(base, {0: (all_rows, spread)}), seeds[1]).schedule == [1e-12, 1.0]
 
 
+STAGE_PHASES = ("_reweight", "_weigh", "_mutate", "_settle")
+
+
+@pytest.mark.parametrize("cfg", [
+    SmcConfig(n_particles=8, mutation_steps=1),
+    AisConfig(n_samples=8, schedule=(0.0, 0.1, 0.3, 0.6, 1.0), kernel=PcnConfig(beta=0.5)),
+], ids=["smc", "ais"])
+def test_stage_loop_calls_each_phase_by_module_name_once_per_stage(cfg, monkeypatch):
+    # the loop looks each phase up in the module, so a timer or tracer that
+    # replaces smc.<phase> sees every call
+    calls = dict.fromkeys(STAGE_PHASES, 0)
+
+    def counting(name, phase):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return phase(*args, **kwargs)
+        return wrapper
+
+    for name in STAGE_PHASES:
+        monkeypatch.setattr(smc, name, counting(name, getattr(smc, name)))
+    results = smc.run_smc_islands(cfg, make_gaussian_target(2, 4, 0.3, seed=0), [1, 2, 3])
+    stages = [len(r.schedule) for r in results]
+    assert len(set(stages)) == (3 if isinstance(cfg, SmcConfig) else 1)
+    assert calls == dict.fromkeys(STAGE_PHASES, max(stages))
+
+
+def _raise_later_failure(cfg, base, seeds, fail, stage):
+    """Run ``seeds`` stacked with +inf proposals at two of island ``fail``'s rows in its stage-``stage`` sweep.
+
+    A +inf proposal is always accepted, so the island fails at stage
+    ``stage + 1``.  With one pCN sweep per stage, the stacked run's
+    likelihood calls are one per island for the initial populations and
+    then one per stage; a probe run gives the islands still in the stack
+    at ``stage``.  Checks that the stacked run raises what the island's
+    one-seed run raises, and returns the probe's stage counts and the
+    islands in the stack at ``stage``.
+    """
+    n = cfg.n_particles if isinstance(cfg, SmcConfig) else cfg.n_samples
+    stages = [len(r.schedule) for r in smc.run_smc_islands(cfg, base, seeds)]
+    assert stages[fail] > stage
+    active = [p for p, count in enumerate(stages) if count >= stage]
+    rows = [1, 6]
+    offset = active.index(fail) * n
+    target = _BadInitialRows(base, {len(seeds) + stage - 1: ([offset + r for r in rows], np.inf)})
+    with pytest.raises(NumericalDomainError) as got:
+        smc.run_smc_islands(cfg, target, seeds)
+    with pytest.raises(NumericalDomainError) as want:
+        smc.run_smc_islands(cfg, _BadInitialRows(base, {stage: (rows, np.inf)}), [seeds[fail]])
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert "+inf for 2 of 8" in str(got.value)
+    assert np.array_equal(got.value.theta, want.value.theta)
+    assert got.value.theta.shape == (2, base.dim)
+    assert got.value.lam == want.value.lam
+    assert got.value.stage == want.value.stage == stage + 1
+    return stages, active
+
+
+def test_stacked_smc_raises_a_failure_after_an_island_left_the_stack():
+    base = make_gaussian_target(2, 4, 0.3, seed=0)
+    cfg = SmcConfig(n_particles=8, mutation_steps=1)
+    stages, active = _raise_later_failure(cfg, base, [1, 2, 3], fail=2, stage=3)
+    # island 1 finished at stage 2, so island 2 fails from block 1 of the
+    # stack, behind island 0, which goes on
+    assert stages == [5, 2, 4]
+    assert active == [0, 2]
+
+
+def test_stacked_ais_raises_a_later_stage_failure_of_a_later_island():
+    # AIS islands share one ladder and finish together, so none leaves the
+    # stack early; island 2 fails from block 2 at stage 3
+    base = make_gaussian_target(2, 4, 0.3, seed=0)
+    cfg = AisConfig(n_samples=8, schedule=(0.0, 0.1, 0.3, 0.6, 1.0), kernel=PcnConfig(beta=0.5))
+    stages, active = _raise_later_failure(cfg, base, [1, 2, 3], fail=2, stage=2)
+    assert stages == [4, 4, 4]
+    assert active == [0, 1, 2]
+
+
 @pytest.mark.parametrize("resampling", smc.RESAMPLING_SCHEMES)
 def test_run_smc_pos_inf_likelihood_raises_domain_error(resampling):
     # +inf fails like NaN: multinomial resampling would otherwise raise

@@ -274,21 +274,26 @@ def test_gmm_mixture_mean():
 
 
 def test_gmm_log_density_direct_formula():
+    # prior * likelihood is the mixture density at exponent 1
     gmm = make_bimodal_gmm(2, weight=0.2)
     theta = np.array([0.3, -0.4])
     comps = [
         0.2 * np.exp(-0.5 * np.sum((theta - 1.0) ** 2)) / (2 * np.pi),
         0.8 * np.exp(-0.5 * np.sum((theta + 1.0) ** 2)) / (2 * np.pi),
     ]
-    assert gmm.log_density(theta) == pytest.approx(math.log(sum(comps)), abs=1e-12)
+    total = gmm.log_prior(theta) + gmm.log_likelihood(theta)
+    assert total == pytest.approx(math.log(sum(comps)), abs=1e-12)
 
 
 def test_gmm_likelihood_decomposition():
-    # prior * likelihood must reassemble the mixture density exactly
+    # prior * likelihood must reassemble the mixture density on a batch too
     gmm = make_bimodal_gmm(3)
     theta = np.random.default_rng(4).standard_normal((6, 3))
     total = gmm.log_prior(theta) + gmm.log_likelihood(theta)
-    assert total == pytest.approx(gmm.log_density(theta), abs=1e-10)
+    sq_plus = np.sum((theta - 1.0) ** 2, axis=1)
+    sq_minus = np.sum((theta + 1.0) ** 2, axis=1)
+    mixture = np.log(0.2 * np.exp(-0.5 * sq_plus) + 0.8 * np.exp(-0.5 * sq_minus)) - 1.5 * math.log(2 * np.pi)
+    assert total == pytest.approx(mixture, abs=1e-10)
 
 
 def test_gmm_validation():
@@ -717,7 +722,7 @@ gauss.analytic_posterior()
 logistic = targets.make_logistic_target(15, 690, seed=0)
 gmm = targets.make_bimodal_gmm(3)
 theta = np.random.default_rng(0).standard_normal((5, 3))
-gmm.log_likelihood(theta), gmm.grad_log_likelihood(theta), gmm.log_density(theta)
+gmm.log_likelihood(theta), gmm.grad_log_likelihood(theta)
 ens = islands.run_islands(2, smc.SmcConfig(16, 1, kernels.PcnConfig(0.5)), logistic, 0)
 islands.combine_weighted(ens), islands.log_mean_evidence(ens.logz_totals())
 smc.run_smc(smc.SmcConfig(16, 1, kernels.HmcConfig(0.1, 3)), gauss, 0)

@@ -1,11 +1,12 @@
 """Frozen-seed fingerprint of islandmc's sampler outputs.
 
 Runs a fixed set of small SMC, AIS and MCMC island ensembles, both chain
-runners and a few harness sweeps, and prints one sha256 digest per
-group.  Every ``IslandResult`` field is hashed bit for bit (samples,
-evidence, schedule, epochs, kernel stats, stage ESS, AIS log-weights),
-and every harness row except ``wall_seconds``.  Two trees whose digests
-match produce the same outputs on these seeds.
+runners, a few harness sweeps and a few failing stacked runs, and prints
+one sha256 digest per group.  Every ``IslandResult`` field is hashed bit
+for bit (samples, evidence, schedule, epochs, kernel stats, stage ESS,
+AIS log-weights), every harness row except ``wall_seconds``, and the
+type, message and fields of each failing run's error.  Two trees whose
+digests match produce the same outputs on these seeds.
 
 Usage::
 
@@ -191,12 +192,74 @@ def harness_group(im, digest):
             digest.add(f"harness{i}.{j}", repr(sorted(row.items())).encode())
 
 
+class _BadRows:
+    """A target whose ``call``-th log-likelihood call sets chosen rows to ``value``."""
+
+    def __init__(self, base, bad):
+        self.base = base
+        self.bad = bad  # call index -> (rows, value)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def log_likelihood(self, theta, counter=None):
+        import numpy as np
+
+        ll = np.array(self.base.log_likelihood(theta, counter), dtype=float)
+        rows, value = self.bad.get(self.calls, ([], 0.0))
+        ll[rows] = value
+        self.calls += 1
+        return ll
+
+
+def errors_group(im, digest):
+    import numpy as np
+
+    gauss = im.make_gaussian_target(2, 4, 1.0, seed=0)
+    # islands 1, 2 and 3 of seeds [1, 2, 3] take 5, 2 and 4 stages here
+    uneven = im.make_gaussian_target(2, 4, 0.3, seed=0)
+    pcn = im.SmcConfig(n_particles=8, mutation_steps=1)
+    every_row = list(range(8))
+    # the stacked runs make one likelihood call per island for the initial
+    # populations, then one per pCN or HMC sweep; a NaN proposal is rejected
+    # and a +inf one accepted, so only +inf can fail a later stage
+    cases = [
+        ("stalled", pcn, _BadRows(gauss, {1: (every_row, -1e13 * np.arange(8.0))}), [11, 12, 13, 14]),
+        ("overflow", im.SmcConfig(n_particles=64, mutation_steps=1, max_stages=2),
+         im.make_gaussian_target(4, 64, 0.05, seed=8), [1, 2]),
+        ("nan_stage_1", pcn, _BadRows(gauss, {1: ([0, 3], np.nan), 2: ([1, 2, 5], np.nan)}), [11, 12, 13, 14]),
+        # island 2's rows, block 1 of the stage-3 sweep after island 1 left
+        ("inf_stage_4", pcn, _BadRows(uneven, {5: ([9, 14], np.inf)}), [1, 2, 3]),
+        ("dead", pcn, _BadRows(gauss, {1: (every_row, -np.inf), 2: ([4], np.nan)}), [11, 12, 13, 14]),
+        ("ais_nan", im.AisConfig(8, (0.0, 0.1, 0.3, 0.6, 1.0), im.HmcConfig(step_size=0.2, leapfrog_steps=3)),
+         _BadRows(im.make_gaussian_target(3, 4, 1.0, seed=0), {2: ([4, 7], np.nan)}), [1, 2, 3]),
+    ]
+    for name, cfg, target, seeds in cases:
+        try:
+            im.smc.run_smc_islands(cfg, target, seeds)
+        except Exception as e:  # an unexpected type changes the digest too
+            error = e
+        else:
+            raise AssertionError(f"errors case {name} ran to the end")
+        digest.add(f"{name}.error", f"{type(error).__name__}: {error}".encode())
+        for field in ("stage", "schedule", "lam", "ess", "target_ess", "theta"):
+            value = getattr(error, field, None)
+            if value is None:
+                digest.add(f"{name}.{field}", b"None")
+            elif field == "theta":
+                digest.array(f"{name}.{field}", value)
+            else:
+                digest.floats(f"{name}.{field}", np.atleast_1d(value))
+
+
 GROUPS = {
     "smc": smc_group,
     "ais": ais_group,
     "mcmc": mcmc_group,
     "chains": chains_group,
     "harness": harness_group,
+    "errors": errors_group,
 }
 
 

@@ -49,14 +49,7 @@ class AisConfig:
             raise ValueError("n_samples must be positive")
         if self.mutation_steps < 0:
             raise ValueError("mutation_steps must be non-negative")
-        sched = tuple(float(v) for v in self.schedule)
-        if not np.isfinite(sched).all():
-            raise ValueError("schedule entries must be finite")
-        if len(sched) < 2 or sched[0] != 0.0 or sched[-1] != 1.0:
-            raise ValueError("schedule must start at exactly 0 and end at exactly 1")
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("schedule must be strictly increasing")
-        object.__setattr__(self, "schedule", sched)
+        object.__setattr__(self, "schedule", smc._check_ladder(self.schedule, from_zero=True))
 
 
 def make_neal_schedule():
@@ -92,8 +85,9 @@ def run_ais(cfg, target, seed):
     Raises
     ------
     NumericalDomainError
-        If any sample's log-likelihood is NaN or +inf at the start of a
-        transition.
+        If a sample holds a NaN or +inf log-likelihood at the start of a
+        transition or after the last one.  A sweep rejects a NaN proposal,
+        so a NaN met there shows only as a lower acceptance rate.
     DegenerateWeightsError
         If every sample's log-likelihood is -inf.
     """

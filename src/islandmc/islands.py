@@ -10,7 +10,8 @@ combination degenerates to the plain average of island means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .kernels import KernelStats
 from .mcmc import McmcConfig
 from .seeds import derive_seed
 from .smc import DegenerateWeightsError, IslandResult, LogZAccumulator, SmcConfig
-from .targets import EvalCounter
 
 
 @dataclass
@@ -56,9 +56,9 @@ def _run_mcmc_islands(cfg, target, seeds):
 
 
 def _failure_rank(error):
-    """Sort key of a worker's error: its stage, with the errors that have none last."""
+    """Sort key of a worker's error: its stage, a failure at exponent 1 last in it, no stage last of all."""
     stage = getattr(error, "stage", None)
-    return (stage is None, stage or 0)
+    return (stage is None, stage or 0, getattr(error, "lam", None) == 1.0)
 
 
 def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
@@ -81,9 +81,10 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     island can differ in the last bits (see :func:`smc.run_smc_islands`).
 
     A failing run raises the error of the first island to fail, by stage
-    and then by seed order; the worker path waits for every share and
-    ranks their errors the same way, an error without a ``stage`` (such
-    as :class:`smc.ScheduleOverflowError`) last.
+    (a failure as an island finishes after the others of its stage) and
+    then by seed order; the worker path waits for every share and ranks
+    their errors the same way, an error without a ``stage`` (such as
+    :class:`smc.ScheduleOverflowError`) last.
     """
     if n_islands < 1:
         raise ValueError("n_islands must be positive")
@@ -189,40 +190,22 @@ def _island_means(ensemble, phi):
 def island_to_json(result, seed) -> dict:
     """Serialize one island result to the JSON export schema.
 
-    ``log_weights`` is written only for AIS islands, which have them.
+    The keys are ``seed`` and :class:`smc.IslandResult`'s field names; a
+    nested record is an object of its fields, an array a nested list, and
+    ``log_weights`` is null except for AIS islands.
     """
-    payload = {
-        "seed": int(seed),
-        "schedule": [float(v) for v in result.schedule],
-        "logz_offset": float(result.logz.offset_sum),
-        "logz_residual": float(result.logz.residual_log),
-        "samples": np.asarray(result.samples).tolist(),
-        "epochs": {
-            "likelihood": int(result.epochs.likelihood),
-            "gradient": int(result.epochs.gradient),
-        },
-        "kernel_stats": {
-            "proposals": int(result.kernel_stats.proposals),
-            "accepts": int(result.kernel_stats.accepts),
-        },
-        "stage_ess": [float(v) for v in result.stage_ess],
-    }
-    if result.log_weights is not None:
-        payload["log_weights"] = np.asarray(result.log_weights).tolist()
-    return payload
+    payload = {"seed": int(seed), **asdict(result)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
 
 
 def island_from_json(payload):
-    """Rebuild ``(IslandResult, seed)`` from the JSON export schema."""
-    log_weights = payload.get("log_weights")
-    result = IslandResult(
-        samples=np.asarray(payload["samples"], dtype=float),
-        logz=LogZAccumulator(payload["logz_offset"], payload["logz_residual"]),
-        schedule=list(payload["schedule"]),
-        epochs=EvalCounter(payload["epochs"]["likelihood"], payload["epochs"]["gradient"]),
-        kernel_stats=KernelStats(payload["kernel_stats"]["proposals"],
-                                 payload["kernel_stats"]["accepts"]),
-        stage_ess=list(payload["stage_ess"]),
-        log_weights=None if log_weights is None else np.asarray(log_weights, dtype=float),
-    )
-    return result, int(payload["seed"])
+    """Rebuild ``(IslandResult, seed)`` from the JSON export schema, each field by its annotation."""
+    fields = {}
+    for name, kind in get_type_hints(IslandResult).items():
+        value = payload[name]
+        if is_dataclass(kind):  # a nested record
+            value = kind(**value)
+        elif value is not None and np.ndarray in (kind, *get_args(kind)):  # an array
+            value = np.asarray(value, dtype=float)
+        fields[name] = value
+    return IslandResult(**fields), int(payload["seed"])

@@ -264,7 +264,8 @@ def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter)
     autoregression ``sqrt(1 - beta^2 D) u + beta sqrt(D) delta`` and
     accepts with probability ``min(1, (L(theta') / L(theta))^lambda)``:
     the prior is invariant under the proposal, so only the likelihood
-    ratio enters.
+    ratio enters.  At ``lambda > 0`` a NaN proposal is rejected (``log_u
+    <= NaN`` is False) and a +inf one accepted.
     """
     beta_sq = beta**2 if np.ndim(beta) == 0 else _py_square(beta).astype(float)
     keep = 1.0 - beta_sq * scaling

@@ -94,6 +94,19 @@ class StalledTemperingError(ScheduleOverflowError):
         return type(self), (self.schedule, self.stage, self.lam, self.ess, self.target_ess)
 
 
+def _check_ladder(schedule, from_zero=False):
+    """``schedule`` as a tuple of floats; raises ``ValueError`` unless it is finite, strictly increasing
+    and ends at exactly 1, starting at exactly 0 when ``from_zero`` and above 0 otherwise."""
+    sched = tuple(float(v) for v in schedule)
+    if not np.isfinite(sched).all():
+        raise ValueError("schedule entries must be finite")
+    if not sched or sched[-1] != 1.0 or (sched[0] != 0.0 if from_zero else sched[0] <= 0.0):
+        raise ValueError(f"schedule must start {'at exactly 0' if from_zero else 'above 0'} and end at exactly 1")
+    if any(b <= a for a, b in zip(sched, sched[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    return sched
+
+
 @dataclass(frozen=True)
 class SmcConfig:
     """Sequential Monte Carlo settings.
@@ -148,14 +161,7 @@ class SmcConfig:
         if self.resampling not in RESAMPLING_SCHEMES:
             raise ValueError(f"unknown resampling scheme {self.resampling!r}")
         if self.schedule is not None:
-            sched = tuple(float(v) for v in self.schedule)
-            if not np.isfinite(sched).all():
-                raise ValueError("schedule entries must be finite")
-            if len(sched) == 0 or sched[-1] != 1.0 or sched[0] <= 0.0:
-                raise ValueError("schedule must start above 0 and end at exactly 1")
-            if any(b <= a for a, b in zip(sched, sched[1:])):
-                raise ValueError("schedule must be strictly increasing")
-            object.__setattr__(self, "schedule", sched)
+            object.__setattr__(self, "schedule", _check_ladder(self.schedule))
 
 
 @dataclass(frozen=True)
@@ -240,9 +246,8 @@ def ess(log_weights):
     return float(_ess_of(_max_shift(log_weights)[1]))
 
 
-# bisection steps settled per block evaluation, and the iteration cap
+# bisection steps settled per block evaluation
 _ROUND_STEPS = 4
-_MAX_BISECTIONS = 200
 _GRID = 1 << _ROUND_STEPS  # intervals of one round's grid
 # (midpoint, left, right) grid indices, coarsest level first
 _GRID_MIDPOINTS = [
@@ -271,13 +276,13 @@ def next_temperature(loglik, lambda_prev, cfg):
 
     Row ``p``'s increment ``h`` with ``ESS(h * loglik[p]) = ess_fraction
     * N`` is found by bisection of ``[0, 1 - lambda_prev[p]]`` (absolute
-    tolerance 1e-10 in ``h``, at most 200 iterations); its exponent is
-    exactly 1.0 when the full remaining increment already satisfies the
-    ESS constraint.  ``lambda_prev`` holds k exponents, or one for all.
-    The rows are bisected together in rounds: one block pass evaluates
-    the ESS at the 15 points the next 4 steps of each row can visit,
-    then each row walks its path through them, so each row gets exactly
-    its own bisection's exponent.
+    tolerance 1e-10 in ``h``); its exponent is exactly 1.0 when the full
+    remaining increment already satisfies the ESS constraint.
+    ``lambda_prev`` holds k exponents, or one for all.  The rows are
+    bisected together in rounds: one block pass evaluates the ESS at the
+    15 points the next 4 steps of each row can visit, then each row
+    walks its path through them, so each row gets exactly its own
+    bisection's exponent.
 
     Returns the k exponents as an array and, as a list, whether each
     row's bisection stalled, closing on ``[0, tol]`` with no tested
@@ -294,9 +299,8 @@ def next_temperature(loglik, lambda_prev, cfg):
     new = [1.0] * len(lam_prev)
     stalled = [False] * len(lam_prev)
     live = [(p, 0.0, 1.0 - lam) for p, lam in enumerate(lam_prev)]  # (row, lo, hi)
-    for r in range(_MAX_BISECTIONS // _ROUND_STEPS):
-        if not live:
-            break
+    r = 0
+    while live:  # a row's width halves per step from at most 1: within 34 steps it is below tol
         grids = [_bisection_grid(lo, hi) for _, lo, hi in live]
         # the first round also tests the full increment, each grid's end
         points = np.array(grids)[:, 1:] if r == 0 else np.array(grids)[:, 1:-1]
@@ -323,8 +327,7 @@ def next_temperature(loglik, lambda_prev, cfg):
             else:
                 still.append((p, grid[i], grid[i + 1]))
         live = still
-    for p, lo, hi in live:  # out of iterations
-        new[p] = lam_prev[p] + 0.5 * (lo + hi)
+        r += 1
     return np.array(new), stalled
 
 
@@ -397,12 +400,8 @@ class IslandResult:
     log_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        sched = self.schedule
-        if sched:
-            if sched[-1] != 1.0:
-                raise ValueError("schedule must end at exactly 1")
-            if sched[0] <= 0.0 or any(b <= a for a, b in zip(sched, sched[1:])):
-                raise ValueError("schedule must be strictly increasing from above 0")
+        if self.schedule:
+            _check_ladder(self.schedule)
 
 
 @dataclass
@@ -432,8 +431,9 @@ def run_smc(cfg, target, seed):
         If an adaptive stage's bisection closes on ``[0, 1e-10]``: no
         tested increment kept the stage ESS on target.
     NumericalDomainError
-        If any particle's log-likelihood is NaN or +inf at the start of a
-        stage.
+        If a particle holds a NaN or +inf log-likelihood at the start of a
+        stage or when the island finishes.  A sweep rejects a NaN proposal,
+        so a NaN met there shows only as a lower acceptance rate.
     """
     return run_smc_islands(cfg, target, [seed])[0]
 
@@ -471,8 +471,9 @@ def run_smc_islands(cfg, target, seeds):
     height 32) it does not.
 
     Returns the :class:`IslandResult` of each seed, in seed order.  When
-    islands fail, the error of the first one to fail (by stage, then by
-    seed order) is raised, as its one-seed run raises it.
+    islands fail, the error of the first one to fail (by stage, a failure
+    as an island finishes after the others of its stage, then by seed
+    order) is raised, as its one-seed run raises it.
     """
     seeds = [check_seed(s) for s in seeds]
     if not seeds:
@@ -602,10 +603,13 @@ def _settle(cfg, pop, islands, stage, lams_new, stage_stats, stage_counter):
         island.lam = lam_new
         result.schedule.append(lam_new)
         if lam_new == 1.0:
+            rows = slice(b * n, (b + 1) * n)
+            # a +inf proposal of the last sweep has no next stage to fail at
+            check_finite_loglik(pop.loglik[rows], pop.theta[rows], lam_new, f"stage {stage}", "particles", stage)
             if result.log_weights is not None:
                 result.logz = update_logz([result.logz], result.log_weights[None])[0]
-            result.samples = pop.theta[b * n:(b + 1) * n].copy()
-            result.__post_init__()  # check the finished schedule
+            result.samples = pop.theta[rows].copy()
+            _check_ladder(result.schedule)
         else:
             keep.append(b)
     if 0 < len(keep) < len(islands):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -233,13 +234,13 @@ def test_island_json_schema_fields():
     payload = island_to_json(result, 99)
     assert payload == {
         "seed": 99,
-        "schedule": [1.0],
-        "logz_offset": 1.5,
-        "logz_residual": -0.5,
         "samples": [[0.0, 0.0]],
+        "logz": {"offset_sum": 1.5, "residual_log": -0.5},
+        "schedule": [1.0],
         "epochs": {"likelihood": 7, "gradient": 3},
         "kernel_stats": {"proposals": 8, "accepts": 5},
         "stage_ess": [3.5],
+        "log_weights": None,
     }
     rebuilt, seed = island_from_json(payload)
     assert seed == 99
@@ -248,12 +249,37 @@ def test_island_json_schema_fields():
 
 def assert_same_island(got, want):
     assert set(vars(got)) == set(vars(want))
-    assert np.array_equal(got.samples, want.samples)
-    assert got.logz == want.logz
-    assert got.schedule == want.schedule
-    assert got.epochs == want.epochs
-    assert got.kernel_stats == want.kernel_stats
-    assert got.stage_ess == want.stage_ess
+    for f in dataclasses.fields(IslandResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+ISLAND_KINDS = {
+    "smc": SmcConfig(n_particles=8, mutation_steps=1),
+    "ais": AisConfig(n_samples=8, schedule=(0.0, 0.3, 1.0), kernel=HmcConfig(step_size=0.2, leapfrog_steps=3)),
+    "mcmc_serial": McmcConfig(n_samples=6, burn_in=3, thin=2),
+    "mcmc_parallel": McmcConfig(n_samples=6, burn_in=3, mode="parallel"),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("kind", sorted(ISLAND_KINDS))
+def test_island_json_round_trip_every_island_kind(kind, parallelism):
+    # the payload is IslandResult's fields plus the seed, so every field of
+    # every island kind comes back through JSON text equal
+    target = make_gaussian_target(3, 6, 1.0, seed=5)
+    ens = run_islands(2, ISLAND_KINDS[kind], target, master_seed=4, parallelism=parallelism)
+    names = {f.name for f in dataclasses.fields(IslandResult)}
+    for seed, result in zip(ens.seeds, ens.results):
+        payload = island_to_json(result, seed)
+        assert set(payload) == names | {"seed"}
+        assert (payload["log_weights"] is None) == (kind != "ais")
+        loaded, loaded_seed = island_from_json(json.loads(json.dumps(payload)))
+        assert loaded_seed == seed
+        assert_same_island(loaded, result)
 
 
 # in-process SMC islands advance as one stacked population; each must
@@ -407,6 +433,13 @@ class _SharpGaussian(GaussianLinearModel):
         return 1e13 * super()._log_likelihood(theta)
 
 
+class _InfAbove(GaussianLinearModel):
+    """Linear model whose log-likelihood is +inf where theta_0 > 1.5 (module level, so workers unpickle it)."""
+
+    def _log_likelihood(self, theta):
+        return np.where(theta[..., 0] > 1.5, np.inf, super()._log_likelihood(theta))
+
+
 class _NanAbove(GaussianLinearModel):
     """Linear model whose log-likelihood is NaN where theta_0 > 1.371 (module level, so workers unpickle it)."""
 
@@ -439,3 +472,25 @@ def test_worker_errors_equal_in_process_errors():
             assert want.value.stage == 1 and np.array_equal(got.value.theta, want.value.theta)
     # the overflow message is built from its one-stage schedule, not from its own characters
     assert str(got.value).startswith("tempering did not reach 1.0 within 1 stages (last exponent 0.")
+
+
+def test_worker_errors_rank_a_failure_as_an_island_finishes_last_in_its_stage():
+    # at master seed 102, island 0's last sweep (stage 2) accepts a +inf
+    # row, while island 1's stage-1 sweep accepts one that fails the scan
+    # at the start of stage 2: the stage loop meets island 1's failure
+    # first, and the worker path, with one island per worker, must agree
+    base = make_gaussian_target(2, 4, 1.0, seed=0)
+    target = _InfAbove(base.X, base.y, base.sigma)
+    cfg = SmcConfig(8, 1, PcnConfig(beta=0.5), schedule=(0.5, 1.0))
+    errors = []
+    for p in range(2):
+        with pytest.raises(NumericalDomainError) as err:
+            run_smc(cfg, target, island_seed(102, p))
+        errors.append(err.value)
+    assert [(e.stage, e.lam) for e in errors] == [(2, 1.0), (2, 0.5)]
+    for parallelism in (1, 2):
+        with pytest.raises(NumericalDomainError) as got:
+            run_islands(2, cfg, target, master_seed=102, parallelism=parallelism)
+        assert str(got.value) == str(errors[1])
+        assert (got.value.stage, got.value.lam) == (2, 0.5)
+        assert np.array_equal(got.value.theta, errors[1].theta)

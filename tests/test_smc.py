@@ -699,16 +699,17 @@ def _raise_later_failure(cfg, base, seeds, fail, stage):
     """Run ``seeds`` stacked with +inf proposals at two of island ``fail``'s rows in its stage-``stage`` sweep.
 
     A +inf proposal is always accepted, so the island fails at stage
-    ``stage + 1``.  With one pCN sweep per stage, the stacked run's
-    likelihood calls are one per island for the initial populations and
-    then one per stage; a probe run gives the islands still in the stack
-    at ``stage``.  Checks that the stacked run raises what the island's
-    one-seed run raises, and returns the probe's stage counts and the
-    islands in the stack at ``stage``.
+    ``stage + 1``, or as it finishes when ``stage`` is its last.  With
+    one pCN sweep per stage, the stacked run's likelihood calls are one
+    per island for the initial populations and then one per stage; a
+    probe run gives the islands still in the stack at ``stage``.  Checks
+    that the stacked run raises what the island's one-seed run raises,
+    and returns the probe's stage counts, the islands in the stack at
+    ``stage`` and the error.
     """
     n = cfg.n_particles if isinstance(cfg, SmcConfig) else cfg.n_samples
     stages = [len(r.schedule) for r in smc.run_smc_islands(cfg, base, seeds)]
-    assert stages[fail] > stage
+    assert stages[fail] >= stage
     active = [p for p, count in enumerate(stages) if count >= stage]
     rows = [1, 6]
     offset = active.index(fail) * n
@@ -723,18 +724,30 @@ def _raise_later_failure(cfg, base, seeds, fail, stage):
     assert np.array_equal(got.value.theta, want.value.theta)
     assert got.value.theta.shape == (2, base.dim)
     assert got.value.lam == want.value.lam
-    assert got.value.stage == want.value.stage == stage + 1
-    return stages, active
+    assert got.value.stage == want.value.stage == min(stage + 1, stages[fail])
+    return stages, active, got.value
 
 
 def test_stacked_smc_raises_a_failure_after_an_island_left_the_stack():
     base = make_gaussian_target(2, 4, 0.3, seed=0)
     cfg = SmcConfig(n_particles=8, mutation_steps=1)
-    stages, active = _raise_later_failure(cfg, base, [1, 2, 3], fail=2, stage=3)
+    stages, active, _ = _raise_later_failure(cfg, base, [1, 2, 3], fail=2, stage=3)
     # island 1 finished at stage 2, so island 2 fails from block 1 of the
     # stack, behind island 0, which goes on
     assert stages == [5, 2, 4]
     assert active == [0, 2]
+
+
+def test_stacked_smc_raises_the_failure_of_an_island_as_it_finishes():
+    # island 1's last sweep, at stage 2, accepts two +inf proposals: it fails
+    # as it finishes, from block 1 of the stack, while islands 0 and 2 go on
+    base = make_gaussian_target(2, 4, 0.3, seed=0)
+    cfg = SmcConfig(n_particles=8, mutation_steps=1)
+    stages, active, error = _raise_later_failure(cfg, base, [1, 2, 3], fail=1, stage=2)
+    assert stages == [5, 2, 4]
+    assert active == [0, 1, 2]
+    assert error.lam == 1.0
+    assert str(error).startswith("stage 2: log-likelihood is +inf for 2 of 8 particles (lambda=1.0)")
 
 
 def test_stacked_ais_raises_a_later_stage_failure_of_a_later_island():
@@ -742,7 +755,7 @@ def test_stacked_ais_raises_a_later_stage_failure_of_a_later_island():
     # stack early; island 2 fails from block 2 at stage 3
     base = make_gaussian_target(2, 4, 0.3, seed=0)
     cfg = AisConfig(n_samples=8, schedule=(0.0, 0.1, 0.3, 0.6, 1.0), kernel=PcnConfig(beta=0.5))
-    stages, active = _raise_later_failure(cfg, base, [1, 2, 3], fail=2, stage=2)
+    stages, active, _ = _raise_later_failure(cfg, base, [1, 2, 3], fail=2, stage=2)
     assert stages == [4, 4, 4]
     assert active == [0, 1, 2]
 
@@ -769,6 +782,13 @@ def test_run_smc_pos_inf_likelihood_raises_domain_error(resampling):
         run_smc(cfg, target, seed=0)
     assert err.value.theta.shape == (2, 3) and err.value.stage == 2
     assert 0.0 < err.value.lam < 1.0
+    # and +inf rows of the last sweep fail as the island finishes, at lambda 1
+    last = len(run_smc(cfg, base, seed=0).schedule)
+    target = _BadInitialRows(base, {last: ([0, 5], np.inf)})
+    with pytest.raises(NumericalDomainError, match=rf"stage {last}: log-likelihood is \+inf for 2 of 8 particles \(lambda=1.0\)") as err:
+        run_smc(cfg, target, seed=0)
+    assert (err.value.lam, err.value.stage) == (1.0, last)
+    assert err.value.theta.shape == (2, 3)
 
 
 @pytest.mark.parametrize("kernel", [PcnConfig(beta=0.5), HmcConfig(step_size=0.1, leapfrog_steps=3)])
@@ -793,6 +813,13 @@ def test_run_ais_non_finite_likelihood_raises(kernel):
     with pytest.raises(NumericalDomainError, match=r"stage 2: log-likelihood is \+inf for 2 of 8") as err:
         run_ais(cfg, target, seed=0)
     assert err.value.lam == make_neal_schedule()[1]
+    # and in the last transition's sweep, as the run finishes
+    last = len(cfg.schedule) - 1
+    target = _BadInitialRows(base, {last: ([0, 5], np.inf)})
+    with pytest.raises(NumericalDomainError, match=rf"stage {last}: log-likelihood is \+inf for 2 of 8 particles \(lambda=1.0\)") as err:
+        run_ais(cfg, target, seed=0)
+    assert (err.value.lam, err.value.stage) == (1.0, last)
+    assert err.value.theta.shape == (2, 3)
 
 
 def test_run_smc_rejects_bad_seed():
@@ -812,3 +839,9 @@ def test_island_result_schedule_validation():
     with pytest.raises(ValueError):
         IslandResult(np.zeros((2, 1)), LogZAccumulator(), [0.7, 0.6, 1.0],
                      EvalCounter(), KernelStats())
+    # the ladder rule of SmcConfig, with its messages
+    for schedule, message in (([0.0, 1.0], "schedule must start above 0 and end at exactly 1"),
+                              ([0.5, float("nan"), 1.0], "schedule entries must be finite"),
+                              ([0.5, 0.5, 1.0], "schedule must be strictly increasing")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IslandResult(np.zeros((2, 1)), LogZAccumulator(), schedule, EvalCounter(), KernelStats())

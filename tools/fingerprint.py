@@ -20,6 +20,7 @@ count.  The whole run takes a few seconds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import struct
@@ -28,6 +29,10 @@ import sys
 # before numpy loads, which happens on first use below
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+
+# the IslandResult fields _Digest.island hashes, each by name
+_ISLAND_FIELDS = ("samples", "logz", "schedule", "epochs", "kernel_stats", "stage_ess", "log_weights")
 
 
 class _Digest:
@@ -51,6 +56,11 @@ class _Digest:
         self.add(tag, repr([int(v) for v in values]).encode())
 
     def island(self, tag, r):
+        # each field is hashed by name below, so a field added to IslandResult
+        # must be added here too, or it would drop out of the digest unnoticed
+        unhashed = sorted({f.name for f in dataclasses.fields(r)} - set(_ISLAND_FIELDS))
+        if unhashed:
+            raise RuntimeError(f"IslandResult fields {unhashed} are not hashed by _Digest.island")
         self.array(f"{tag}.samples", r.samples)
         self.floats(f"{tag}.logz", (r.logz.offset_sum, r.logz.residual_log))
         self.floats(f"{tag}.schedule", r.schedule)

@@ -8,12 +8,12 @@ Carlo with a leapfrog integrator.  Both leave
 
 All kernel math lives in population-level functions that act on every
 particle at once.  Every sampler steps through :func:`population_step`:
-SMC islands, AIS and parallel chains on their whole population, a
-serial chain on a population of one row.  States carry cached
-log-likelihood (and, for HMC, gradient) values so that one pCN step
-costs exactly one fresh likelihood evaluation and one HMC step costs
-exactly ``leapfrog_steps`` gradient evaluations plus one likelihood
-evaluation.
+SMC islands, AIS and parallel chains sweep their whole population
+through :func:`mutate`, a serial chain steps a population of one row.
+States carry cached log-likelihood (and, for HMC, gradient) values so
+that one pCN step costs exactly one fresh likelihood evaluation and one
+HMC step costs exactly ``leapfrog_steps`` gradient evaluations plus one
+likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -359,48 +359,48 @@ def _per_row(values, n_blocks, block_rows):
     return np.repeat(values, block_rows)[:, None]
 
 
-def mutate(pop, lam, n_steps, cfg, target, seed, stage, counter=None, stats=None, scaling=None, step_size=None):
+def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scaling=None, step_size=None):
     """Apply ``n_steps`` kernel sweeps to the whole population.
 
-    All noise of one stage comes from one generator per seed,
-    ``default_rng(SeedSequence((seed, stage, 1)))``: first an
-    ``(n, n_steps, d)`` standard-normal block, row ``i``'s draws in
-    ``[i]``, then ``(n, n_steps)`` uniforms.  A row's noise therefore
-    depends only on (seed, stage, row, n, n_steps, d), not on the order
-    in which rows are processed.  The trailing key word keeps the stream
-    apart from a run's base stream ``(seed, 0, 0)``.
-
-    A population stacked from B equal blocks of rows (independent
-    populations advanced in one sweep) takes a sequence of B seeds:
-    block ``b`` then draws its rows' noise from the generator of
-    ``seed[b]``, exactly as its own one-seed call would.  ``lam`` and
-    ``step_size`` are then one value or one per block, ``scaling`` is
-    ``(d,)`` or ``(B, d)``, and ``stats`` one :class:`KernelStats` or
-    one per block.
+    All noise comes from ``rngs``, a sequence of B generators, one per
+    equal block of rows (independent populations advanced in one
+    sweep).  Block ``b`` draws from ``rngs[b]`` first an
+    ``(rows, n_steps, d)`` standard-normal block, row ``i``'s draws in
+    ``[i]``, then ``(rows, n_steps)`` uniforms, exactly as its own
+    one-generator call would.  A row's noise therefore depends only on
+    its generator, its place in the block and (rows, n_steps, d), not on
+    the order in which rows are processed.  The stage loop passes each
+    island's stage stream ``seeds.stream(seed, stage, 1)``; parallel
+    chains pass each chain's own stream ``seeds.stream(seed)``.
+    ``lam`` and ``step_size`` are one value or one per block,
+    ``scaling`` is ``(d,)`` or ``(B, d)``, and ``stats`` one
+    :class:`KernelStats` or one per block.
 
     HMC spreads ``lam`` and the step sizes to full ``(n, d)`` arrays
-    once for all the stage's sweeps.
+    once for all the sweeps.
 
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
     n, d = pop.theta.shape
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    n_blocks = len(seeds)
+    n_blocks = len(rngs)
     if n_blocks == 0 or n % n_blocks:
         raise ValueError(f"{n} rows do not split into {n_blocks} equal blocks")
+    if not (stats is None or isinstance(stats, KernelStats) or len(stats) == n_blocks):
+        raise ValueError(f"expected one KernelStats per block ({n_blocks}), got {len(stats)}")
     block_rows = n // n_blocks
     lam = _per_row(lam, n_blocks, block_rows)
     step_size = None if step_size is None else _per_row(step_size, n_blocks, block_rows)
     if needs_gradient(cfg):
         lam = _spread(lam, (n, d))
         step_size = _spread(cfg.step_size if step_size is None else step_size, (n, d))
-    if scaling is not None and np.ndim(scaling) == 2:
+    if np.ndim(scaling) == 2:
+        if len(scaling) != n_blocks:
+            raise ValueError(f"expected one scaling row per block ({n_blocks}), got shape {np.shape(scaling)}")
         scaling = np.repeat(scaling, block_rows, axis=0)
     normals = np.empty((n, n_steps, d))
     log_u = np.empty((n, n_steps))
-    for b, block_seed in enumerate(seeds):
+    for b, rng in enumerate(rngs):
         rows = slice(b * block_rows, (b + 1) * block_rows)
-        rng = np.random.default_rng(np.random.SeedSequence((int(block_seed), int(stage), 1)))
         rng.standard_normal(out=normals[rows])
         rng.random(out=log_u[rows])
     np.log(log_u, out=log_u)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import HmcConfig, PcnConfig, Population
-from .seeds import check_seed
+from .seeds import check_seed, stream
 from .targets import EvalCounter, check_finite_loglik
 
 
@@ -79,26 +79,23 @@ def run_chain_serial(cfg, target, seed, stats=None):
     The chain starts from a prior draw, burns in ``cfg.burn_in`` steps,
     retains the current state, then retains every ``cfg.thin``-th state
     until ``cfg.n_samples`` are collected.  All randomness comes from
-    ``numpy.random.default_rng(seed)``: the prior draw, then per step
-    ``d`` standard normals and one uniform, which move a one-row
-    population through :func:`kernels.population_step`.  A NaN or +inf
+    ``seeds.stream(seed)``, numpy's default generator seeded with
+    ``seed``: the prior draw, then per step ``d`` standard normals and
+    one uniform, which move a one-row population through
+    :func:`kernels.population_step`.  A NaN or +inf
     log-likelihood at the start or after the last step raises
     :class:`targets.NumericalDomainError`.
     """
-    seed = check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = stream(check_seed(seed))
     counter = EvalCounter()
-    d = target.dim
     pop = Population.initialize(target, rng, 1, counter, needs_grad=kernels.needs_gradient(cfg.kernel))
     check_finite_loglik(pop.loglik, pop.theta, 1.0, "at the start", "chains")
-    samples = np.empty((cfg.n_samples, d))
+    samples = np.empty((cfg.n_samples, target.dim))
     for i in range(cfg.n_samples):
         for _ in range(cfg.thin if i else cfg.burn_in):
-            z = rng.standard_normal(d)
-            log_u = np.log(rng.random())
-            kernels.population_step(
-                pop, 1.0, cfg.kernel, target, z[None, :], np.atleast_1d(log_u), counter, stats
-            )
+            # the step's d normals, then its uniform
+            z, log_u = rng.standard_normal((1, target.dim)), np.log(rng.random(1))
+            kernels.population_step(pop, 1.0, cfg.kernel, target, z, log_u, counter, stats)
         samples[i] = pop.theta[0]
     check_finite_loglik(pop.loglik, pop.theta, 1.0, "after the last step", "chains")
     return samples, counter
@@ -107,12 +104,14 @@ def run_chain_serial(cfg, target, seed, stats=None):
 def run_chains_parallel(cfg, target, seeds, stats=None):
     """Run one chain per seed for ``cfg.burn_in`` steps, keep final states.
 
-    Chains never communicate: chain ``c`` derives every draw from
-    ``numpy.random.default_rng(seeds[c])``, consuming first the prior
+    Chains never communicate: chain ``c`` derives every draw from its
+    own stream ``seeds.stream(seeds[c])``, consuming first the prior
     draw, then its standard-normal block for all steps, then its
-    uniforms.  Outputs are exchangeable under permutation of the seeds.
-    A NaN or +inf log-likelihood at the start or after the last step
-    raises :class:`targets.NumericalDomainError`.
+    uniforms, as the chains sweep through one :func:`kernels.mutate`
+    call, each a one-row block with its own generator.  Outputs are
+    exchangeable under permutation of the seeds.  A NaN or +inf
+    log-likelihood at the start or after the last step raises
+    :class:`targets.NumericalDomainError`.
 
     Returns
     -------
@@ -123,26 +122,15 @@ def run_chains_parallel(cfg, target, seeds, stats=None):
     seeds = [check_seed(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    n = len(seeds)
-    if n == 0:
+    if not seeds:
         raise ValueError("need at least one seed")
-    d = target.dim
-    b = cfg.burn_in
+    rngs = [stream(s) for s in seeds]
     counter = EvalCounter()
-    theta0 = np.empty((n, d))
-    normals = np.empty((b, n, d))
-    log_u = np.empty((b, n))
-    for c, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        theta0[c] = target.prior_sample(rng)
-        normals[:, c, :] = rng.standard_normal((b, d))
-        log_u[:, c] = np.log(rng.random(b))
+    theta0 = np.array([target.prior_sample(rng) for rng in rngs])
     # the gradient is needed only for the steps
-    pop = Population.at(target, theta0, counter, needs_grad=b > 0 and kernels.needs_gradient(cfg.kernel))
+    needs_grad = cfg.burn_in > 0 and kernels.needs_gradient(cfg.kernel)
+    pop = Population.at(target, theta0, counter, needs_grad)
     check_finite_loglik(pop.loglik, pop.theta, 1.0, "at the start", "chains")
-    for step in range(b):
-        kernels.population_step(
-            pop, 1.0, cfg.kernel, target, normals[step], log_u[step], counter, stats
-        )
+    kernels.mutate(pop, 1.0, cfg.burn_in, cfg.kernel, target, rngs, counter, stats)
     check_finite_loglik(pop.loglik, pop.theta, 1.0, "after the last step", "chains")
     return pop.theta, counter

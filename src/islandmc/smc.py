@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import HmcConfig, KernelStats, PcnConfig, Population
-from .seeds import check_seed
+from .seeds import check_seed, stream
 from .targets import EvalCounter, check_finite_loglik
 
 
@@ -228,9 +228,11 @@ def update_logz(accs, stage_log_weights, shifted=None):
     log-weight plus the log mean of its max-shifted weights.  A caller
     that already holds ``shifted = _max_shift(stage_log_weights)``
     passes it to skip the shift and ``exp``.  Returns the k updated
-    accumulators as a list.
+    accumulators as a list; ``accs`` must hold k.
     """
     lw = _block(stage_log_weights, "stage_log_weights")
+    if len(accs) != len(lw):
+        raise ValueError(f"expected one accumulator per row ({len(lw)}), got {len(accs)}")
     m, w = _max_shift(lw) if shifted is None else shifted
     residual = np.log(np.mean(w, axis=-1))
     return [LogZAccumulator(a.offset_sum + off, a.residual_log + res)
@@ -336,9 +338,9 @@ def resample(log_weights, cfg, rngs, shifted=None):
 
     Returns the ``(k, N)`` block of within-row indices.  The weights are
     normalized and summed up in one pass, and row ``b`` draws its
-    uniforms from ``rngs[b]``.  ``shifted``, the weights ``exp(lw -
-    max(lw))`` when the caller already holds them, skips the shift and
-    ``exp``.  Multinomial resampling draws independently; systematic
+    uniforms from ``rngs[b]``, one generator per row.  ``shifted``, the
+    weights ``exp(lw - max(lw))`` when the caller already holds them,
+    skips the shift and ``exp``.  Multinomial resampling draws independently; systematic
     resampling places one stratified point per offspring slot, giving
     each index exactly one copy under uniform weights when N divides
     evenly.  Row ``b``'s multinomial indices are those of
@@ -350,6 +352,8 @@ def resample(log_weights, cfg, rngs, shifted=None):
     NaN or ``+inf`` log-weight) raises ``ValueError``, as ``choice`` does.
     """
     lw = _block(log_weights, "log_weights")
+    if len(rngs) != len(lw):
+        raise ValueError(f"expected one generator per row ({len(lw)}), got {len(rngs)}")
     w = _max_shift(lw)[1] if shifted is None else shifted
     n = w.shape[1]
     cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
@@ -483,7 +487,7 @@ def run_smc_islands(cfg, target, seeds):
     ladder = cfg.schedule[1:] if ais else cfg.schedule  # None: adaptive
     step_size = cfg.kernel.beta if isinstance(cfg.kernel, PcnConfig) else cfg.kernel.step_size
     islands = [
-        _Island(seed, np.random.default_rng(np.random.SeedSequence((seed, 0, 0))), step_size,
+        _Island(seed, stream(seed, 0, 0), step_size,
                 IslandResult(None, LogZAccumulator(), [], EvalCounter(), KernelStats(),
                              log_weights=np.zeros(n) if ais else None))
         for seed in seeds
@@ -572,7 +576,7 @@ def _mutate(cfg, target, pop, islands, stage, lams_new, ancestors):
     stage_counter = EvalCounter()
     kernels.mutate(
         pop, lams_new, cfg.mutation_steps, cfg.kernel, target,
-        [island.seed for island in islands], stage, stage_counter, stage_stats,
+        [stream(island.seed, stage, 1) for island in islands], stage_counter, stage_stats,
         scaling, [island.step_size for island in islands],
     )
     return stage_stats, stage_counter

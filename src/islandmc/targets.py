@@ -199,10 +199,9 @@ class _GaussianPriorTarget:
 
     def _check(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if theta.shape[-1] != self.dim:
-            raise ValueError(
-                f"parameter vector has dimension {theta.shape[-1]}, expected {self.dim}"
-            )
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
+            raise ValueError(f"parameters have shape {theta.shape}, expected dimension {self.dim} "
+                             f"as a ({self.dim},) vector or an (n, {self.dim}) batch")
         return theta
 
 

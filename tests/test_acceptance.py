@@ -23,6 +23,7 @@ from islandmc.kernels import (
     mutate,
 )
 from islandmc.mcmc import McmcConfig, run_chain_serial, run_chains_parallel
+from islandmc.seeds import stream
 from islandmc.smc import SmcConfig, run_smc
 from islandmc.targets import (
     EvalCounter,
@@ -120,7 +121,7 @@ def test_prior_preserved_at_exponent_zero():
         rng = np.random.default_rng(np.random.SeedSequence((99, 0, 0)))
         pop = Population.initialize(target, rng, k, EvalCounter(),
                                     needs_grad=isinstance(cfg, HmcConfig))
-        mutate(pop, 0.0, steps, cfg, target, seed=99, stage=1)
+        mutate(pop, 0.0, steps, cfg, target, [stream(99, 1, 1)])
         mean = pop.theta.mean(axis=0)
         var = pop.theta.var(axis=0, ddof=1)
         ok &= np.abs(mean).max() < bound

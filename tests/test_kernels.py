@@ -18,6 +18,7 @@ from islandmc.kernels import (
     needs_gradient,
     population_step,
 )
+from islandmc.seeds import stream
 from islandmc.targets import EvalCounter, GaussianLinearModel, make_gaussian_target
 
 
@@ -357,8 +358,9 @@ def test_population_step_eval_counts():
 
 
 def stage_noise(seed, stage, n, n_steps, d):
-    """One seed's stage noise as ``mutate`` draws it: ``default_rng(SeedSequence((seed, stage, 1)))``
-    gives the ``(n, n_steps, d)`` normals, then the ``(n, n_steps)`` uniforms."""
+    """One seed's stage noise as ``mutate`` draws it from ``stream(seed, stage, 1)``, built here by hand:
+    ``default_rng(SeedSequence((seed, stage, 1)))`` gives the ``(n, n_steps, d)`` normals, then the
+    ``(n, n_steps)`` uniforms."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, stage, 1)))
     return rng.standard_normal((n, n_steps, d)), np.log(rng.random((n, n_steps)))
 
@@ -372,7 +374,7 @@ def test_mutate_matches_scalar_steps_pcn():
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     pop = Population.initialize(target, rng, n)
     ref = Population.stack([pop])
-    mutate(pop, lam, 1, cfg, target, seed, stage, scaling=scaling)
+    mutate(pop, lam, 1, cfg, target, [stream(seed, stage, 1)], scaling=scaling)
     normals, log_u = stage_noise(seed, stage, n, 1, 3)
     for i in range(n):
         row = copy.copy(ref)
@@ -391,7 +393,7 @@ def test_mutate_matches_scalar_steps_hmc():
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     pop = Population.initialize(target, rng, n, needs_grad=True)
     ref = Population.stack([pop])
-    mutate(pop, lam, 1, cfg, target, seed, stage)
+    mutate(pop, lam, 1, cfg, target, [stream(seed, stage, 1)])
     normals, log_u = stage_noise(seed, stage, n, 1, 3)
     for i in range(n):
         row = copy.copy(ref)
@@ -409,7 +411,7 @@ def test_mutate_multi_step_noise_layout():
     seed, stage, n, steps = 5, 1, 3, 4
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
     pop = Population.initialize(target, rng, n)
-    mutate(pop, 0.0, steps, cfg, target, seed, stage)
+    mutate(pop, 0.0, steps, cfg, target, [stream(seed, stage, 1)])
     # at beta=1 and lam=0 the final state is each row's last normal draw
     normals, _ = stage_noise(seed, stage, n, steps, 2)
     assert np.array_equal(pop.theta, normals[:, -1])
@@ -425,7 +427,7 @@ def test_mutate_matches_reference_stream_loop(n_steps):
     pop = Population.initialize(target, rng, n)
     ref = Population(pop.theta.copy(), pop.loglik.copy())
     stats, ref_stats = KernelStats(), KernelStats()
-    accepted = mutate(pop, lam, n_steps, cfg, target, seed, stage, stats=stats)
+    accepted = mutate(pop, lam, n_steps, cfg, target, [stream(seed, stage, 1)], stats=stats)
     normals, log_u = stage_noise(seed, stage, n, n_steps, 3)
     ref_accepted = sum(
         population_step(ref, lam, cfg, target, normals[:, s], log_u[:, s], stats=ref_stats)
@@ -456,13 +458,13 @@ def test_mutate_stacked_blocks_equal_separate_calls(cfg, step_sizes, scaling):
     blocks = [_block_population(target, s, n, grad) for s in seeds]
     stacked = Population.stack(blocks)
     counter, stats = EvalCounter(), [KernelStats(), KernelStats()]
-    accepted = mutate(stacked, lams, steps, cfg, target, seeds, stage, counter, stats,
+    accepted = mutate(stacked, lams, steps, cfg, target, [stream(s, stage, 1) for s in seeds], counter, stats,
                       None if scaling is None else np.array(scaling), step_sizes)
     assert isinstance(accepted, int)
     assert accepted == stats[0].accepts + stats[1].accepts
     for b, block in enumerate(blocks):
         block_counter, block_stats = EvalCounter(), KernelStats()
-        mutate(block, lams[b], steps, cfg, target, seeds[b], stage, block_counter, block_stats,
+        mutate(block, lams[b], steps, cfg, target, [stream(seeds[b], stage, 1)], block_counter, block_stats,
                None if scaling is None else np.array(scaling[b]), step_sizes[b])
         rows = slice(b * n, (b + 1) * n)
         assert np.array_equal(stacked.theta[rows], block.theta)
@@ -551,7 +553,8 @@ def test_mutate_at_the_workload_shape_replays_the_reference_sweep_by_sweep(monke
 
     monkeypatch.setattr(kernels, "population_step", recording)
     counter, ref_counter = EvalCounter(), EvalCounter()
-    accepted = mutate(pop, lams, steps, cfg, target, seeds, stage, counter, step_size=step_sizes)
+    accepted = mutate(pop, lams, steps, cfg, target, [stream(s, stage, 1) for s in seeds], counter,
+                      step_size=step_sizes)
     assert len(snapshots) == steps and accepted == sum(a for a, _ in snapshots)
     noise = [stage_noise(s, stage, n, steps, 16) for s in seeds]
     normals = np.concatenate([z for z, _ in noise])
@@ -569,9 +572,32 @@ def test_mutate_rejects_unequal_blocks():
     target = make_gaussian_target(3, 6, 0.9, seed=4)
     pop = _block_population(target, 1, 5, False)
     with pytest.raises(ValueError, match="equal blocks"):
-        mutate(pop, [0.5, 0.5], 1, PcnConfig(), target, [1, 2], 1)
+        mutate(pop, [0.5, 0.5], 1, PcnConfig(), target, [stream(1, 1, 1), stream(2, 1, 1)])
     with pytest.raises(ValueError, match="one value per block"):
-        mutate(_block_population(target, 1, 4, False), [0.5, 0.5, 0.5], 1, PcnConfig(), target, [1, 2], 1)
+        mutate(_block_population(target, 1, 4, False), [0.5, 0.5, 0.5], 1, PcnConfig(), target,
+               [stream(1, 1, 1), stream(2, 1, 1)])
+
+
+def _four_blocks():
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    return target, _block_population(target, 1, 8, False), [stream(s, 1, 1) for s in range(4)]
+
+
+def test_mutate_rejects_stats_not_one_per_block():
+    # unchecked, 4 blocks and 2 KernelStats would book two blocks into each
+    target, pop, rngs = _four_blocks()
+    theta = pop.theta.copy()
+    with pytest.raises(ValueError, match=r"one KernelStats per block \(4\), got 2"):
+        mutate(pop, 0.5, 1, PcnConfig(), target, rngs, stats=[KernelStats(), KernelStats()])
+    assert np.array_equal(pop.theta, theta)
+    assert all(rng.bit_generator.state == stream(s, 1, 1).bit_generator.state for s, rng in enumerate(rngs))
+
+
+def test_mutate_rejects_scaling_not_one_per_block():
+    # unchecked, a mismatched scaling would fail with an unnamed broadcast error
+    target, pop, rngs = _four_blocks()
+    with pytest.raises(ValueError, match=r"one scaling row per block \(4\), got shape \(2, 3\)"):
+        mutate(pop, 0.5, 1, PcnConfig(), target, rngs, scaling=np.ones((2, 3)))
 
 
 def _python_squares_differ(count, seed):
@@ -612,7 +638,7 @@ def test_mutate_accept_count_and_stats():
     rng = np.random.default_rng(np.random.SeedSequence((1, 0, 0)))
     pop = Population.initialize(target, rng, 16)
     stats = KernelStats()
-    accepted = mutate(pop, 1.0, 3, cfg, target, 1, 1, stats=stats, scaling=np.ones(2))
+    accepted = mutate(pop, 1.0, 3, cfg, target, [stream(1, 1, 1)], stats=stats, scaling=np.ones(2))
     assert stats.proposals == 48
     assert stats.accepts == accepted
     assert 0 <= accepted <= 48

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from islandmc.diagnostics import iact
-from islandmc.kernels import HmcConfig, PcnConfig
+from islandmc.kernels import HmcConfig, KernelStats, PcnConfig, Population, needs_gradient, population_step
 from islandmc.mcmc import McmcConfig, run_chain_serial, run_chains_parallel
-from islandmc.targets import GaussianLinearModel, NumericalDomainError, make_gaussian_target
+from islandmc.targets import EvalCounter, GaussianLinearModel, NumericalDomainError, make_gaussian_target
 
 
 def prior_only(d):
@@ -87,6 +87,28 @@ def test_parallel_no_burn_in_returns_prior_draws():
     for c, s in enumerate(seeds):
         assert np.array_equal(samples[c], np.random.default_rng(s).standard_normal(3))
     assert counter.likelihood == 4 * 1 and counter.gradient == 0
+
+
+@pytest.mark.parametrize("kernel", [PcnConfig(beta=0.5), HmcConfig(step_size=0.2, leapfrog_steps=3)])
+def test_parallel_burn_in_replays_each_chains_own_stream(kernel):
+    # chain c draws from default_rng(seeds[c]) its prior draw, then (B, d)
+    # normals, then B uniforms; the chains take one population_step per step
+    target = make_gaussian_target(3, 6, 1.0, seed=4)
+    seeds, b = [5, 17, 99, 3], 7
+    cfg = McmcConfig(n_samples=1, burn_in=b, kernel=kernel, mode="parallel")
+    stats, ref_stats = KernelStats(), KernelStats()
+    samples, counter = run_chains_parallel(cfg, target, seeds, stats)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    theta0 = np.array([target.prior_sample(rng) for rng in rngs])
+    normals = np.stack([rng.standard_normal((b, 3)) for rng in rngs], axis=1)
+    log_u = np.stack([np.log(rng.random(b)) for rng in rngs], axis=1)
+    ref_counter = EvalCounter()
+    pop = Population.at(target, theta0, ref_counter, needs_gradient(kernel))
+    for step in range(b):
+        population_step(pop, 1.0, kernel, target, normals[step], log_u[step], ref_counter, ref_stats)
+    assert np.array_equal(samples, pop.theta)
+    assert counter == ref_counter and stats == ref_stats
+    assert 0 < stats.accepts < stats.proposals
 
 
 def test_parallel_eval_accounting():

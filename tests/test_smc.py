@@ -371,6 +371,22 @@ def test_resample_degenerate():
         resample(np.full((1, 3), -np.inf), cfg, [np.random.default_rng(0)])
 
 
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+def test_resample_needs_one_generator_per_row(scheme):
+    # unchecked, one generator for three rows would leave rows 1 and 2 uninitialized
+    cfg = mini_cfg(n_particles=4, resampling=scheme)
+    for count in (1, 4):
+        with pytest.raises(ValueError, match=rf"one generator per row \(3\), got {count}"):
+            resample(np.zeros((3, 4)), cfg, [np.random.default_rng(seed) for seed in range(count)])
+
+
+def test_update_logz_needs_one_accumulator_per_row():
+    # unchecked, one accumulator for three rows would return one
+    for count in (1, 4):
+        with pytest.raises(ValueError, match=rf"one accumulator per row \(3\), got {count}"):
+            update_logz([LogZAccumulator()] * count, np.zeros((3, 4)))
+
+
 def test_update_logz_identity_stage():
     acc = LogZAccumulator(2.5, -0.25)
     out = update_logz([acc], np.zeros((1, 16)))[0]

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -783,6 +784,20 @@ def test_dimension_mismatch_raises():
     model = make_gaussian_target(3, 2, 1.0, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         model.log_likelihood(np.zeros(4))
+
+
+@pytest.mark.parametrize("method", ["log_likelihood", "grad_log_likelihood", "log_prior", "grad_log_prior", "whiten"])
+@pytest.mark.parametrize("target", [make_gaussian_target(3, 4, 1.0, seed=0), make_logistic_target(3, 10, seed=0),
+                                    make_bimodal_gmm(3)], ids=["gaussian", "logistic", "gmm"])
+def test_input_other_than_a_vector_or_a_batch_raises_and_names_its_shape(target, method):
+    # unchecked, a (2, 3, d) stack would give a (2, 3) result charged as 2
+    # evaluations, and a 0-d input would raise IndexError
+    counter = EvalCounter()
+    args = (counter,) if "likelihood" in method else ()
+    for theta in (np.float64(0.0), np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"shape {theta.shape}, expected dimension 3")):
+            getattr(target, method)(theta, *args)
+    assert counter.epochs == 0
 
 
 def test_model_validation():

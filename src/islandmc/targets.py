@@ -117,6 +117,20 @@ def _block_height(width):
     return 1 << max((_BLOCK_FLOATS // max(width, 1)).bit_length() - 1, 0)
 
 
+def _regression_data(X, y):
+    """``X`` and ``y`` as float arrays, checked to be a finite ``(m, d)`` matrix and ``(m,)`` vector."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("X must be a 2-d array")
+    if y.shape != X.shape[:1]:
+        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    for name, a in (("X", X), ("y", y)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite, got {int(np.sum(~np.isfinite(a)))} NaN or infinite of {a.size} entries")
+    return X, y
+
+
 class _GaussianPriorTarget:
     """Shared prior and evaluation plumbing for the concrete targets below.
 
@@ -216,23 +230,18 @@ class GaussianLinearModel(_GaussianPriorTarget):
     Parameters
     ----------
     X : ndarray (m, d)
-        Design matrix.  ``m = 0`` is legal and gives a flat likelihood.
+        Finite design matrix.  ``m = 0`` is legal and gives a flat likelihood.
     y : ndarray (m,)
-        Observations.
+        Finite observations.
     sigma : float
         Observation noise standard deviation, positive and finite.
     """
 
     def __init__(self, X, y, sigma):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("X must be a 2-d array")
-        m, d = X.shape
-        if y.shape != (m,):
-            raise ValueError(f"y has shape {y.shape}, expected ({m},)")
         if not 0.0 < sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+        X, y = _regression_data(X, y)
+        m, d = X.shape
         self.X = X
         self.y = y
         self.sigma = float(sigma)
@@ -408,10 +417,17 @@ class LogisticTarget(_GaussianPriorTarget):
     matrix carries an explicit leading intercept column of ones, so
     ``d`` counts the intercept plus the covariates.
 
+    With ``z = x . theta`` and ``s = 1 - 2y``, ``y z - softplus(z) =
+    -softplus(s z)`` and ``softplus(2u) = u + log 2 + log cosh u`` make a
+    row block one GEMM ``u = theta (s x / 2)^T``, its one block-sized
+    temporary, and one in-place ``log(cosh(u))`` pass.  A row whose value
+    is not finite (``cosh`` overflows past ``|z|`` about 1421) is
+    recomputed in the softplus form ``z . y - sum(softplus(z))``.
+
     Parameters
     ----------
     X : ndarray (m, d)
-        Design matrix whose first column is all ones.
+        Finite design matrix whose first column is all ones.
     y : ndarray (m,)
         Binary labels in {0, 1}.
     prior_var : float
@@ -419,14 +435,9 @@ class LogisticTarget(_GaussianPriorTarget):
     """
 
     def __init__(self, X, y, prior_var=100.0):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ValueError("X must be (m, d) with m >= 1")
-        if not np.all(X[:, 0] == 1.0):
-            raise ValueError("first column of X must be the intercept (all ones)")
-        if y.shape != (X.shape[0],):
-            raise ValueError("y length must match the number of rows of X")
+        X, y = _regression_data(X, y)
+        if X.size == 0 or not np.all(X[:, 0] == 1.0):
+            raise ValueError("X must be (m, d) with m, d >= 1 and a first column of ones (the intercept)")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
         if not 0.0 < prior_var < math.inf:
@@ -436,35 +447,24 @@ class LogisticTarget(_GaussianPriorTarget):
         self.prior_var = float(prior_var)
         self._set_prior(X.shape[1], np.sqrt(prior_var))
         self._block_rows = self._grad_block_rows = _block_height(X.shape[0])
-        # one buffer per concurrent caller for the second temporary of
-        # _log_likelihood, as large as the largest block it has seen
-        self._scratch = []
-
-    def __getstate__(self):
-        return {**self.__dict__, "_scratch": []}
+        self._half_sxt = np.ascontiguousarray(((0.5 * (1.0 - 2.0 * y))[:, None] * X).T)
+        self._half_sx_sum = self._half_sxt.sum(-1)
+        self._m_log2 = X.shape[0] * math.log(2.0)
 
     def _log_likelihood(self, theta):
-        z = theta @ self.X.T
-        fit = z @ self.y
-        # softplus(z) = max(z, 0) + log1p(exp(-|z|)), built in place in z,
-        # with log1p(exp(-|z|)) in a kept buffer: a second fresh block
-        # temporary per call (about 176 KB at m = 690, next to z) can make
-        # glibc trim and regrow its heap on every call, depending on layout
-        try:
-            buf = self._scratch.pop()  # atomic: no two threads get one buffer
-        except IndexError:
-            buf = np.empty(0)
-        if buf.size < z.size:
-            buf = np.empty(z.size)
-        t = buf[:z.size].reshape(z.shape)
-        np.abs(z, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        np.maximum(z, 0.0, out=z)
-        z += t
-        self._scratch.append(buf)
-        return fit - z.sum(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = theta @ self._half_sxt
+            np.log(np.cosh(u, out=u), out=u)
+            ll = -(theta @ self._half_sx_sum + u.sum(-1) + self._m_log2)
+            bad = ~np.isfinite(ll)
+            if bad.any():
+                # cosh overflowed or theta is not finite: the softplus form on those rows
+                z = (theta[bad] if theta.ndim > 1 else theta) @ self.X.T
+                fix = z @ self.y - np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))), axis=-1)
+                if theta.ndim == 1:
+                    return fix
+                ll[bad] = fix
+        return ll
 
     def _grad_log_likelihood(self, theta):
         # scipy's expit, 1 / (1 + exp(-z)) with libm exp: numpy's SIMD exp

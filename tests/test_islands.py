@@ -336,6 +336,17 @@ def test_c1_hmc_islands_equal_one_island_runs_and_processes(master):
         assert_same_island(got, want)
 
 
+def test_c9_target_stacked_smc_islands_equal_one_island_runs():
+    # the C9 target's 32-row likelihood blocks: at N = 32 each island of the
+    # stack fills exactly one block, so it gets the bits of its own run
+    target = make_logistic_target(15, 690, seed=0)
+    assert target._block_rows == 32
+    cfg = SmcConfig(n_particles=32, mutation_steps=2, kernel=PcnConfig(beta=0.5))
+    seeds = [island_seed(9, p) for p in range(3)]
+    for seed, got in zip(seeds, smc.run_smc_islands(cfg, target, seeds)):
+        assert_same_island(got, run_smc(cfg, target, seed))
+
+
 @pytest.mark.parametrize("kernel", [PcnConfig(beta=0.5), HmcConfig(step_size=0.1, leapfrog_steps=3)])
 def test_ais_islands_on_the_stage_loop(kernel):
     # 16-row likelihood blocks: each island of the stack fills its own block

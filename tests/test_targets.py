@@ -377,35 +377,24 @@ def test_counter_charges_once_per_row_whatever_the_block_count(kind):
     assert (counter.likelihood, counter.gradient) == (theta.shape[0], theta.shape[0])
 
 
-def test_logistic_loglik_with_kept_buffer_equals_old_expression():
-    # the second softplus temporary lives in a kept buffer; the values are
-    # those of a fresh temporary per call, bit for bit, reused, resized,
-    # shared between threads and left out of a pickle
+def test_logistic_loglik_equals_the_log_cosh_expression():
+    # one GEMM against the rows s x / 2 (s = 1 - 2y) and one log-cosh pass,
+    # bit for bit per row block, shared between threads and after a pickle
     target = _blocked_targets()["logistic"]
     h = target._block_rows
     rng = np.random.default_rng(10)
+    half_sxt = np.ascontiguousarray(((0.5 * (1.0 - 2.0 * target.y))[:, None] * target.X).T)
+    m_log2 = target.X.shape[0] * math.log(2.0)
 
-    def old(theta):
-        z = theta @ target.X.T
-        fit = z @ target.y
-        t = np.abs(z)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        np.maximum(z, 0.0, out=z)
-        z += t
-        return fit - z.sum(-1)
+    def log_cosh_form(theta):
+        return -(theta @ half_sxt.sum(-1) + np.log(np.cosh(theta @ half_sxt)).sum(-1) + m_log2)
 
-    batches = [40.0 * rng.standard_normal((n, target.dim)) for n in (1, h - 1, h, h + 1, 3 * h + 5)]
-    batches[-1][3, 0] = np.nan
-    batches[-1][4, 1] = np.inf
-    with np.errstate(invalid="ignore"):
-        for theta in batches + batches[::-1]:
-            assert _same_bits(target._log_likelihood(theta), old(theta))
-            blocks = np.concatenate([old(theta[i:i + h]) for i in range(0, len(theta), h)])
-            assert _same_bits(target.log_likelihood(theta), blocks)
-            assert _same_bits(target.log_likelihood(theta[0]), old(theta[0]))
-    assert len(target._scratch) == 1
+    for n in (1, h - 1, h, h + 1, 3 * h + 5):
+        theta = 5.0 * rng.standard_normal((n, target.dim))
+        assert _same_bits(target._log_likelihood(theta), log_cosh_form(theta))
+        blocks = np.concatenate([log_cosh_form(theta[i:i + h]) for i in range(0, n, h)])
+        assert _same_bits(target.log_likelihood(theta), blocks)
+        assert _same_bits(target.log_likelihood(theta[0]), log_cosh_form(theta[0]))
     rows = [0.5 * rng.standard_normal((h, target.dim)) for _ in range(200)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -414,11 +403,46 @@ def test_logistic_loglik_with_kept_buffer_equals_old_expression():
             got = list(pool.map(target.log_likelihood, rows, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert all(_same_bits(g, old(theta)) for g, theta in zip(got, rows))
-    assert 1 <= len(target._scratch) <= 8
+    assert all(_same_bits(g, log_cosh_form(theta)) for g, theta in zip(got, rows))
     copy = pickle.loads(pickle.dumps(target))
-    assert copy._scratch == [] and target._scratch
-    assert _same_bits(copy.log_likelihood(rows[0]), got[0])
+    assert all(_same_bits(copy.log_likelihood(theta), g) for g, theta in zip(got[:5], rows))
+
+
+def _softplus_loglik(target, theta):
+    """The softplus form ``z . y - sum(max(z, 0) + log1p(exp(-|z|)))``, warnings off."""
+    z = np.asarray(theta, dtype=float) @ target.X.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return z @ target.y - np.sum(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))), axis=-1)
+
+
+def test_logistic_loglik_falls_back_to_the_softplus_form_where_cosh_overflows():
+    target = make_logistic_target(4, 50, seed=2)
+    rng = np.random.default_rng(12)
+    batch = np.vstack([
+        rng.standard_normal((3, 4)),
+        [3000.0, 0.0, 0.0, 0.0],  # |z| = 3000 in every row: cosh overflows
+        [-3000.0, 0.0, 0.0, 0.0],
+        [0.5, 900.0, -700.0, 800.0],  # cosh overflows in some rows only
+        [0.3, np.nan, 0.0, 1.0],
+        [np.inf, 0.0, 0.0, 0.0],
+        [0.0, -np.inf, 0.0, 0.0],
+        [1e308, 0.0, 0.0, 0.0],
+        [-1e308, 0.0, 0.0, 0.0],  # z . y overflows to -inf
+        2.0 * rng.standard_normal((3, 4)),
+    ])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.cosh(0.5 * batch[3:6] @ target.X.T)).any(axis=-1).all()
+    today = _softplus_loglik(target, batch)
+    finite = np.isfinite(today)
+    assert finite.tolist() == [True] * 6 + [False] * 5 + [True] * 3
+    assert np.isnan(today[6:10]).all() and today[10] == -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = target.log_likelihood(batch)
+        ones = np.array([target.log_likelihood(theta) for theta in batch])
+    for values in (got, ones):
+        assert np.allclose(values[finite], _logaddexp_loglik(target, batch[finite]), rtol=1e-12, atol=0.0)
+        assert np.array_equal(values[~finite], today[~finite], equal_nan=True)
 
 
 def test_logistic_grad_in_place_equals_old_expression():
@@ -638,6 +662,8 @@ def test_logistic_requires_intercept_and_binary_labels():
         LogisticTarget(np.array([[0.0, 1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         LogisticTarget(np.ones((2, 1)), np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="^X must be .* with m, d >= 1"):
+        LogisticTarget(np.ones((2, 0)), np.array([0.0, 1.0]))
     for prior_var in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="^prior_var must be positive and finite"):
             LogisticTarget(np.ones((1, 1)), np.array([1.0]), prior_var=prior_var)
@@ -798,6 +824,27 @@ def test_input_other_than_a_vector_or_a_batch_raises_and_names_its_shape(target,
         with pytest.raises(ValueError, match=re.escape(f"shape {theta.shape}, expected dimension 3")):
             getattr(target, method)(theta, *args)
     assert counter.epochs == 0
+
+
+@pytest.mark.parametrize("kind", [LogisticTarget, lambda X, y: GaussianLinearModel(X, y, sigma=1.0)],
+                         ids=["logistic", "gaussian"])
+def test_non_finite_design_is_rejected_and_named(kind):
+    # unchecked, one NaN in X gave a target whose every row is NaN
+    for value in (np.nan, np.inf, -np.inf):
+        X = np.ones((3, 2))
+        X[1, 1] = value
+        with pytest.raises(ValueError, match="^X must be finite, got 1 NaN or infinite of 6 entries$"):
+            kind(X, np.array([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind", [LogisticTarget, lambda X, y: GaussianLinearModel(X, y, sigma=1.0)],
+                         ids=["logistic", "gaussian"])
+def test_non_finite_observations_are_rejected_and_named(kind):
+    for value in (np.nan, np.inf, -np.inf):
+        y = np.array([0.0, 1.0, 1.0])
+        y[2] = value
+        with pytest.raises(ValueError, match="^y must be finite, got 1 NaN or infinite of 3 entries$"):
+            kind(np.ones((3, 2)), y)
 
 
 def test_model_validation():

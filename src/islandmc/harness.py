@@ -33,7 +33,8 @@ from .diagnostics import posterior_mean
 from .kernels import HmcConfig, PcnConfig
 from .mcmc import McmcConfig
 from .seeds import derive_seed
-from .smc import RESAMPLING_SCHEMES, SmcConfig
+from .smc import RESAMPLING_SCHEMES, DegenerateWeightsError, ScheduleOverflowError, SmcConfig
+from .targets import NumericalDomainError
 
 CSV_COLUMNS = [
     "method", "N", "P", "M", "B", "T", "replicate",
@@ -45,6 +46,10 @@ COLUMN_ALIASES = {"mse": "mse_vs_truth", "epochs": "epochs_serial", "logz": "log
 
 class ConfigError(ValueError):
     """Config file problem; the message names the offending field."""
+
+
+class CellError(RuntimeError):
+    """A sweep cell's sampler failed; the message names the cell."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,13 @@ _POINT_MINIMA = {"N": 1, "P": 1, "M": 0, "B": 0, "T": 1}
 
 @dataclass
 class ExperimentConfig:
-    target_spec: dict
-    method_spec: dict
+    """A parsed config holding what runs: the built target, the method
+    kind, and one method config per sweep point, all built once."""
+
+    target: object
+    kind: str
     sweep: list
+    method_configs: list
     replicates: int
     master_seed: int
     output: str | None = None
@@ -142,12 +151,10 @@ def parse_config(payload) -> ExperimentConfig:
         _require(entry, "N", path)
         sweep.append(SweepPoint(**{k: _as_int(entry[k], f"{path}.{k}", least)
                                    for k, least in _POINT_MINIMA.items() if k in entry}))
-    cfg = ExperimentConfig(target_spec, method_spec, sweep, replicates, master_seed, output)
-    # fail fast on bad specs before any run starts
-    target = build_target(cfg.target_spec)
-    for i, point in enumerate(sweep):
-        _point_config(cfg.method_spec, point, target, i)
-    return cfg
+    target = build_target(target_spec)
+    method_configs = [_point_config(method_spec, point, target, i) for i, point in enumerate(sweep)]
+    # each _point_config call has checked the method kind
+    return ExperimentConfig(target, method_spec["kind"], sweep, method_configs, replicates, master_seed, output)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -275,17 +282,6 @@ def analytic_truth(target):
     return None
 
 
-def _method_kind(method_spec):
-    """The method kind, once the spec's fields are known for it."""
-    if not isinstance(method_spec, dict):
-        raise ConfigError("method: expected an object")
-    kind = _require(method_spec, "kind", "method")
-    if not isinstance(kind, str) or kind not in _METHODS:
-        raise ConfigError(f"method.kind: unknown method kind {kind!r}")
-    _check_fields(method_spec, ("kind", "kernel", *_METHODS[kind][2]), "method", kind)
-    return kind
-
-
 def _run_islands_cell(cfg, n_islands, target, seed):
     """SMC or MCMC islands combined by evidence; MCMC evidences are all 1, so logZ is 0."""
     ens = islands_mod.run_islands(n_islands, cfg, target, seed)
@@ -336,7 +332,12 @@ _METHODS = {
 
 def _point_config(method_spec, point, target, index):
     """The method config of sweep point ``index``; each error names its field."""
-    kind = _method_kind(method_spec)
+    if not isinstance(method_spec, dict):
+        raise ConfigError("method: expected an object")
+    kind = _require(method_spec, "kind", "method")
+    if not isinstance(kind, str) or kind not in _METHODS:
+        raise ConfigError(f"method.kind: unknown method kind {kind!r}")
+    _check_fields(method_spec, ("kind", "kernel", *_METHODS[kind][2]), "method", kind)
     kernel = build_kernel(method_spec.get("kernel"))
     if isinstance(kernel, HmcConfig) and np.ndim(kernel.mass) != 0 and np.shape(kernel.mass) != (target.dim,):
         raise ConfigError(
@@ -362,24 +363,25 @@ def run_experiment(cfg):
 
     Rows are ordered by (sweep index, replicate), and every column
     except wall_seconds is a deterministic function of the config and
-    master seed.
+    master seed.  A cell whose sampler fails raises :class:`CellError`
+    naming the cell, chained to the sampler's error.
     """
-    target = build_target(cfg.target_spec)
-    truth = analytic_truth(target)
-    kind = _method_kind(cfg.method_spec)
-    run_cell = _METHODS[kind][3]
+    truth = analytic_truth(cfg.target)
+    run_cell = _METHODS[cfg.kind][3]
     rows = []
-    for si, point in enumerate(cfg.sweep):
-        method_cfg = _point_config(cfg.method_spec, point, target, si)
+    for si, (point, method_cfg) in enumerate(zip(cfg.sweep, cfg.method_configs)):
         for replicate in range(cfg.replicates):
             seed = run_seed(cfg.master_seed, si, replicate)
             start = time.perf_counter()
-            estimate, logz, tallies = run_cell(method_cfg, point.P, target, seed)
+            try:
+                estimate, logz, tallies = run_cell(method_cfg, point.P, cfg.target, seed)
+            except (ScheduleOverflowError, NumericalDomainError, DegenerateWeightsError) as exc:
+                raise CellError(f"sweep[{si}] replicate {replicate}: {exc}") from exc
             wall = time.perf_counter() - start
             lik = sum(t.likelihood for t in tallies)
             grad = sum(t.gradient for t in tallies)
             rows.append({
-                "method": kind, "N": point.N, "P": point.P, "M": point.M,
+                "method": cfg.kind, "N": point.N, "P": point.P, "M": point.M,
                 "B": point.B, "T": point.T, "replicate": replicate,
                 "mse_vs_truth": "" if truth is None else float(np.mean((estimate - truth) ** 2)),
                 "logZ": float(logz), "lik_evals": lik, "grad_evals": grad,
@@ -490,6 +492,9 @@ def main(argv=None) -> int:
             if fit.dropped:
                 print(f"warning: dropped {fit.dropped} rows with missing or non-positive values")
             print(f"slope {fit.slope:.6f} intercept {fit.intercept:.6f} r2 {fit.r2:.6f}")
+    except CellError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

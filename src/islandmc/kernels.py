@@ -186,16 +186,6 @@ def _kinetic(momentum, mass):
     return 0.5 * np.sum(p2 if mass is None else p2 / mass, axis=-1)
 
 
-def _spread(x, shape):
-    """A per-row ``(n, 1)`` column spread to a full ``shape`` array; scalars and full arrays pass through.
-
-    numpy multiplies by a full array faster than by a broadcast column
-    (2.6 against 4.7 us at (256, 16) on an x86_64 VM), with the same
-    products.
-    """
-    return np.broadcast_to(x, shape).copy() if np.ndim(x) and np.shape(x) != shape else x
-
-
 def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step_size=None):
     """Integrate Hamiltonian dynamics for ``cfg.leapfrog_steps`` steps.
 
@@ -247,7 +237,7 @@ def leapfrog(theta, momentum, lam, cfg, target, counter=None, grad_ll=None, step
 
 
 def _rows(x):
-    """A per-row ``(n, 1)`` column as an ``(n,)`` vector; scalars pass through."""
+    """A per-row ``(n, 1)`` or ``(n, d)`` array as the ``(n,)`` vector of its rows' values; scalars pass through."""
     return x[:, 0] if np.ndim(x) == 2 else x
 
 
@@ -343,11 +333,14 @@ def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=N
     return int(accept.sum())
 
 
-def _per_row(values, n_blocks, block_rows):
-    """One value, or one per block, as a scalar or a per-row ``(n, 1)`` column.
+def _per_row(values, n_blocks, block_rows, width):
+    """One value, or one per block, as a scalar or a per-row ``(n, width)`` array; None passes through.
 
     One block's one value stays a scalar: it gives the same products as
-    a column, faster.
+    an array, faster.  HMC asks for ``width`` d, the width of the arrays
+    it multiplies: numpy multiplies by a full array faster than by a
+    broadcast ``(n, 1)`` column (2.6 against 4.7 us at (256, 16) on an
+    x86_64 VM), with the same products.
     """
     if np.ndim(values) == 0:
         return values
@@ -356,7 +349,7 @@ def _per_row(values, n_blocks, block_rows):
         raise ValueError(f"expected one value per block ({n_blocks}), got shape {values.shape}")
     if n_blocks == 1:
         return float(values[0])
-    return np.repeat(values, block_rows)[:, None]
+    return np.repeat(values, block_rows * width).reshape(-1, width)
 
 
 def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scaling=None, step_size=None):
@@ -376,8 +369,9 @@ def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scali
     ``scaling`` is ``(d,)`` or ``(B, d)``, and ``stats`` one
     :class:`KernelStats` or one per block.
 
-    HMC spreads ``lam`` and the step sizes to full ``(n, d)`` arrays
-    once for all the sweeps.
+    Each per-block ``lam`` and step size is spread once for all the
+    sweeps, in one step, to the shape its kernel multiplies by: a full
+    ``(n, d)`` array for HMC, an ``(n, 1)`` column for pCN.
 
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
@@ -388,11 +382,8 @@ def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scali
     if not (stats is None or isinstance(stats, KernelStats) or len(stats) == n_blocks):
         raise ValueError(f"expected one KernelStats per block ({n_blocks}), got {len(stats)}")
     block_rows = n // n_blocks
-    lam = _per_row(lam, n_blocks, block_rows)
-    step_size = None if step_size is None else _per_row(step_size, n_blocks, block_rows)
-    if needs_gradient(cfg):
-        lam = _spread(lam, (n, d))
-        step_size = _spread(cfg.step_size if step_size is None else step_size, (n, d))
+    width = d if needs_gradient(cfg) else 1
+    lam, step_size = (_per_row(v, n_blocks, block_rows, width) for v in (lam, step_size))
     if np.ndim(scaling) == 2:
         if len(scaling) != n_blocks:
             raise ValueError(f"expected one scaling row per block ({n_blocks}), got shape {np.shape(scaling)}")

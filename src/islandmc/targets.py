@@ -451,6 +451,14 @@ class LogisticTarget(_GaussianPriorTarget):
         self._half_sx_sum = self._half_sxt.sum(-1)
         self._m_log2 = X.shape[0] * math.log(2.0)
 
+    def __getstate__(self):
+        # the data alone: the arrays derived from it are rebuilt on load
+        return {k: v for k, v in self.__dict__.items() if k in ("X", "y", "prior_var", "theta_star")}
+
+    def __setstate__(self, state):
+        self.__init__(state.pop("X"), state.pop("y"), state.pop("prior_var"))
+        self.__dict__.update(state)
+
     def _log_likelihood(self, theta):
         with np.errstate(over="ignore", invalid="ignore"):
             u = theta @ self._half_sxt

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import islandmc
+from islandmc import harness
 from islandmc.ais import AisConfig, make_neal_schedule
 from islandmc.harness import (
     CSV_COLUMNS,
+    CellError,
     ConfigError,
     FitResult,
     SweepPoint,
@@ -29,7 +31,13 @@ from islandmc.harness import (
 from islandmc.kernels import HmcConfig, PcnConfig
 from islandmc.mcmc import McmcConfig
 from islandmc.smc import SmcConfig
-from islandmc.targets import GaussianLinearModel, GmmTarget, LogisticTarget
+from islandmc.targets import (
+    GaussianLinearModel,
+    GmmTarget,
+    LogisticTarget,
+    NumericalDomainError,
+    make_gaussian_target,
+)
 
 
 def base_config(**overrides):
@@ -428,6 +436,79 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         cfg_path.write_text(json.dumps(base_config(method={"kind": "smc", "kernel": {"kind": "hmc", "mass": mass}})))
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
         assert "error: method.kernel.mass: mass entries must be finite and positive" in capsys.readouterr().err
+
+
+def test_cli_failed_cell_exits_1_and_names_the_cell(tmp_path, capsys):
+    cfg_path = tmp_path / "short.json"
+    cfg_path.write_text(json.dumps(base_config(method={"kind": "smc_par", "max_stages": 1},
+                                               sweep=[{"N": 8, "P": 2, "M": 1}])))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep[0] replicate 0: tempering did not reach 1.0 within 1 stages "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+class _NanLikelihood:
+    """A target whose log-likelihood is NaN in every row."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def log_likelihood(self, theta, counter=None):
+        return np.full(len(theta), np.nan)
+
+
+def test_failed_cell_names_itself_and_chains_the_sampler_error(tmp_path, capsys, monkeypatch):
+    cfg = parse_config(base_config(replicates=1))
+    cfg.target = _NanLikelihood(cfg.target)
+    with pytest.raises(CellError, match=r"^sweep\[0\] replicate 0: ") as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, NumericalDomainError)
+    assert str(info.value) == f"sweep[0] replicate 0: {info.value.__cause__}"
+    # a NumericalDomainError is a ValueError, yet the CLI gives it the status of a failed run
+    monkeypatch.setattr(harness, "build_target", lambda spec: _NanLikelihood(make_gaussian_target(2, 4, 1.0, 1)))
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep[0] replicate 0: ")
+    assert not out.exists()
+
+
+def test_cli_run_builds_the_target_once(tmp_path, monkeypatch):
+    calls = []
+    build = harness.build_target
+    monkeypatch.setattr(harness, "build_target", lambda spec: calls.append(spec) or build(spec))
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(base_config(sweep=[{"N": 8}, {"N": 16}])))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(calls) == 1
+
+
+def test_run_experiment_runs_the_target_it_parsed(tmp_path):
+    # a csv target is read once, by parse_config: its file may go before the run
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 2))
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,label\n" + "".join(f"{a},{b},{int(a + b > 0)}\n" for a, b in x.tolist()))
+    payload = base_config(target={"kind": "logistic", "csv": str(data)},
+                          method={"kind": "smc_par"}, sweep=[{"N": 8, "P": 2, "M": 2}])
+    cfg = parse_config(payload)
+    text = data.read_text()
+    data.unlink()
+    rows = run_experiment(cfg)
+    data.write_text(text)
+    fresh = run_experiment(parse_config(payload))
+
+    def strip_wall(rows):
+        return [{k: v for k, v in row.items() if k != "wall_seconds"} for row in rows]
+
+    assert len(rows) == 2 and strip_wall(rows) == strip_wall(fresh)
 
 
 def test_cli_thinned_parallel_chains_exit_2_and_name_the_sweep_field(tmp_path, capsys):

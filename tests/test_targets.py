@@ -406,6 +406,16 @@ def test_logistic_loglik_equals_the_log_cosh_expression():
     assert all(_same_bits(g, log_cosh_form(theta)) for g, theta in zip(got, rows))
     copy = pickle.loads(pickle.dumps(target))
     assert all(_same_bits(copy.log_likelihood(theta), g) for g, theta in zip(got[:5], rows))
+    # a pickle carries the data alone; the copy rebuilds the derived arrays
+    c9 = make_logistic_target(15, 690, seed=0)
+    payload = pickle.dumps(c9)
+    assert len(payload) < 100_000
+    copy = pickle.loads(payload)
+    assert _same_bits(copy.theta_star, c9.theta_star) and copy.prior_var == c9.prior_var
+    for n in (1, 7, 3 * c9._block_rows + 5):
+        theta = 0.5 * rng.standard_normal((n, c9.dim))
+        assert _same_bits(copy.log_likelihood(theta), c9.log_likelihood(theta))
+        assert _same_bits(copy.grad_log_likelihood(theta), c9.grad_log_likelihood(theta))
 
 
 def _softplus_loglik(target, theta):

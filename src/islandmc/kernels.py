@@ -241,13 +241,18 @@ def _rows(x):
     return x[:, 0] if np.ndim(x) == 2 else x
 
 
-# Python squares a float with libm's pow, numpy by one multiplication; the
-# two differ in the last bit for about one value in a thousand.  Per-row
-# step sizes are squared the way a scalar step size is.
-_py_square = np.frompyfunc(lambda x: x**2, 1, 1)
+def _py_squares(values):
+    """Python's ``b**2`` of each float in ``values``, as an array of their shape.
+
+    Python squares a float with libm's pow, numpy by one multiplication;
+    the two differ in the last bit for about one value in a thousand.
+    Per-row step sizes are squared the way a scalar step size is.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.array([b**2 for b in values.ravel().tolist()]).reshape(values.shape)
 
 
-def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter):
+def _pcn_population_step(pop, lam, beta, beta_sq, scaling, target, delta, log_u, counter):
     """One pCN sweep over the population with pre-drawn noise; returns the accept mask.
 
     Each row whitens ``theta`` against the prior, proposes the
@@ -255,15 +260,16 @@ def _pcn_population_step(pop, lam, beta, scaling, target, delta, log_u, counter)
     accepts with probability ``min(1, (L(theta') / L(theta))^lambda)``:
     the prior is invariant under the proposal, so only the likelihood
     ratio enters.  At ``lambda > 0`` a NaN proposal is rejected (``log_u
-    <= NaN`` is False) and a +inf one accepted.
+    <= NaN`` is False) and a +inf one accepted.  ``scaling`` None is the
+    unit D, left out of the products: ``beta^2 * 1.0`` and ``beta *
+    sqrt(1.0)`` are exact, so every bit is kept.
     """
-    beta_sq = beta**2 if np.ndim(beta) == 0 else _py_square(beta).astype(float)
-    keep = 1.0 - beta_sq * scaling
+    keep = 1.0 - (beta_sq if scaling is None else beta_sq * scaling)
     if np.any(keep < -1e-12):
         raise ValueError("scaling entries must satisfy beta^2 * D <= 1")
     keep = np.maximum(keep, 0.0)
     u = target.whiten(pop.theta)
-    u_new = np.sqrt(keep) * u + beta * np.sqrt(scaling) * delta
+    u_new = np.sqrt(keep) * u + (beta if scaling is None else beta * np.sqrt(scaling)) * delta
     theta_new = target.unwhiten(u_new)
     ll_new = np.atleast_1d(target.log_likelihood(theta_new, counter))
     lam = _rows(lam)
@@ -305,21 +311,23 @@ def _hmc_population_step(pop, lam, cfg, dt, target, z, log_u, counter):
     return accept
 
 
-def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=None, scaling=None, step_size=None):
+def population_step(pop, lam, cfg, target, normals, log_u, counter=None, stats=None, scaling=None, step_size=None,
+                    step_size_sq=None):
     """Dispatch one kernel sweep and return the number of accepted proposals.
 
     ``lam`` and ``step_size`` (pCN ``beta`` or HMC ``step_size``; the
     config value when omitted) are scalars or per-row ``(n, 1)`` columns;
     HMC also takes full ``(n, d)`` arrays.  The pCN ``scaling`` is ``(d,)`` or per-row
-    ``(n, d)``, unit when omitted.  ``stats`` is one
-    :class:`KernelStats` or a sequence of them, one per equal block of
-    rows.
+    ``(n, d)``, unit when omitted.  ``step_size_sq`` is pCN's ``beta**2``,
+    each value squared as a Python float; it is squared here when omitted.
+    ``stats`` is one :class:`KernelStats` or a sequence of them, one per
+    equal block of rows.
     """
     if isinstance(cfg, PcnConfig):
         beta = cfg.beta if step_size is None else step_size
-        if scaling is None:
-            scaling = np.ones(pop.theta.shape[1])
-        accept = _pcn_population_step(pop, lam, beta, scaling, target, normals, log_u, counter)
+        if step_size_sq is None:
+            step_size_sq = beta**2 if np.ndim(beta) == 0 else _py_squares(beta)
+        accept = _pcn_population_step(pop, lam, beta, step_size_sq, scaling, target, normals, log_u, counter)
     else:
         dt = cfg.step_size if step_size is None else step_size
         accept = _hmc_population_step(pop, lam, cfg, dt, target, normals, log_u, counter)
@@ -371,7 +379,8 @@ def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scali
 
     Each per-block ``lam`` and step size is spread once for all the
     sweeps, in one step, to the shape its kernel multiplies by: a full
-    ``(n, d)`` array for HMC, an ``(n, 1)`` column for pCN.
+    ``(n, d)`` array for HMC, an ``(n, 1)`` column for pCN.  pCN's B
+    step sizes are squared once, as Python floats, and spread the same way.
 
     Returns the number of accepted proposals (out of ``n * n_steps``).
     """
@@ -383,6 +392,9 @@ def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scali
         raise ValueError(f"expected one KernelStats per block ({n_blocks}), got {len(stats)}")
     block_rows = n // n_blocks
     width = d if needs_gradient(cfg) else 1
+    step_size_sq = None
+    if not needs_gradient(cfg) and np.ndim(step_size) == 1:
+        step_size_sq = _per_row(_py_squares(step_size), n_blocks, block_rows, width)
     lam, step_size = (_per_row(v, n_blocks, block_rows, width) for v in (lam, step_size))
     if np.ndim(scaling) == 2:
         if len(scaling) != n_blocks:
@@ -399,7 +411,7 @@ def mutate(pop, lam, n_steps, cfg, target, rngs, counter=None, stats=None, scali
     accepted = 0
     for s, step_normals in enumerate(normals.transpose(1, 0, 2)):
         accepted += population_step(
-            pop, lam, cfg, target, step_normals, log_u[s], counter, stats, scaling, step_size
+            pop, lam, cfg, target, step_normals, log_u[s], counter, stats, scaling, step_size, step_size_sq
         )
     return accepted
 

@@ -632,6 +632,50 @@ def test_pcn_per_row_step_sizes_are_squared_like_python():
     assert (np.sqrt(1.0 - python_sq * scaling) != np.sqrt(1.0 - (betas * betas)[:, None] * scaling)).any()
 
 
+@pytest.mark.parametrize("unit_scaling", [True, False])
+def test_mutate_squares_each_block_step_size_once_like_python(monkeypatch, unit_scaling):
+    # four stacked blocks with step sizes whose Python square is not their
+    # product: mutate squares the four values once for all its sweeps, and
+    # each block still moves exactly as its own scalar-step mutate call
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    scaling = None if unit_scaling else np.random.default_rng(3).uniform(0.2, 1.0, (4, 3))
+    d_rows = np.ones((4, 3)) if unit_scaling else scaling
+    # step sizes whose numpy square would move every block's proposal coefficient
+    odd = _python_squares_differ(80, 1)
+    betas = np.array([next(b for b in odd if (np.sqrt(1.0 - b**2 * row) != np.sqrt(1.0 - (b * b) * row)).any())
+                      for row in d_rows])
+    n, stage, steps, lam = 5, 2, 3, 0.7
+    blocks = [_block_population(target, seed, n, False) for seed in range(4)]
+    stacked = Population.stack(blocks)
+    squared = []
+    square = kernels._py_squares
+    monkeypatch.setattr(kernels, "_py_squares", lambda values: squared.append(np.shape(values)) or square(values))
+    mutate(stacked, lam, steps, PcnConfig(), target, [stream(seed, stage, 1) for seed in range(4)],
+           scaling=scaling, step_size=betas)
+    assert squared == [(4,)]
+    for b, block in enumerate(blocks):
+        mutate(block, lam, steps, PcnConfig(), target, [stream(b, stage, 1)],
+               scaling=None if unit_scaling else scaling[b], step_size=float(betas[b]))
+        assert np.array_equal(stacked.theta[b * n:(b + 1) * n], block.theta)
+        assert np.array_equal(stacked.loglik[b * n:(b + 1) * n], block.loglik)
+
+
+def test_pcn_unit_scaling_equals_a_scaling_of_ones():
+    # no scaling leaves D out of the proposal; a D of ones gives the same bits
+    target = make_gaussian_target(3, 6, 0.9, seed=4)
+    n = 12
+    rng = np.random.default_rng(5)
+    delta, log_u = rng.standard_normal((n, 3)), np.log(rng.random(n))
+    for beta in (0.37, np.repeat(_python_squares_differ(3, 2), 4)[:, None]):
+        unit, ones = (_block_population(target, 8, n, False) for _ in range(2))
+        got = population_step(unit, 0.6, PcnConfig(), target, delta, log_u, step_size=beta)
+        want = population_step(ones, 0.6, PcnConfig(), target, delta, log_u, scaling=np.ones(3), step_size=beta)
+        assert got == want
+        assert np.array_equal(unit.theta, ones.theta) and np.array_equal(unit.loglik, ones.loglik)
+    with pytest.raises(ValueError, match="beta"):
+        population_step(unit, 0.6, PcnConfig(), target, delta, log_u, step_size=1.5)
+
+
 def test_mutate_accept_count_and_stats():
     target = make_gaussian_target(2, 4, 1.0, seed=0)
     cfg = PcnConfig(beta=0.5)

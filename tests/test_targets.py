@@ -377,24 +377,46 @@ def test_counter_charges_once_per_row_whatever_the_block_count(kind):
     assert (counter.likelihood, counter.gradient) == (theta.shape[0], theta.shape[0])
 
 
-def test_logistic_loglik_equals_the_log_cosh_expression():
-    # one GEMM against the rows s x / 2 (s = 1 - 2y) and one log-cosh pass,
-    # bit for bit per row block, shared between threads and after a pickle
+def _folded_log_cosh_form(target):
+    """The logistic log-likelihood as the folded log-cosh expression, from the data.
+
+    The rows ``s x / 2`` (``s = 1 - 2y``), zero-padded to 8 w columns, are
+    cut into eight w-column slices; each row's value is ``-(theta . sum of
+    the rows + sum(log(prod of the 8 slices' cosh(theta @ slice))) + m log 2)``,
+    the product taken slice by slice in order.
+    """
+    m, d = target.X.shape
+    half_sxt = np.ascontiguousarray(((0.5 * (1.0 - 2.0 * target.y))[:, None] * target.X).T)
+    w = -(-m // 8)
+    padded = np.zeros((d, 8 * w))
+    padded[:, :m] = half_sxt
+    slices = [np.ascontiguousarray(padded[:, f * w:(f + 1) * w]) for f in range(8)]
+    half_sx_sum = half_sxt.sum(-1)
+    m_log2 = m * math.log(2.0)
+
+    def form(theta):
+        product = np.cosh(theta @ slices[0])
+        for part in slices[1:]:
+            product = product * np.cosh(theta @ part)
+        return -(theta @ half_sx_sum + np.log(product).sum(-1) + m_log2)
+
+    return form
+
+
+def test_logistic_loglik_equals_the_folded_log_cosh_expression():
+    # one batched GEMM against the kept (8, d, w) stack, cosh, one product
+    # over the eight slabs and one log per eight data rows, bit for bit per
+    # row block, shared between threads and after a pickle
     target = _blocked_targets()["logistic"]
     h = target._block_rows
     rng = np.random.default_rng(10)
-    half_sxt = np.ascontiguousarray(((0.5 * (1.0 - 2.0 * target.y))[:, None] * target.X).T)
-    m_log2 = target.X.shape[0] * math.log(2.0)
-
-    def log_cosh_form(theta):
-        return -(theta @ half_sxt.sum(-1) + np.log(np.cosh(theta @ half_sxt)).sum(-1) + m_log2)
-
+    folded = _folded_log_cosh_form(target)
     for n in (1, h - 1, h, h + 1, 3 * h + 5):
         theta = 5.0 * rng.standard_normal((n, target.dim))
-        assert _same_bits(target._log_likelihood(theta), log_cosh_form(theta))
-        blocks = np.concatenate([log_cosh_form(theta[i:i + h]) for i in range(0, n, h)])
+        assert _same_bits(target._log_likelihood(theta), folded(theta))
+        blocks = np.concatenate([folded(theta[i:i + h]) for i in range(0, n, h)])
         assert _same_bits(target.log_likelihood(theta), blocks)
-        assert _same_bits(target.log_likelihood(theta[0]), log_cosh_form(theta[0]))
+        assert _same_bits(target.log_likelihood(theta[0]), folded(theta[0]))
     rows = [0.5 * rng.standard_normal((h, target.dim)) for _ in range(200)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -403,7 +425,7 @@ def test_logistic_loglik_equals_the_log_cosh_expression():
             got = list(pool.map(target.log_likelihood, rows, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert all(_same_bits(g, log_cosh_form(theta)) for g, theta in zip(got, rows))
+    assert all(_same_bits(g, folded(theta)) for g, theta in zip(got, rows))
     copy = pickle.loads(pickle.dumps(target))
     assert all(_same_bits(copy.log_likelihood(theta), g) for g, theta in zip(got[:5], rows))
     # a pickle carries the data alone; the copy rebuilds the derived arrays
@@ -416,6 +438,26 @@ def test_logistic_loglik_equals_the_log_cosh_expression():
         theta = 0.5 * rng.standard_normal((n, c9.dim))
         assert _same_bits(copy.log_likelihood(theta), c9.log_likelihood(theta))
         assert _same_bits(copy.grad_log_likelihood(theta), c9.grad_log_likelihood(theta))
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 50])
+def test_logistic_loglik_with_a_padded_fold_stack_matches_the_oracle(m):
+    # m not a multiple of 8 pads the stack with zero columns, cosh 0 = 1.
+    # theta stays near unit scale: at m = 1 a row that fits its one data
+    # point closely is a small softplus(s z), which the log-cosh identity
+    # takes as a difference of O(|z|) terms, so it keeps absolute, not
+    # relative, accuracy (the unfolded form does the same)
+    target = make_logistic_target(3, m, seed=m)
+    rng = np.random.default_rng(m)
+    theta = np.vstack([np.zeros(3), rng.standard_normal((20, 3))])
+    folded = _folded_log_cosh_form(target)
+    got = target.log_likelihood(theta)
+    assert _same_bits(got, folded(theta))
+    assert np.allclose(got, _logaddexp_loglik(target, theta), rtol=1e-12, atol=0.0)
+    for row in theta:
+        one = target.log_likelihood(row)
+        assert _same_bits(one, folded(row))
+        assert one == pytest.approx(_logaddexp_loglik(target, row), rel=1e-12)
 
 
 def _softplus_loglik(target, theta):
@@ -453,6 +495,32 @@ def test_logistic_loglik_falls_back_to_the_softplus_form_where_cosh_overflows():
     for values in (got, ones):
         assert np.allclose(values[finite], _logaddexp_loglik(target, batch[finite]), rtol=1e-12, atol=0.0)
         assert np.array_equal(values[~finite], today[~finite], equal_nan=True)
+
+
+def test_logistic_loglik_falls_back_where_a_fold_group_overflows():
+    # |z| = 200 in every data row: each cosh(|u| = 100) is finite, but a
+    # product of eight of them overflows, so the folded form gives -inf
+    target = make_logistic_target(4, 50, seed=2)
+    rng = np.random.default_rng(14)
+    batch = np.vstack([
+        rng.standard_normal((2, 4)),
+        [200.0, 0.0, 0.0, 0.0],
+        [-200.0, 0.0, 0.0, 0.0],
+        [200.0, 10.0, 0.0, 0.0],
+        rng.standard_normal((2, 4)),
+    ])
+    u = 0.5 * (1.0 - 2.0 * target.y) * (batch[2:5] @ target.X.T)
+    assert np.isfinite(np.cosh(u)).all()
+    with np.errstate(over="ignore"):
+        assert np.isinf(_folded_log_cosh_form(target)(batch[2:5])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = target.log_likelihood(batch)
+        ones = np.array([target.log_likelihood(theta) for theta in batch])
+    assert np.isfinite(got).all()
+    assert np.allclose(got, _logaddexp_loglik(target, batch), rtol=1e-12, atol=0.0)
+    assert _same_bits(got[2:5], _softplus_loglik(target, batch[2:5]))
+    assert np.allclose(ones, got, rtol=1e-12, atol=0.0)
 
 
 def test_logistic_grad_in_place_equals_old_expression():

@@ -96,6 +96,21 @@ def test_island_weights_reject_nan_and_pos_inf_evidence():
         assert log_mean_evidence([0.0, -np.inf]) == pytest.approx(math.log(0.5), abs=1e-15)
 
 
+def test_evidence_helpers_equal_the_max_shift_formulas_bit_for_bit():
+    rng = np.random.default_rng(29)
+    cases = [np.array([-np.inf, 0.0]), np.array([3.5, -np.inf, -np.inf, 1e3]), np.array([-7.25])]
+    for size in range(2, 10):
+        z = rng.normal(scale=300.0, size=size)
+        z[rng.permutation(size)[:size // 2]] = -np.inf
+        cases.append(z)
+    for z in cases:
+        m = z[np.isfinite(z)].max()
+        w = np.exp(z - m)
+        assert island_weights(z).tobytes() == (w / w.sum()).tobytes()
+        assert log_mean_evidence(z) == float(m + np.log(np.mean(np.exp(z - m))))
+    assert log_mean_evidence(np.full(3, -np.inf)) == -np.inf
+
+
 def test_log_mean_evidence_hand_value():
     value = log_mean_evidence(np.array([0.0, math.log(3.0)]))
     assert value == pytest.approx(math.log(2.0), abs=1e-12)

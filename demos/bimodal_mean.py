@@ -7,7 +7,6 @@ both modes and reweights them correctly.
 """
 import numpy as np
 
-from islandmc.diagnostics import posterior_mean
 from islandmc.kernels import HmcConfig
 from islandmc.mcmc import McmcConfig, run_chain_serial
 from islandmc.smc import SmcConfig, run_smc
@@ -18,7 +17,7 @@ truth = target.mixture_mean()
 kern = HmcConfig(step_size=0.1, leapfrog_steps=10)
 
 res = run_smc(SmcConfig(n_particles=512, mutation_steps=16, kernel=kern), target, seed=0)
-smc_mean = posterior_mean(res.samples)
+smc_mean = res.samples.mean(axis=0)
 
 # give the chain the same per-particle epoch budget the SMC run used
 epochs_pp = res.epochs.epochs / 512

@@ -8,7 +8,7 @@ combines independent runs through their evidence estimates.
 
 from . import ais, diagnostics, islands, kernels, mcmc, seeds, smc, targets
 from .ais import AisConfig, ais_estimate, make_neal_schedule, run_ais
-from .diagnostics import iact, posterior_mean
+from .diagnostics import iact
 from .islands import (
     IslandEnsemble,
     combine_unweighted,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import smc
+from . import kernels, smc
 from .kernels import HmcConfig, PcnConfig
 from .targets import logsumexp
 
@@ -49,6 +49,7 @@ class AisConfig:
             raise ValueError("n_samples must be positive")
         if self.mutation_steps < 0:
             raise ValueError("mutation_steps must be non-negative")
+        kernels.check_kernel(self.kernel)
         object.__setattr__(self, "schedule", smc._check_ladder(self.schedule, from_zero=True))
 
 

@@ -55,8 +55,3 @@ def iact(series, max_lag=None):
         total += pair
         m += 1
     return max(1.0, 2.0 * total - 1.0)
-
-
-def posterior_mean(samples):
-    """Average of the sample rows."""
-    return np.asarray(samples, dtype=float).mean(axis=0)

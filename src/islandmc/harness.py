@@ -29,11 +29,10 @@ from . import islands as islands_mod
 from . import mcmc as mcmc_mod
 from . import targets as targets_mod
 from .ais import AisConfig
-from .diagnostics import posterior_mean
 from .kernels import HmcConfig, PcnConfig
 from .mcmc import McmcConfig
 from .seeds import derive_seed
-from .smc import RESAMPLING_SCHEMES, DegenerateWeightsError, ScheduleOverflowError, SmcConfig
+from .smc import DegenerateWeightsError, ScheduleOverflowError, SmcConfig
 from .targets import NumericalDomainError
 
 CSV_COLUMNS = [
@@ -118,12 +117,6 @@ def _as_vector(value, path, length=None):
 def _as_bool(value, path):
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_choice(value, path, choices):
-    if value not in choices:
-        raise ConfigError(f"{path}: expected one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -291,7 +284,7 @@ def _run_islands_cell(cfg, n_islands, target, seed):
 
 def _run_chain_cell(cfg, n_islands, target, seed):
     samples, counter = mcmc_mod.run_chain_serial(cfg, target, seed)
-    return posterior_mean(samples), 0.0, [counter]
+    return samples.mean(axis=0), 0.0, [counter]
 
 
 def _run_ais_cell(cfg, n_islands, target, seed):
@@ -307,9 +300,10 @@ def _run_ais_cell(cfg, n_islands, target, seed):
     return ais_mod.ais_estimate(samples, log_ws), ais_mod.log_evidence_estimate(log_ws), tallies
 
 
-# a null SMC schedule is the adaptive one; an AIS "neal" ladder is make_neal_schedule's
+# a null SMC schedule is the adaptive one, SmcConfig checks the resampling
+# scheme; an AIS "neal" ladder is make_neal_schedule's
 _SMC_FIELDS = {"ess_fraction": _as_float, "max_stages": _as_int,
-               "resampling": partial(_as_choice, choices=RESAMPLING_SCHEMES),
+               "resampling": lambda v, path: v,
                "schedule": lambda v, path: None if v is None else _as_vector(v, path),
                "adapt_steps": _as_bool}
 
@@ -353,11 +347,6 @@ def _point_config(method_spec, point, target, index):
     return _build(make, "method", path=f"sweep[{index}]", paths=paths, kernel=kernel, **opts)
 
 
-def run_seed(master_seed, sweep_index, replicate) -> int:
-    """Seed for one (sweep point, replicate) cell, hash-split from the master."""
-    return derive_seed(master_seed, sweep_index, replicate)
-
-
 def run_experiment(cfg):
     """Run the whole sweep and return one row dict per replicate.
 
@@ -371,7 +360,7 @@ def run_experiment(cfg):
     rows = []
     for si, (point, method_cfg) in enumerate(zip(cfg.sweep, cfg.method_configs)):
         for replicate in range(cfg.replicates):
-            seed = run_seed(cfg.master_seed, si, replicate)
+            seed = derive_seed(cfg.master_seed, si, replicate)
             start = time.perf_counter()
             try:
                 estimate, logz, tallies = run_cell(method_cfg, point.P, cfg.target, seed)

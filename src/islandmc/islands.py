@@ -135,10 +135,7 @@ def island_weights(logz_totals):
     z = _checked_evidence(logz_totals)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("logz_totals must be a non-empty vector")
-    finite = np.isfinite(z)
-    if not finite.any():
-        raise DegenerateWeightsError("every island evidence is zero")
-    w = np.exp(z - z[finite].max())
+    w = smc_mod._max_shift(z)[1]
     return w / w.sum()
 
 
@@ -148,11 +145,10 @@ def log_mean_evidence(logz_totals):
     A NaN or +inf island log evidence raises :class:`DegenerateWeightsError`.
     """
     z = _checked_evidence(logz_totals)
-    finite = np.isfinite(z)
-    if not finite.any():
+    if not np.isfinite(z).any():
         return -np.inf
-    m = z[finite].max()
-    return float(m + np.log(np.mean(np.exp(z - m))))
+    m, w = smc_mod._max_shift(z)
+    return float(m + np.log(np.mean(w)))
 
 
 def combine_weighted(ensemble, phi=None):

@@ -56,6 +56,7 @@ class PcnConfig:
             raise ValueError("scaling_floor must be positive and finite")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
+        check_bool(self.use_scaling, "use_scaling")
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,27 @@ class HmcConfig:
             raise ValueError("step_size must be positive and finite")
         if self.leapfrog_steps < 1:
             raise ValueError("leapfrog_steps must be at least 1")
-        mass = np.asarray(self.mass, dtype=float)
-        if mass.ndim > 1:
-            raise ValueError(f"mass must be a number or a vector, got shape {mass.shape}")
+        mass = np.asarray(self.mass)
+        if mass.dtype.kind not in "iuf" or mass.ndim > 1 or mass.size == 0:
+            raise ValueError(f"mass must be a number or a vector of at least one number, got {self.mass!r}")
+        mass = mass.astype(float)
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("mass entries must be finite and positive")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
         object.__setattr__(self, "mass", float(mass) if mass.ndim == 0 else tuple(mass.tolist()))
+
+
+def check_bool(value, name):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def check_kernel(kernel):
+    """Raise ``ValueError`` unless ``kernel`` is a :class:`PcnConfig` or :class:`HmcConfig`."""
+    if not isinstance(kernel, (PcnConfig, HmcConfig)):
+        raise ValueError(f"kernel must be a PcnConfig or HmcConfig, got {kernel!r}")
 
 
 @dataclass

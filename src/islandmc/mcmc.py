@@ -68,7 +68,8 @@ class McmcConfig:
         if self.thin < 1:
             raise ValueError("thin must be positive")
         if self.mode not in ("serial", "parallel"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be one of serial, parallel, got {self.mode!r}")
+        kernels.check_kernel(self.kernel)
         if self.mode == "parallel" and self.thin != 1:
             raise ValueError("thin must be 1 in parallel mode, which keeps only each chain's final state")
 

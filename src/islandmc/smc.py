@@ -159,7 +159,9 @@ class SmcConfig:
         if self.max_stages < 1:
             raise ValueError("max_stages must be positive")
         if self.resampling not in RESAMPLING_SCHEMES:
-            raise ValueError(f"unknown resampling scheme {self.resampling!r}")
+            raise ValueError(f"resampling must be one of {', '.join(RESAMPLING_SCHEMES)}, got {self.resampling!r}")
+        kernels.check_kernel(self.kernel)
+        kernels.check_bool(self.adapt_steps, "adapt_steps")
         if self.schedule is not None:
             object.__setattr__(self, "schedule", _check_ladder(self.schedule))
 

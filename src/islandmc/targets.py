@@ -199,19 +199,17 @@ class _GaussianPriorTarget:
         return 0.0 + self.prior_std * np.asarray(u, dtype=float)
 
     def log_likelihood(self, theta, counter: EvalCounter | None = None):
-        theta = self._check(theta)
-        if counter is not None:
-            counter.add_likelihood(1 if theta.ndim == 1 else theta.shape[0])
-        return self._in_blocks(self._log_likelihood, theta, self._block_rows)
+        return self._in_blocks(self._log_likelihood, theta, self._block_rows, counter, EvalCounter.add_likelihood)
 
     def grad_log_likelihood(self, theta, counter: EvalCounter | None = None):
+        return self._in_blocks(self._grad_log_likelihood, theta, self._grad_block_rows, counter,
+                               EvalCounter.add_gradient)
+
+    def _in_blocks(self, evaluate, theta, h, counter, charge):
+        """``evaluate`` on the checked ``theta`` in blocks of ``h`` rows, after ``charge(counter, rows)``."""
         theta = self._check(theta)
         if counter is not None:
-            counter.add_gradient(1 if theta.ndim == 1 else theta.shape[0])
-        return self._in_blocks(self._grad_log_likelihood, theta, self._grad_block_rows)
-
-    @staticmethod
-    def _in_blocks(evaluate, theta, h):
+            charge(counter, 1 if theta.ndim == 1 else theta.shape[0])
         if theta.ndim == 1 or theta.shape[0] <= h:
             return evaluate(theta)
         return np.concatenate([evaluate(theta[i:i + h]) for i in range(0, theta.shape[0], h)])
@@ -434,6 +432,14 @@ class LogisticTarget(_GaussianPriorTarget):
     product overflows once its ``|u|`` values sum past about 715, or
     ``theta`` is not finite) is recomputed in the softplus form
     ``z . y - sum(softplus(z))``.
+
+    The log-cosh form keeps absolute, not relative, accuracy: where a
+    row's value is a small softplus it is a difference of terms of size
+    ``|z|``.  Over 8000 draws of ``theta`` at scales 1 to 30, the worst
+    error against a ``logaddexp`` oracle was 2.2e-11 on the C9 target
+    (``make_logistic_target(15, 690, seed=0)``) and 2.8e-14 on
+    ``make_logistic_target(3, 2, seed=1)``, whose values reached 1.8e-14
+    although a Bernoulli log-likelihood is at most 0.
 
     Parameters
     ----------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from islandmc.diagnostics import autocorrelation, iact, posterior_mean
+from islandmc.diagnostics import autocorrelation, iact
 
 
 def ar1(rho, n, seed):
@@ -46,8 +46,3 @@ def test_iact_alternating_series_floors_at_one():
 def test_iact_short_series_raises():
     with pytest.raises(ValueError):
         iact(np.array([1.0]))
-
-
-def test_posterior_mean_hand_cases():
-    assert posterior_mean(np.array([[3.0, 1.0]])) == pytest.approx([3.0, 1.0], abs=1e-12)
-    assert posterior_mean(np.array([[0.0], [2.0]])) == pytest.approx([1.0], abs=1e-12)

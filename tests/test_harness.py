@@ -25,11 +25,11 @@ from islandmc.harness import (
     parse_config,
     read_csv,
     run_experiment,
-    run_seed,
     write_csv,
 )
 from islandmc.kernels import HmcConfig, PcnConfig
 from islandmc.mcmc import McmcConfig
+from islandmc.seeds import derive_seed
 from islandmc.smc import SmcConfig
 from islandmc.targets import (
     GaussianLinearModel,
@@ -245,8 +245,8 @@ def test_build_kernel_kinds():
 
 
 def test_run_seed_deterministic_and_distinct():
-    assert run_seed(3, 0, 0) == run_seed(3, 0, 0)
-    seeds = {run_seed(3, si, r) for si in range(4) for r in range(8)}
+    assert derive_seed(3, 0, 0) == derive_seed(3, 0, 0)
+    seeds = {derive_seed(3, si, r) for si in range(4) for r in range(8)}
     assert len(seeds) == 32
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def test_config_validation():
             HmcConfig(step_size=value)
         with pytest.raises(ValueError, match="^scaling_floor must be positive and finite"):
             PcnConfig(scaling_floor=value)
+
+
+def test_kernel_configs_reject_wrong_types_at_construction():
+    for value in ("no", "", 1, 0, None):
+        with pytest.raises(ValueError, match=f"^use_scaling must be true or false, got {re.escape(repr(value))}$"):
+            PcnConfig(use_scaling=value)
+    assert not PcnConfig(use_scaling=np.False_).use_scaling
+    # an empty mass used to fail at the first sweep, string masses passed as numbers
+    for mass in ([], (), np.array([]), "1", ["1", 2], [1.0, "2"], True, [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="^mass must be a number or a vector of at least one number, got "):
+            HmcConfig(mass=mass)
+    assert HmcConfig(mass=np.array([1, 2])).mass == (1.0, 2.0) and HmcConfig(mass=np.float32(2.0)).mass == 2.0
 
 
 def test_hmc_config_mass_compares_hashes_and_keeps_no_alias():

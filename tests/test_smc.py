@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from islandmc import smc
 from islandmc.ais import AisConfig, make_neal_schedule, run_ais
 from islandmc.kernels import HmcConfig, KernelStats, PcnConfig
+from islandmc.mcmc import McmcConfig
 from islandmc.smc import (
     DegenerateWeightsError,
     IslandResult,
@@ -60,6 +61,24 @@ def test_config_validation():
     for schedule in ((float("nan"), 1.0), (0.5, float("nan"), 1.0)):
         with pytest.raises(ValueError, match="^schedule entries must be finite"):
             SmcConfig(n_particles=8, mutation_steps=1, schedule=schedule)
+
+
+def test_sampler_configs_name_the_field_of_a_bad_choice_flag_or_kernel_at_construction():
+    with pytest.raises(ValueError, match=r"^resampling must be one of multinomial, systematic, got 'stratified'$"):
+        SmcConfig(n_particles=4, mutation_steps=1, resampling="stratified")
+    with pytest.raises(ValueError, match=r"^mode must be one of serial, parallel, got 'batch'$"):
+        McmcConfig(n_samples=4, mode="batch")
+    # "no" used to run as adapt_steps=True, and a None kernel failed only at run time
+    for value in ("no", 1, None):
+        with pytest.raises(ValueError, match=f"^adapt_steps must be true or false, got {re.escape(repr(value))}$"):
+            SmcConfig(n_particles=4, mutation_steps=1, adapt_steps=value)
+    assert not SmcConfig(n_particles=4, mutation_steps=1, adapt_steps=np.False_).adapt_steps
+    for make in (lambda k: SmcConfig(4, 1, kernel=k), lambda k: AisConfig(4, (0.0, 1.0), kernel=k),
+                 lambda k: McmcConfig(4, kernel=k)):
+        for kernel in (None, "pcn", PcnConfig):
+            with pytest.raises(ValueError, match=f"^kernel must be a PcnConfig or HmcConfig, got {re.escape(repr(kernel))}$"):
+                make(kernel)
+        assert make(HmcConfig()).kernel == HmcConfig()
 
 
 def test_ess_uniform_weights():

@@ -31,10 +31,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 
-# the IslandResult fields _Digest.island hashes, each by name
-_ISLAND_FIELDS = ("samples", "logz", "schedule", "epochs", "kernel_stats", "stage_ess", "log_weights")
-
-
 class _Digest:
     def __init__(self):
         self._h = hashlib.sha256()
@@ -56,21 +52,21 @@ class _Digest:
         self.add(tag, repr([int(v) for v in values]).encode())
 
     def island(self, tag, r):
-        # each field is hashed by name below, so a field added to IslandResult
-        # must be added here too, or it would drop out of the digest unnoticed
-        unhashed = sorted({f.name for f in dataclasses.fields(r)} - set(_ISLAND_FIELDS))
-        if unhashed:
-            raise RuntimeError(f"IslandResult fields {unhashed} are not hashed by _Digest.island")
-        self.array(f"{tag}.samples", r.samples)
-        self.floats(f"{tag}.logz", (r.logz.offset_sum, r.logz.residual_log))
-        self.floats(f"{tag}.schedule", r.schedule)
-        self.ints(f"{tag}.epochs", (r.epochs.likelihood, r.epochs.gradient))
-        self.ints(f"{tag}.kernel_stats", (r.kernel_stats.proposals, r.kernel_stats.accepts))
-        self.floats(f"{tag}.stage_ess", r.stage_ess)
-        if r.log_weights is None:
-            self.add(f"{tag}.log_weights", b"None")
-        else:
-            self.array(f"{tag}.log_weights", r.log_weights)
+        """Every field of the IslandResult ``r``, in order: arrays by bytes, records
+        of ints as ints, other records and lists as floats, None as ``b"None"``."""
+        import numpy as np
+
+        for field in dataclasses.fields(r):
+            name, value = f"{tag}.{field.name}", getattr(r, field.name)
+            if value is None:
+                self.add(name, b"None")
+            elif isinstance(value, np.ndarray):
+                self.array(name, value)
+            elif dataclasses.is_dataclass(value):
+                values = dataclasses.astuple(value)
+                (self.ints if all(type(v) is int for v in values) else self.floats)(name, values)
+            else:
+                self.floats(name, value)
 
     def hexdigest(self):
         return self._h.hexdigest()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,38 @@ def test_parse_config_type_checks():
     kernel = build_kernel({"kind": "hmc", "step_size": 1, "leapfrog_steps": 3, "mass": [1, 2]})
     assert kernel == HmcConfig(step_size=1.0, leapfrog_steps=3, mass=[1.0, 2.0])
     assert build_kernel({"use_scaling": False}) == PcnConfig(use_scaling=False)
+
+
+# method kind -> its method fields besides kind and kernel; kernel kind -> its fields besides kind
+METHOD_FIELDS = {kind: ("ess_fraction", "max_stages", "resampling", "schedule", "adapt_steps")
+                 for kind in ("smc", "smc_par")} | {"mcmc": (), "mcmc_par": (), "ais": ("schedule",)}
+KERNEL_FIELDS = {"pcn": ("beta", "use_scaling", "scaling_floor", "target_accept"),
+                 "hmc": ("step_size", "leapfrog_steps", "mass", "target_accept")}
+
+
+def test_parse_config_rejects_wrongly_typed_method_and_kernel_fields():
+    counts = {"max_stages", "leapfrog_steps"}
+    numbers = {"ess_fraction", "beta", "scaling_floor", "target_accept", "step_size", "mass"}
+    shapes = {"mass": [[[1.0, 2.0]], [1.0, [2.0]], [1.0, True], [True, True]],
+              "schedule": [5, "abc", [0.5, "1"], [0.0, True]]}
+    cases = 0
+    for kind, method_fields in METHOD_FIELDS.items():
+        for kernel_kind, kernel_fields in KERNEL_FIELDS.items():
+            paths = [f"method.{f}" for f in method_fields] + [f"method.kernel.{f}" for f in kernel_fields]
+            for path in paths:
+                field = path.rsplit(".", 1)[1]
+                bad = ["0.5", [0.5], {}] + shapes.get(field, [])
+                # a null SMC schedule is the adaptive one
+                bad += [] if field == "schedule" and kind != "ais" else [None]
+                bad += [True, False] if field in numbers | counts else []
+                bad += [2.5, 2.0] if field in counts else []
+                for value in bad:
+                    method = {"kind": kind, "kernel": {"kind": kernel_kind}}
+                    (method["kernel"] if path.startswith("method.kernel.") else method)[field] = value
+                    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d+\])?: "):
+                        parse_config(base_config(method=method))
+                    cases += 1
+    assert cases == 392
 
 
 def test_parse_config_rejects_islands_for_single_run_methods():

@@ -45,10 +45,8 @@ class AisConfig:
     mutation_steps: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if self.mutation_steps < 0:
-            raise ValueError("mutation_steps must be non-negative")
+        kernels.check_int(self.n_samples, "n_samples", 1)
+        kernels.check_int(self.mutation_steps, "mutation_steps", 0)
         kernels.check_kernel(self.kernel)
         object.__setattr__(self, "schedule", smc._check_ladder(self.schedule, from_zero=True))
 

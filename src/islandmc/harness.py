@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -51,7 +51,7 @@ class CellError(RuntimeError):
     """A sweep cell's sampler failed; the message names the cell."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepPoint:
     N: int
     P: int = 1
@@ -64,7 +64,7 @@ class SweepPoint:
 _POINT_MINIMA = {"N": 1, "P": 1, "M": 0, "B": 0, "T": 1}
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     """A parsed config holding what runs: the built target, the method
     kind, and one method config per sweep point, all built once."""
@@ -112,12 +112,6 @@ def _as_vector(value, path, length=None):
         size = "" if length is None else f"{length} "
         raise ConfigError(f"{path}: expected a list of {size}numbers, got {value!r}")
     return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _as_bool(value, path):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
 
 
 def parse_config(payload) -> ExperimentConfig:
@@ -233,23 +227,8 @@ def build_target(spec):
     )
 
 
-def _as_mass(value, path):
-    """A number, or a non-empty list of numbers, as floats."""
-    if not isinstance(value, list):
-        return _as_float(value, path)
-    try:
-        return _as_vector(value, path)
-    except ConfigError:
-        raise ConfigError(f"{path}: expected a number or a list of numbers, got {value!r}") from None
-
-
-# kernel kind -> (config class, parser of each field)
-_KERNELS = {
-    "pcn": (PcnConfig, {"beta": _as_float, "use_scaling": _as_bool,
-                        "scaling_floor": _as_float, "target_accept": _as_float}),
-    "hmc": (HmcConfig, {"step_size": _as_float, "leapfrog_steps": _as_int,
-                        "mass": _as_mass, "target_accept": _as_float}),
-}
+# kernel kind -> its config class, whose fields are the spec's fields besides kind
+_KERNELS = {"pcn": PcnConfig, "hmc": HmcConfig}
 
 
 def build_kernel(spec):
@@ -260,10 +239,8 @@ def build_kernel(spec):
     kind = spec.get("kind", "pcn")
     if not isinstance(kind, str) or kind not in _KERNELS:
         raise ConfigError(f"method.kernel.kind: unknown kernel kind {kind!r}")
-    cls, parsers = _KERNELS[kind]
-    _check_fields(spec, ("kind", *parsers), "method.kernel", kind)
-    opts = {k: parsers[k](v, f"method.kernel.{k}") for k, v in spec.items() if k != "kind"}
-    return _build(cls, "method.kernel", **opts)
+    _check_fields(spec, ("kind", *(f.name for f in dataclasses.fields(_KERNELS[kind]))), "method.kernel", kind)
+    return _build(_KERNELS[kind], "method.kernel", **{k: v for k, v in spec.items() if k != "kind"})
 
 
 def analytic_truth(target):
@@ -300,27 +277,20 @@ def _run_ais_cell(cfg, n_islands, target, seed):
     return ais_mod.ais_estimate(samples, log_ws), ais_mod.log_evidence_estimate(log_ws), tallies
 
 
-# a null SMC schedule is the adaptive one, SmcConfig checks the resampling
-# scheme; an AIS "neal" ladder is make_neal_schedule's
-_SMC_FIELDS = {"ess_fraction": _as_float, "max_stages": _as_int,
-               "resampling": lambda v, path: v,
-               "schedule": lambda v, path: None if v is None else _as_vector(v, path),
-               "adapt_steps": _as_bool}
+_SMC_FIELDS = ("ess_fraction", "max_stages", "resampling", "schedule", "adapt_steps")
 
 # method kind -> (config class, the config field each sweep-point field sets,
-# parser of each method spec field besides kind and kernel, cell runner taking
+# the method spec's fields besides kind and kernel, cell runner taking
 # (config, P, target, seed) and returning the estimate, the log evidence and
-# the evaluation tally of each island); a field the spec leaves out takes
-# the config class's default
+# the evaluation tally of each island); the class checks each value, and a
+# field the spec leaves out takes the class's default
 _METHODS = {
     "smc": (SmcConfig, {"N": "n_particles", "M": "mutation_steps"}, _SMC_FIELDS, _run_islands_cell),
     "smc_par": (SmcConfig, {"N": "n_particles", "M": "mutation_steps"}, _SMC_FIELDS, _run_islands_cell),
-    "mcmc": (McmcConfig, {"N": "n_samples", "B": "burn_in", "T": "thin"}, {}, _run_chain_cell),
-    "mcmc_par": (partial(McmcConfig, mode="parallel"), {"N": "n_samples", "B": "burn_in", "T": "thin"}, {},
+    "mcmc": (McmcConfig, {"N": "n_samples", "B": "burn_in", "T": "thin"}, (), _run_chain_cell),
+    "mcmc_par": (partial(McmcConfig, mode="parallel"), {"N": "n_samples", "B": "burn_in", "T": "thin"}, (),
                  _run_islands_cell),
-    "ais": (partial(AisConfig, schedule=ais_mod.make_neal_schedule()), {"N": "n_samples", "M": "mutation_steps"},
-            {"schedule": lambda v, path: ais_mod.make_neal_schedule() if v == "neal" else _as_vector(v, path)},
-            _run_ais_cell),
+    "ais": (AisConfig, {"N": "n_samples", "M": "mutation_steps"}, ("schedule",), _run_ais_cell),
 }
 
 
@@ -340,8 +310,10 @@ def _point_config(method_spec, point, target, index):
         )
     if kind in ("smc", "mcmc") and point.P != 1:
         raise ConfigError(f"sweep[{index}].P: method {kind!r} requires P = 1 (use {kind}_par for islands)")
-    make, point_fields, parsers, _ = _METHODS[kind]
-    opts = {k: parse(method_spec[k], f"method.{k}") for k, parse in parsers.items() if k in method_spec}
+    make, point_fields, fields, _ = _METHODS[kind]
+    opts = {k: method_spec[k] for k in fields if k in method_spec}
+    if kind == "ais" and opts.get("schedule", "neal") == "neal":
+        opts["schedule"] = ais_mod.make_neal_schedule()  # the default AIS ladder, by name or left out
     opts.update({name: getattr(point, f) for f, name in point_fields.items()})
     paths = {name: f"sweep[{index}].{f}" for f, name in point_fields.items()}
     return _build(make, "method", path=f"sweep[{index}]", paths=paths, kernel=kernel, **opts)

@@ -50,6 +50,7 @@ class PcnConfig:
     target_accept: float = 0.234
 
     def __post_init__(self):
+        store_numbers(self, "beta", "scaling_floor", "target_accept")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
         if not 0.0 < self.scaling_floor < np.inf:
@@ -82,19 +83,49 @@ class HmcConfig:
     target_accept: float = 0.65
 
     def __post_init__(self):
+        store_numbers(self, "step_size", "target_accept")
         if not 0.0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")
-        if self.leapfrog_steps < 1:
-            raise ValueError("leapfrog_steps must be at least 1")
-        mass = np.asarray(self.mass)
-        if mass.dtype.kind not in "iuf" or mass.ndim > 1 or mass.size == 0:
+        check_int(self.leapfrog_steps, "leapfrog_steps", 1, "at least 1")
+        entries = list(self.mass) if np.iterable(self.mass) else [self.mass]
+        if not entries or not all(map(_is_number, entries)):
             raise ValueError(f"mass must be a number or a vector of at least one number, got {self.mass!r}")
-        mass = mass.astype(float)
+        mass = np.asarray(self.mass, dtype=float)
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("mass entries must be finite and positive")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
         object.__setattr__(self, "mass", float(mass) if mass.ndim == 0 else tuple(mass.tolist()))
+
+
+def check_int(value, name, least, wording=None):
+    """``value`` as an int; raises ``ValueError`` naming ``name`` unless it is a Python or numpy
+    integer, not a bool, and at least ``least`` (the message says ``name`` must be ``wording``,
+    by default non-negative, positive or at least ``least``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        wording = wording or {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {wording}")
+    return int(value)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def check_number(value, name):
+    """``value`` as a float; raises ``ValueError`` naming ``name`` unless it is an int, a float or
+    a numpy integer or float, not a bool."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def store_numbers(config, *names):
+    """Store each field ``names`` of the frozen dataclass ``config`` as a float (see :func:`check_number`)."""
+    for name in names:
+        object.__setattr__(config, name, check_number(getattr(config, name), name))
 
 
 def check_bool(value, name):

@@ -61,12 +61,9 @@ class McmcConfig:
     mode: str = "serial"
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if self.thin < 1:
-            raise ValueError("thin must be positive")
+        kernels.check_int(self.n_samples, "n_samples", 1)
+        kernels.check_int(self.burn_in, "burn_in", 0)
+        kernels.check_int(self.thin, "thin", 1)
         if self.mode not in ("serial", "parallel"):
             raise ValueError(f"mode must be one of serial, parallel, got {self.mode!r}")
         kernels.check_kernel(self.kernel)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import check_int
+
 
 def derive_seed(*key) -> int:
     """Non-negative 64-bit seed derived from the integers in ``key``."""
@@ -26,8 +28,5 @@ def stream(*key) -> np.random.Generator:
 
 
 def check_seed(seed) -> int:
-    """Return ``seed`` as an int, rejecting negative values."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return seed
+    """``seed`` as an int; raises ``ValueError`` unless it is a non-negative Python or numpy integer."""
+    return check_int(seed, "seed", 0, "a non-negative integer")

@@ -97,7 +97,9 @@ class StalledTemperingError(ScheduleOverflowError):
 def _check_ladder(schedule, from_zero=False):
     """``schedule`` as a tuple of floats; raises ``ValueError`` unless it is finite, strictly increasing
     and ends at exactly 1, starting at exactly 0 when ``from_zero`` and above 0 otherwise."""
-    sched = tuple(float(v) for v in schedule)
+    if not np.iterable(schedule):
+        raise ValueError(f"schedule must be a sequence of numbers, got {schedule!r}")
+    sched = tuple(kernels.check_number(v, "schedule entry") for v in schedule)
     if not np.isfinite(sched).all():
         raise ValueError("schedule entries must be finite")
     if not sched or sched[-1] != 1.0 or (sched[0] != 0.0 if from_zero else sched[0] <= 0.0):
@@ -150,14 +152,12 @@ class SmcConfig:
     adapt_steps: bool = True
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be at least 2")
-        if self.mutation_steps < 0:
-            raise ValueError("mutation_steps must be non-negative")
+        kernels.check_int(self.n_particles, "n_particles", 2)
+        kernels.check_int(self.mutation_steps, "mutation_steps", 0)
+        kernels.store_numbers(self, "ess_fraction")
         if not 0.0 < self.ess_fraction < 1.0:
             raise ValueError("ess_fraction must lie in (0, 1)")
-        if self.max_stages < 1:
-            raise ValueError("max_stages must be positive")
+        kernels.check_int(self.max_stages, "max_stages", 1)
         if self.resampling not in RESAMPLING_SCHEMES:
             raise ValueError(f"resampling must be one of {', '.join(RESAMPLING_SCHEMES)}, got {self.resampling!r}")
         kernels.check_kernel(self.kernel)

@@ -23,18 +23,18 @@ from .targets import logsumexp
 
 @dataclass(frozen=True)
 class AisConfig:
-    """Annealed importance sampling settings.
+    """Annealed importance sampling settings, each field checked for type and range at construction.
 
     Parameters
     ----------
-    n_samples : int
+    n_samples : int, not bool
         Number of independently annealed samples.
-    schedule : sequence of float
+    schedule : sequence of int or float, not bool
         Finite tempering exponents starting at exactly 0, strictly
         increasing, ending at exactly 1.  See :func:`make_neal_schedule`.
     kernel : PcnConfig or HmcConfig
         Mutation kernel applied after each reweighting.
-    mutation_steps : int
+    mutation_steps : int, not bool
         Kernel sweeps per transition; 0 gives plain importance sampling
         when combined with the two-point schedule (0, 1).
     """

@@ -18,7 +18,7 @@ import numpy as np
 from . import mcmc as mcmc_mod
 from . import smc as smc_mod
 from .ais import AisConfig, ais_estimate
-from .kernels import KernelStats
+from .kernels import KernelStats, check_int
 from .mcmc import McmcConfig
 from .seeds import derive_seed
 from .smc import DegenerateWeightsError, IslandResult, LogZAccumulator, SmcConfig
@@ -66,7 +66,10 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
 
     ``island_cfg`` is an :class:`smc.SmcConfig`, an
     :class:`ais.AisConfig` or an :class:`mcmc.McmcConfig`; any other
-    type raises ``TypeError``.  Island ``p`` runs with the derived seed
+    type raises ``TypeError``.  ``n_islands`` and ``parallelism`` must
+    be positive Python or numpy integers and ``master_seed`` a
+    non-negative one; any other value raises ``ValueError`` naming the
+    argument.  Island ``p`` runs with the derived seed
     :func:`island_seed` ``(master_seed, p)``.  SMC and AIS islands
     advance in lockstep through :func:`smc.run_smc_islands`, one stacked
     block pass per stage; MCMC islands run one after another.  With
@@ -86,10 +89,9 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     their errors the same way, an error without a ``stage`` (such as
     :class:`smc.ScheduleOverflowError`) last.
     """
-    if n_islands < 1:
-        raise ValueError("n_islands must be positive")
-    if parallelism < 1:
-        raise ValueError("parallelism must be positive")
+    n_islands = check_int(n_islands, "n_islands", 1)
+    parallelism = check_int(parallelism, "parallelism", 1)
+    master_seed = check_int(master_seed, "master_seed", 0)
     if isinstance(island_cfg, (SmcConfig, AisConfig)):
         run = smc_mod.run_smc_islands
     elif isinstance(island_cfg, McmcConfig):

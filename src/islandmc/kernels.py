@@ -26,21 +26,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PcnConfig:
-    """Preconditioned Crank-Nicolson settings.
+    """Preconditioned Crank-Nicolson settings, each field checked for type and range at construction.
 
     Parameters
     ----------
-    beta : float
+    beta : int or float, not bool; stored as a float
         Step size in (0, 1].  ``beta = 1`` with unit scaling proposes
         fresh prior draws; ``beta -> 0`` degenerates to the identity.
-    use_scaling : bool
+    use_scaling : bool or numpy bool
         Whether samplers should re-estimate the diagonal proposal
         scaling from the particle population each tempering stage.
         Standalone chains always use unit scaling.
-    scaling_floor : float
+    scaling_floor : int or float, not bool; stored as a float
         Lower bound applied to estimated coordinate variances, positive
         and finite.
-    target_accept : float
+    target_accept : int or float, not bool; stored as a float
         Acceptance rate targeted by step-size adaptation.
     """
 
@@ -62,18 +62,18 @@ class PcnConfig:
 
 @dataclass(frozen=True)
 class HmcConfig:
-    """Hamiltonian Monte Carlo settings.
+    """Hamiltonian Monte Carlo settings, each field checked for type and range at construction.
 
     Parameters
     ----------
-    step_size : float
+    step_size : int or float, not bool; stored as a float
         Leapfrog step size, positive and finite.
-    leapfrog_steps : int
+    leapfrog_steps : int, not bool
         Number of leapfrog steps per proposal, positive.
-    mass : float or sequence of float
+    mass : int or float, or a sequence of them; not bool
         Diagonal of the mass matrix, a finite positive scalar or
         per-coordinate vector, stored as a float or a tuple of floats.
-    target_accept : float
+    target_accept : int or float, not bool; stored as a float
         Acceptance rate targeted by step-size adaptation.
     """
 

@@ -35,16 +35,16 @@ from .targets import EvalCounter, check_finite_loglik
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """MCMC settings.
+    """MCMC settings, each field checked for type and range at construction.
 
     Parameters
     ----------
-    n_samples : int
+    n_samples : int, not bool
         Retained samples (serial mode); parallel mode takes the chain
         count from the seed list instead.
-    burn_in : int
+    burn_in : int, not bool
         Kernel steps discarded before retaining anything.
-    thin : int
+    thin : int, not bool
         Steps between retained samples in serial mode; parallel mode
         retains one state per chain and takes only 1.
     kernel : PcnConfig or HmcConfig

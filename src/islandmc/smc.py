@@ -111,24 +111,24 @@ def _check_ladder(schedule, from_zero=False):
 
 @dataclass(frozen=True)
 class SmcConfig:
-    """Sequential Monte Carlo settings.
+    """Sequential Monte Carlo settings, each field checked for type and range at construction.
 
     Parameters
     ----------
-    n_particles : int
+    n_particles : int, not bool
         Population size, at least 2.
-    mutation_steps : int
+    mutation_steps : int, not bool
         Kernel sweeps applied to every particle per tempering stage.
     kernel : PcnConfig or HmcConfig
         Mutation kernel settings.
-    ess_fraction : float
+    ess_fraction : int or float, not bool; stored as a float
         Fraction of the population the stage effective sample size is
         pinned to when choosing the next exponent.
-    max_stages : int
+    max_stages : int, not bool
         Stage budget; exceeding it raises :class:`ScheduleOverflowError`.
     resampling : str
         ``"multinomial"`` or ``"systematic"``.
-    schedule : sequence of float, optional
+    schedule : sequence of int or float (not bool), optional
         Fixed tempering exponents replacing the adaptive choice.  Must
         be finite, strictly increasing, start above 0, and end at
         exactly 1.
@@ -137,7 +137,7 @@ class SmcConfig:
         and, for pCN, ``use_scaling=False``); estimating either from
         the current population couples the kernel to the particles it
         mutates and shifts the mean evidence at order 1/N.
-    adapt_steps : bool
+    adapt_steps : bool or numpy bool
         Adapt the kernel step size between stages toward the kernel's
         target acceptance rate.
     """

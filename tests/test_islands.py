@@ -222,6 +222,18 @@ def test_run_islands_validation():
         run_islands(0, cfg, target, master_seed=1)
     with pytest.raises(ValueError):
         run_islands(1, cfg, target, master_seed=1, parallelism=0)
+    for args, message in (((2.5, 1, 1), "n_islands must be an integer, got 2.5"),
+                          ((True, 1, 1), "n_islands must be an integer, got True"),
+                          ((2, 1.9, 1), "master_seed must be an integer, got 1.9"),
+                          ((2, "5", 1), "master_seed must be an integer, got '5'"),
+                          ((2, -1, 1), "master_seed must be non-negative"),
+                          ((2, 1, 1.5), "parallelism must be an integer, got 1.5"),
+                          ((2, 1, 0), "parallelism must be positive")):
+        n_islands, master_seed, parallelism = args
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_islands(n_islands, cfg, target, master_seed, parallelism)
+    a, b = run_islands(np.int64(2), cfg, target, np.uint8(1), np.int32(1)), run_islands(2, cfg, target, 1)
+    assert a.seeds == b.seeds and all(np.array_equal(x.samples, y.samples) for x, y in zip(a.results, b.results))
     for bad in ({"n_particles": 4}, cfg.kernel):
         with pytest.raises(TypeError, match=type(bad).__name__):
             run_islands(2, bad, target, master_seed=1)

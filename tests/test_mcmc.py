@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,8 +143,11 @@ def test_parallel_rejects_duplicate_seeds():
 def test_parallel_rejects_negative_seed():
     target = prior_only(1)
     cfg = McmcConfig(n_samples=2, burn_in=1, mode="parallel")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
         run_chains_parallel(cfg, target, [1, -2])
+    for seed in (2.7, "5", True):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            run_chains_parallel(cfg, target, [1, seed])
 
 
 def test_parallel_hmc_reduces_initialization_bias():

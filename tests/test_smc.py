@@ -81,6 +81,42 @@ def test_sampler_configs_name_the_field_of_a_bad_choice_flag_or_kernel_at_constr
         assert make(HmcConfig()).kernel == HmcConfig()
 
 
+def test_configs_reject_wrongly_typed_fields_at_construction():
+    # class -> (its required arguments, the rule of each field)
+    configs = {
+        PcnConfig: ({}, {"beta": "number", "scaling_floor": "number", "target_accept": "number",
+                         "use_scaling": "flag"}),
+        HmcConfig: ({}, {"step_size": "number", "leapfrog_steps": "count", "mass": "mass",
+                         "target_accept": "number"}),
+        SmcConfig: ({"n_particles": 8, "mutation_steps": 1},
+                    {"n_particles": "count", "mutation_steps": "count", "ess_fraction": "number",
+                     "max_stages": "count", "resampling": "choice", "schedule": "ladder", "adapt_steps": "flag"}),
+        AisConfig: ({"n_samples": 8, "schedule": (0.0, 1.0)},
+                    {"n_samples": "count", "schedule": "ladder", "mutation_steps": "count"}),
+        McmcConfig: ({"n_samples": 4}, {"n_samples": "count", "burn_in": "count", "thin": "count", "mode": "choice"}),
+    }
+    extra = {"number": [True, False], "count": [True, False, 2.5, 2.0],
+             "mass": [[[1.0, 2.0]], [1.0, [2.0]], [1.0, True], [True, True], True],
+             "ladder": [5, "abc", [0.5, "1"], [0.0, True]]}
+    for cls, (required, rules) in configs.items():
+        for field, rule in rules.items():
+            # a one-entry mass is a vector, a null SMC schedule the adaptive one
+            bad = ["0.5", {}] + [[0.5]] * (rule != "mass") + [None] * ((cls, rule) != (SmcConfig, "ladder"))
+            for value in bad + extra.get(rule, []):
+                with pytest.raises(ValueError, match=f"^{field} "):
+                    cls(**{**required, field: value})
+    # numpy integers and floats give the config of their Python twins, numbers stored as floats
+    smc_cfg = SmcConfig(np.int64(8), np.int32(1), ess_fraction=np.float32(0.5), max_stages=np.uint16(9),
+                        schedule=np.array([0.5, 1.0]))
+    assert smc_cfg == SmcConfig(8, 1, ess_fraction=0.5, max_stages=9, schedule=(0.5, 1.0))
+    hmc = HmcConfig(np.float64(0.1), np.int64(3), np.array([1, 2]), np.float32(0.5))
+    assert hmc == HmcConfig(0.1, 3, [1.0, 2.0], 0.5) and type(hmc.step_size) is float
+    assert PcnConfig(np.float16(0.5), np.True_, np.float64(1e-8), np.float32(0.25)) == PcnConfig(0.5, True, 1e-8, 0.25)
+    ais = AisConfig(np.int64(8), np.array([0.0, 1.0]), mutation_steps=np.int8(2))
+    assert ais == AisConfig(8, (0.0, 1.0), mutation_steps=2)
+    assert McmcConfig(np.int64(4), np.int64(2), np.int64(1)) == McmcConfig(4, 2, 1)
+
+
 def test_ess_uniform_weights():
     assert ess(np.zeros(8)) == pytest.approx(8.0, abs=1e-9)
 
@@ -860,8 +896,12 @@ def test_run_ais_non_finite_likelihood_raises(kernel):
 def test_run_smc_rejects_bad_seed():
     target = make_gaussian_target(2, 2, 1.0, seed=0)
     cfg = SmcConfig(n_particles=4, mutation_steps=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
         run_smc(cfg, target, seed=-3)
+    for seed in (2.7, "5", True):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            run_smc(cfg, target, seed=seed)
+    assert np.array_equal(run_smc(cfg, target, seed=np.int64(2)).samples, run_smc(cfg, target, seed=2).samples)
 
 
 def test_island_result_schedule_validation():

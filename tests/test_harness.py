@@ -181,6 +181,51 @@ def test_parse_config_rejects_wrongly_typed_method_and_kernel_fields():
     assert cases == 392
 
 
+# target variant -> a valid target spec of it; "csv" stands for a data file's path
+TARGET_VARIANTS = {
+    "gaussian": {"kind": "gaussian", "d": 2, "m": 3, "sigma": 1.0, "seed": 1, "theta_star": [1.0, -1.0]},
+    "gmm bimodal": {"kind": "gmm", "d": 2, "weight": 0.3},
+    "gmm explicit": {"kind": "gmm", "d": 2, "weights": [0.5, 0.5], "means": [[1.0, 1.0], [-1.0, -1.0]]},
+    "logistic": {"kind": "logistic", "d": 2, "m": 5, "seed": 0, "prior_var": 4.0},
+    "logistic csv": {"kind": "logistic", "csv": "csv", "prior_var": 4.0},
+}
+
+
+def test_parse_config_rejects_wrongly_typed_target_sweep_and_top_level_fields(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,label\n0.5,1\n-1.0,0\n")
+    counts = {"d", "m", "seed", "N", "P", "M", "B", "T", "replicates", "master_seed"}
+    # a flat vector's bad shapes and entries; means take them in a row
+    shapes = [[[0.5, 0.5]], [0.5, "1"], [0.5, True], [True, True]]
+    shapes = {"theta_star": shapes, "weights": shapes, "means": [[row, [1.0, 1.0]] for row in shapes] + [[0.5, 0.5]]}
+    cases = 0
+
+    def rejects(path, payload):
+        nonlocal cases
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}(\[\d+\])*: "):
+            parse_config(payload)
+        cases += 1
+
+    for variant, spec in TARGET_VARIANTS.items():
+        spec = {k: str(data) if v == "csv" else v for k, v in spec.items()}
+        assert parse_config(base_config(target=spec))
+        for field in sorted(set(spec) - {"kind"}):
+            bad = ["0.5", [0.5], {}, True, False]
+            # a null theta_star is one drawn from the prior
+            bad += [] if field == "theta_star" else [None]
+            bad += [2.5, 2.0] if field in counts else []
+            bad += shapes.get(field, [])
+            for value in bad:
+                rejects(f"target.{field}", base_config(target={**spec, field: value}))
+    for field in ("N", "P", "M", "B", "T"):
+        for value in ("0.5", [0.5], {}, None, True, False, 2.5, 2.0):
+            rejects(f"sweep[0].{field}", base_config(sweep=[{"N": 8, field: value}]))
+    for field in ("replicates", "master_seed"):
+        for value in ("0.5", [0.5], {}, None, True, False, 2.5, 2.0):
+            rejects(field, base_config(**{field: value}))
+    assert cases == 180
+
+
 def test_parse_config_rejects_islands_for_single_run_methods():
     with pytest.raises(ConfigError, match=r"^sweep\[0\]\.P: .*P = 1"):
         parse_config(base_config(sweep=[{"N": 8, "P": 4}]))

@@ -29,7 +29,7 @@ from . import islands as islands_mod
 from . import mcmc as mcmc_mod
 from . import targets as targets_mod
 from .ais import AisConfig
-from .kernels import HmcConfig, PcnConfig
+from .kernels import HmcConfig, PcnConfig, check_int
 from .mcmc import McmcConfig
 from .seeds import derive_seed
 from .smc import DegenerateWeightsError, ScheduleOverflowError, SmcConfig
@@ -53,15 +53,19 @@ class CellError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class SweepPoint:
+    """One sweep point: population size N, island count P, mutation steps M,
+    burn-in B and thinning T, each an int, not bool, checked at construction
+    to be at least 1 (M and B: at least 0)."""
+
     N: int
     P: int = 1
     M: int = 1
     B: int = 0
     T: int = 1
 
-
-# sweep point field -> its least value; a field left out takes SweepPoint's default
-_POINT_MINIMA = {"N": 1, "P": 1, "M": 0, "B": 0, "T": 1}
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            check_int(getattr(self, f.name), f.name, 0 if f.name in "MB" else 1)
 
 
 @dataclasses.dataclass
@@ -92,28 +96,6 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _as_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be at least {minimum}")
-    return value
-
-
-def _as_float(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_vector(value, path, length=None):
-    """A non-empty list of numbers (of ``length`` entries, when given) as floats."""
-    if not isinstance(value, list) or not value or length not in (None, len(value)):
-        size = "" if length is None else f"{length} "
-        raise ConfigError(f"{path}: expected a list of {size}numbers, got {value!r}")
-    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
 def parse_config(payload) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
     if not isinstance(payload, dict):
@@ -122,8 +104,8 @@ def parse_config(payload) -> ExperimentConfig:
     target_spec = _require(payload, "target", "top level")
     method_spec = _require(payload, "method", "top level")
     raw_sweep = _require(payload, "sweep", "top level")
-    replicates = _as_int(_require(payload, "replicates", "top level"), "replicates", 1)
-    master_seed = _as_int(_require(payload, "master_seed", "top level"), "master_seed", 0)
+    replicates = _build(check_int, "replicates", _require(payload, "replicates", "top level"), "replicates", 1)
+    master_seed = _build(check_int, "master_seed", _require(payload, "master_seed", "top level"), "master_seed", 0)
     output = payload.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a file path, got {output!r}")
@@ -134,10 +116,9 @@ def parse_config(payload) -> ExperimentConfig:
         path = f"sweep[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected an object with N, P, M, B, T")
-        _check_fields(entry, _POINT_MINIMA, path)
+        _check_fields(entry, [f.name for f in dataclasses.fields(SweepPoint)], path)
         _require(entry, "N", path)
-        sweep.append(SweepPoint(**{k: _as_int(entry[k], f"{path}.{k}", least)
-                                   for k, least in _POINT_MINIMA.items() if k in entry}))
+        sweep.append(_build(SweepPoint, path, **entry))
     target = build_target(target_spec)
     method_configs = [_point_config(method_spec, point, target, i) for i, point in enumerate(sweep)]
     # each _point_config call has checked the method kind
@@ -155,23 +136,36 @@ def load_config(path) -> ExperimentConfig:
 
 def _build(make, section, *args, path=None, paths=None, **fields):
     """``make(*args, **fields)``; an error names its field's path in ``paths``, else
-    ``section.<field>`` for one of ``fields``, else ``path`` (default ``section``)."""
+    ``section.<field>`` for one of ``fields`` (``section.<field>[k]`` for its entry ``k``),
+    else ``path`` (default ``section``)."""
     try:
         return make(*args, **fields)
     except (OSError, ValueError) as exc:
         # the library starts each field's message with the field's name
         field = str(exc).split(" ", 1)[0]
-        where = (paths or {}).get(field) or (f"{section}.{field}" if field in fields else path or section)
+        where = (paths or {}).get(field) or (f"{section}.{field}" if field.split("[")[0] in fields else path or section)
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-# target kind -> (its fields besides kind, the field that selects its other
-# variant, that variant's fields): a gmm target given means is an explicit
-# mixture, a logistic target given csv reads its data from the file
-_TARGET_FIELDS = {
-    "gaussian": (("d", "m", "sigma", "seed", "theta_star"), None, ()),
-    "gmm": (("d", "weight"), "means", ("d", "weights", "means")),
-    "logistic": (("d", "m", "seed", "prior_var"), "csv", ("csv", "prior_var")),
+def _mixture(d, weights, means):
+    """The explicit mixture, whose means must have ``d`` entries each."""
+    target = targets_mod.GmmTarget(weights, means)
+    if target.dim != check_int(d, "d", 1):
+        raise ValueError(f"means[0] has {target.dim} entries, expected {d} (target.d)")
+    return target
+
+
+# target kind -> (the field that selects its second variant, then each variant's
+# builder, fields besides kind and required fields): a gmm target given means is
+# an explicit mixture, a logistic target given csv reads its data from the file;
+# a builder checks each value, and a field the spec leaves out takes its default
+_TARGETS = {
+    "gaussian": (None, (partial(targets_mod.make_gaussian_target, sigma=1.0, seed=0),
+                        ("d", "m", "sigma", "seed", "theta_star"), ("d", "m"))),
+    "gmm": ("means", (targets_mod.make_bimodal_gmm, ("d", "weight"), ("d",)),
+            (_mixture, ("d", "weights", "means"), ("d", "weights"))),
+    "logistic": ("csv", (partial(targets_mod.make_logistic_target, seed=0), ("d", "m", "seed", "prior_var"), ("d", "m")),
+                 (lambda csv, **kw: targets_mod.load_logistic_csv(csv, **kw), ("csv", "prior_var"), ())),
 }
 
 
@@ -179,52 +173,22 @@ def build_target(spec):
     if not isinstance(spec, dict):
         raise ConfigError("target: expected an object")
     kind = _require(spec, "kind", "target")
-    if not isinstance(kind, str) or kind not in _TARGET_FIELDS:
+    if not isinstance(kind, str) or kind not in _TARGETS:
         raise ConfigError(f"target.kind: unknown target kind {kind!r}")
-    fields, switch, switched = _TARGET_FIELDS[kind]
-    _check_fields(spec, ("kind", *fields, *switched), "target", kind)
+    switch, *variants = _TARGETS[kind]
+    _check_fields(spec, {"kind"}.union(*(fields for _, fields, _ in variants)), "target", kind)
+    given = switch in spec
+    make, fields, required = variants[given]
     # a field of the kind that the chosen variant would drop
-    side, fields = ("with", switched) if switch in spec else ("without", fields)
     ignored = sorted(set(spec) - {"kind", *fields})
     if ignored:
-        raise ConfigError(f"target.{ignored[0]}: not used {side} target.{switch}")
-    if kind == "gaussian":
-        d = _as_int(_require(spec, "d", "target"), "target.d", 1)
-        theta_star = spec.get("theta_star")
-        return _build(
-            targets_mod.make_gaussian_target, "target",
-            d=d,
-            m=_as_int(_require(spec, "m", "target"), "target.m", 0),
-            sigma=_as_float(spec.get("sigma", 1.0), "target.sigma"),
-            seed=_as_int(spec.get("seed", 0), "target.seed", 0),
-            theta_star=None if theta_star is None else _as_vector(theta_star, "target.theta_star", d),
-        )
-    if kind == "gmm":
-        d = _as_int(_require(spec, "d", "target"), "target.d", 1)
-        if "means" in spec:
-            if "weights" not in spec:
-                raise ConfigError("target.weights: required when target.means is given")
-            means = spec["means"]
-            if not isinstance(means, list) or not means:
-                raise ConfigError(f"target.means: expected a list of points, got {means!r}")
-            means = [_as_vector(m, f"target.means[{k}]", d) for k, m in enumerate(means)]
-            weights = _as_vector(spec["weights"], "target.weights", len(means))
-            return _build(targets_mod.GmmTarget, "target", weights=weights, means=means)
-        weight = _as_float(spec.get("weight", 0.2), "target.weight")
-        return _build(targets_mod.make_bimodal_gmm, "target", d, weight=weight)
-    # a logistic target
-    prior_var = _as_float(spec.get("prior_var", 100.0), "target.prior_var")
-    if "csv" in spec:
-        if not isinstance(spec["csv"], str):
-            raise ConfigError(f"target.csv: expected a file path, got {spec['csv']!r}")
-        return _build(targets_mod.load_logistic_csv, "target", spec["csv"], path="target.csv", prior_var=prior_var)
-    return _build(
-        targets_mod.make_logistic_target, "target",
-        d=_as_int(_require(spec, "d", "target"), "target.d", 1),
-        m=_as_int(_require(spec, "m", "target"), "target.m", 1),
-        seed=_as_int(spec.get("seed", 0), "target.seed", 0),
-        prior_var=prior_var,
-    )
+        raise ConfigError(f"target.{ignored[0]}: not used {'with' if given else 'without'} target.{switch}")
+    for name in required:
+        if name not in spec:
+            raise ConfigError(f"target.{name}: required when target.{switch} is given" if given
+                              else f"target: missing required field '{name}'")
+    return _build(make, "target", path=f"target.{switch}" if given else "target",
+                  **{k: v for k, v in spec.items() if k != "kind"})
 
 
 # kernel kind -> its config class, whose fields are the spec's fields besides kind
@@ -439,9 +403,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config)
             if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError("--seed: must be non-negative")
-                cfg.master_seed = args.seed
+                cfg.master_seed = _build(check_int, "--seed", args.seed, "master_seed", 0)
             out = args.out or cfg.output
             if out is None:
                 raise ConfigError("no output path: pass --out or set 'output' in the config")

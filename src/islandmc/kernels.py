@@ -87,10 +87,8 @@ class HmcConfig:
         if not 0.0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")
         check_int(self.leapfrog_steps, "leapfrog_steps", 1, "at least 1")
-        entries = list(self.mass) if np.iterable(self.mass) else [self.mass]
-        if not entries or not all(map(_is_number, entries)):
-            raise ValueError(f"mass must be a number or a vector of at least one number, got {self.mass!r}")
-        mass = np.asarray(self.mass, dtype=float)
+        mass = np.asarray(check_number(self.mass, "mass") if _is_number(self.mass) else
+                          check_vector(self.mass, "mass", "a number or a vector of at least one number"))
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("mass entries must be finite and positive")
         if not 0.0 < self.target_accept < 1.0:
@@ -116,10 +114,24 @@ def _is_number(value):
 
 def check_number(value, name):
     """``value`` as a float; raises ``ValueError`` naming ``name`` unless it is an int, a float or
-    a numpy integer or float, not a bool."""
+    a numpy integer or float, not a bool, within the float range."""
     if not _is_number(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within the float range, "
+                         f"got an integer of {value.bit_length()} bits") from None
+
+
+def check_vector(values, name, wording="a vector of at least one number"):
+    """``values`` as a tuple of floats; raises ``ValueError`` naming ``name`` (which must be
+    ``wording``) unless it is a non-empty iterable of numbers, each checked by :func:`check_number`:
+    a list, a tuple or a 1-d numpy array, say."""
+    entries = list(values) if np.iterable(values) else []
+    if not entries or not all(map(_is_number, entries)):
+        raise ValueError(f"{name} must be {wording}, got {values!r}")
+    return tuple(check_number(v, name) for v in entries)
 
 
 def store_numbers(config, *names):

@@ -97,12 +97,10 @@ class StalledTemperingError(ScheduleOverflowError):
 def _check_ladder(schedule, from_zero=False):
     """``schedule`` as a tuple of floats; raises ``ValueError`` unless it is finite, strictly increasing
     and ends at exactly 1, starting at exactly 0 when ``from_zero`` and above 0 otherwise."""
-    if not np.iterable(schedule):
-        raise ValueError(f"schedule must be a sequence of numbers, got {schedule!r}")
-    sched = tuple(kernels.check_number(v, "schedule entry") for v in schedule)
+    sched = kernels.check_vector(schedule, "schedule")
     if not np.isfinite(sched).all():
         raise ValueError("schedule entries must be finite")
-    if not sched or sched[-1] != 1.0 or (sched[0] != 0.0 if from_zero else sched[0] <= 0.0):
+    if sched[-1] != 1.0 or (sched[0] != 0.0 if from_zero else sched[0] <= 0.0):
         raise ValueError(f"schedule must start {'at exactly 0' if from_zero else 'above 0'} and end at exactly 1")
     if any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("schedule must be strictly increasing")

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .kernels import check_int, check_number, check_vector
+from .seeds import check_seed
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -236,13 +240,15 @@ class GaussianLinearModel(_GaussianPriorTarget):
         Finite design matrix.  ``m = 0`` is legal and gives a flat likelihood.
     y : ndarray (m,)
         Finite observations.
-    sigma : float
-        Observation noise standard deviation, positive and finite.
+    sigma : int or float, not bool; stored as a float
+        Observation noise standard deviation, positive and finite, with
+        a finite square.
     """
 
     def __init__(self, X, y, sigma):
-        if not 0.0 < sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+        sigma = check_number(sigma, "sigma")
+        if not 0.0 < sigma < math.inf or sigma * sigma == math.inf:
+            raise ValueError(f"sigma must be positive and finite, with a finite square, got {sigma!r}")
         X, y = _regression_data(X, y)
         m, d = X.shape
         self.X = X
@@ -327,24 +333,28 @@ def make_gaussian_target(d, m, sigma, seed, theta_star=None):
     """Draw a random linear-Gaussian problem instance.
 
     Design entries are i.i.d. standard normal and observations are
-    ``y = X theta_star + noise``.  By default ``theta_star`` is drawn
-    from the N(0, I) prior; pass an explicit finite vector to pin it.
+    ``y = X theta_star + noise``.  ``d`` is a positive int, ``m`` and
+    ``seed`` non-negative ints, none of them bool, and ``sigma`` is as in
+    :class:`GaussianLinearModel`.  By default ``theta_star`` is drawn
+    from the N(0, I) prior; pass a finite vector of ``d`` int or float
+    numbers, not bool, to pin it.
 
     Returns
     -------
     GaussianLinearModel
         With ``theta_star`` recorded on the instance.
     """
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((m, d))
-    if theta_star is None:
-        theta_star = rng.standard_normal(d)
-    else:
-        theta_star = np.asarray(theta_star, dtype=float)
+    d, m, sigma = check_int(d, "d", 1), check_int(m, "m", 0), check_number(sigma, "sigma")
+    rng = np.random.default_rng(check_seed(seed))
+    if theta_star is not None:
+        theta_star = np.asarray(check_vector(theta_star, "theta_star"))
         if theta_star.shape != (d,):
             raise ValueError(f"theta_star has shape {theta_star.shape}, expected ({d},)")
         if not np.all(np.isfinite(theta_star)):
             raise ValueError(f"theta_star must be finite, got {theta_star.tolist()}")
+    X = rng.standard_normal((m, d))
+    if theta_star is None:
+        theta_star = rng.standard_normal(d)
     y = X @ theta_star + sigma * rng.standard_normal(m)
     model = GaussianLinearModel(X, y, sigma)
     model.theta_star = theta_star
@@ -361,17 +371,22 @@ class GmmTarget(_GaussianPriorTarget):
 
     Parameters
     ----------
-    weights : sequence of float
+    weights : sequence of int or float numbers, not bool
         Positive component weights summing to one.
-    means : ndarray (K, d)
-        Finite component means.  All components have identity covariance.
+    means : sequence of K sequences of d int or float numbers, not bool
+        Finite component means, such as a ``(K, d)`` array.  All
+        components have identity covariance.
     """
 
     def __init__(self, weights, means):
-        weights = np.asarray(weights, dtype=float)
-        means = np.asarray(means, dtype=float)
-        if means.ndim != 2:
-            raise ValueError("means must be (K, d)")
+        weights = np.asarray(check_vector(weights, "weights"))
+        rows = [check_vector(row, f"means[{k}]") for k, row in enumerate(means)] if np.iterable(means) else []
+        if not rows:
+            raise ValueError(f"means must be a sequence of at least one vector, got {means!r}")
+        for k, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(f"means[{k}] has {len(row)} entries, expected {len(rows[0])} as in means[0]")
+        means = np.asarray(rows)
         if not np.all(np.isfinite(means)):
             raise ValueError(f"means must be finite, got {means.tolist()}")
         if weights.shape != (means.shape[0],):
@@ -406,7 +421,12 @@ class GmmTarget(_GaussianPriorTarget):
 
 
 def make_bimodal_gmm(d, weight=0.2):
-    """Two-component mixture weight*N(+1, I) + (1-weight)*N(-1, I)."""
+    """Two-component mixture weight*N(+1, I) + (1-weight)*N(-1, I).
+
+    ``d`` is a positive int, not bool; ``weight`` an int or float, not
+    bool, in (0, 1).
+    """
+    d, weight = check_int(d, "d", 1), check_number(weight, "weight")
     if not 0.0 < weight < 1.0:
         raise ValueError(f"weight must lie in (0, 1), got {weight!r}")
     ones = np.ones(d)
@@ -447,7 +467,7 @@ class LogisticTarget(_GaussianPriorTarget):
         Finite design matrix whose first column is all ones.
     y : ndarray (m,)
         Binary labels in {0, 1}.
-    prior_var : float
+    prior_var : int or float, not bool; stored as a float
         Prior variance, positive and finite; the prior is N(0, prior_var * I).
     """
 
@@ -457,6 +477,7 @@ class LogisticTarget(_GaussianPriorTarget):
             raise ValueError("X must be (m, d) with m, d >= 1 and a first column of ones (the intercept)")
         if not np.all((y == 0) | (y == 1)):
             raise ValueError("labels must be 0 or 1")
+        prior_var = check_number(prior_var, "prior_var")
         if not 0.0 < prior_var < math.inf:
             raise ValueError(f"prior_var must be positive and finite, got {prior_var!r}")
         self.X = X
@@ -510,11 +531,16 @@ class LogisticTarget(_GaussianPriorTarget):
 def load_logistic_csv(path, prior_var=100.0):
     """Build a LogisticTarget from a CSV file.
 
-    The file must have a header row; each data row lists the covariate
-    values followed by the binary label in the last column, one finite
-    number per header field.  An intercept column of ones is prepended
+    ``path`` is a ``str`` or ``os.PathLike`` file path; anything else,
+    such as an open file's descriptor, raises ``ValueError``.  The file
+    must have a header row; each data row lists the covariate values
+    followed by the binary label in the last column, one finite number
+    per header field.  An intercept column of ones is prepended
     automatically.  A bad row raises ``ValueError`` naming its line.
+    ``prior_var`` is as in :class:`LogisticTarget`.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or os.PathLike file path, got {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -548,11 +574,12 @@ def make_logistic_target(d, m, seed, prior_var=100.0):
 
     Covariates are i.i.d. standard normal (d - 1 of them plus the
     intercept) and labels are Bernoulli draws under a standard normal
-    ground-truth coefficient vector.
+    ground-truth coefficient vector.  ``d`` (counting the intercept) and
+    ``m`` are positive ints and ``seed`` a non-negative int, none of them
+    bool; ``prior_var`` is as in :class:`LogisticTarget`.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1 (the intercept)")
-    rng = np.random.default_rng(seed)
+    d, m = check_int(d, "d", 1, "at least 1 (the intercept)"), check_int(m, "m", 1)
+    rng = np.random.default_rng(check_seed(seed))
     X = np.hstack([np.ones((m, 1)), rng.standard_normal((m, d - 1))])
     theta_star = rng.standard_normal(d)
     # a numpy sigmoid may round unlike scipy's expit in the last bit, but the

@@ -279,7 +279,7 @@ def test_build_target_kinds():
     with pytest.raises(ConfigError, match=r"target\.weights"):
         build_target({"kind": "gmm", "d": 2, "means": [[0.0, 0.0], [1.0, 1.0]]})
     for theta_star in ([1.0], [1.0, 2.0, 3.0], "ones", [1.0, None]):
-        with pytest.raises(ConfigError, match=r"^target\.theta_star(\[\d\])?: expected "):
+        with pytest.raises(ConfigError, match=r"^target\.theta_star(\[\d\])?: theta_star (has shape|must be) "):
             build_target({"kind": "gaussian", "d": 2, "m": 3, "theta_star": theta_star})
     assert build_target({"kind": "gaussian", "d": 2, "m": 3, "theta_star": [1.0, -1.0]}).dim == 2
     bad_mixtures = [
@@ -300,7 +300,7 @@ def test_build_target_kinds():
         ({"kind": "logistic", "d": 2, "m": 5, "prior_var": True}, "prior_var"),
     ]
     for spec, field in bad_floats:
-        with pytest.raises(ConfigError, match=rf"^target\.{field}: expected a number"):
+        with pytest.raises(ConfigError, match=rf"^target\.{field}: {field} must be a number"):
             build_target(spec)
 
 

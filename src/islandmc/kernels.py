@@ -131,7 +131,7 @@ def check_vector(values, name, wording="a vector of at least one number"):
     entries = list(values) if np.iterable(values) else []
     if not entries or not all(map(_is_number, entries)):
         raise ValueError(f"{name} must be {wording}, got {values!r}")
-    return tuple(check_number(v, name) for v in entries)
+    return tuple(check_number(v, f"{name} entry") for v in entries)
 
 
 def store_numbers(config, *names):

@@ -521,6 +521,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert "error: method.kernel.mass: mass entries must be finite and positive" in capsys.readouterr().err
 
 
+def test_cli_number_too_large_for_a_float_exits_2_and_names_the_field(tmp_path, capsys):
+    # json reads a 400-digit number as an int, which no float holds
+    big = 10**400
+    cfg_path = tmp_path / "exp.json"
+    for overrides, path in (
+        ({"method": {"kind": "smc", "kernel": {"kind": "pcn", "beta": big}}}, "method.kernel.beta"),
+        ({"target": {"kind": "gaussian", "d": 2, "m": 4, "sigma": big}}, "target.sigma"),
+        ({"target": {"kind": "logistic", "d": 2, "m": 5, "prior_var": big}}, "target.prior_var"),
+        ({"target": {"kind": "gmm", "d": 2, "weight": big}}, "target.weight"),
+    ):
+        cfg_path.write_text(json.dumps(base_config(**overrides)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+        field = path.rsplit(".", 1)[1]
+        assert capsys.readouterr().err == (
+            f"error: {path}: {field} must be a number within the float range, got an integer of 1329 bits\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_failed_cell_exits_1_and_names_the_cell(tmp_path, capsys):
     cfg_path = tmp_path / "short.json"
     cfg_path.write_text(json.dumps(base_config(method={"kind": "smc_par", "max_stages": 1},

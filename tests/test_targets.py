@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 import re
 import subprocess
@@ -902,6 +903,96 @@ def test_load_logistic_csv_errors(tmp_path):
         load_logistic_csv(narrow)
 
 
+def test_load_logistic_csv_takes_only_a_path_and_leaves_a_descriptor_open(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,label\n0.5,1\n-1.0,0\n")
+    assert load_logistic_csv(path).X.shape == load_logistic_csv(str(path)).X.shape == (2, 2)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        # an int used to be opened as a descriptor, read and closed
+        with pytest.raises(ValueError, match="^path must be a str or os.PathLike file path, got "):
+            load_logistic_csv(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+
+
+def _same_target(a, b):
+    """Whether two targets hold the same attributes: equal arrays, equal floats of the same type."""
+    assert type(a) is type(b) and a.__dict__.keys() == b.__dict__.keys()
+    for name, value in a.__dict__.items():
+        other = b.__dict__[name]
+        if isinstance(value, np.ndarray):
+            assert _same_bits(value, other), name
+        elif name != "_tiles":
+            assert value == other and type(value) is type(other), name
+    return True
+
+
+def test_targets_reject_wrongly_typed_fields_at_construction(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("x1,label\n0.5,1\n-1.0,0\n")
+    X, y = np.array([[1.0, 0.5], [1.0, -1.0]]), np.array([1.0, 0.0])
+    means = [[1.0, 1.0], [-1.0, -1.0]]
+    # entry point -> (valid arguments, the fields that take a count)
+    entry_points = {
+        make_gaussian_target: ({"d": 2, "m": 3, "sigma": 1.0, "seed": 0, "theta_star": [1.0, -1.0]},
+                               {"d", "m", "seed"}),
+        GaussianLinearModel: ({"X": X, "y": y, "sigma": 1.0}, set()),
+        GmmTarget: ({"weights": [0.5, 0.5], "means": means}, set()),
+        make_bimodal_gmm: ({"d": 2, "weight": 0.3}, {"d"}),
+        LogisticTarget: ({"X": X, "y": y, "prior_var": 4.0}, set()),
+        make_logistic_target: ({"d": 2, "m": 5, "seed": 0, "prior_var": 4.0}, {"d", "m", "seed"}),
+        load_logistic_csv: ({"path": data, "prior_var": 4.0}, set()),
+    }
+    cases = 0
+    for make, (fields, counts) in entry_points.items():
+        assert make(**fields)
+        for field in fields:
+            # a null theta_star is one drawn from the prior; a str path is of the right type
+            bad = [True, False, [0.5]] + [None] * (field != "theta_star") + ["0.5"] * (field != "path")
+            bad += [2.5] * (field in counts)
+            for value in bad:
+                # a mixture's rows are named by index, as means[0]
+                with pytest.raises(ValueError, match=rf"^{field}[ \[]"):
+                    make(**{**fields, field: value})
+                cases += 1
+    assert cases == 110
+    # each of these built a target before its fields were checked
+    for make, args, kwargs, message in (
+        (make_gaussian_target, (2, 3, True, 0), {}, "sigma must be a number, got True"),
+        (make_logistic_target, (3, 5, 0), {"prior_var": True}, "prior_var must be a number, got True"),
+        (GmmTarget, (["0.5", "0.5"], means), {}, "weights must be a vector of at least one number, got ['0.5', '0.5']"),
+        (make_gaussian_target, (0, 3, 1.0, 0), {}, "d must be positive"),
+        (make_gaussian_target, (2, 3, 1.0, -1), {}, "seed must be a non-negative integer"),
+    ):
+        with pytest.raises(ValueError) as err:
+            make(*args, **kwargs)
+        assert str(err.value) == message
+    # numpy integers and floats give the targets of their Python twins
+    assert _same_target(make_gaussian_target(np.int64(2), np.int32(3), np.float32(0.5), np.uint8(1), np.array([1, -1])),
+                        make_gaussian_target(2, 3, 0.5, 1, [1.0, -1.0]))
+    assert _same_target(GaussianLinearModel(X, y, np.float16(2.0)), GaussianLinearModel(X, y, 2))
+    assert _same_target(GmmTarget(np.array([0.25, 0.75]), np.array(means)), GmmTarget((0.25, 0.75), means))
+    assert _same_target(make_bimodal_gmm(np.int64(3), np.float64(0.25)), make_bimodal_gmm(3, 0.25))
+    assert _same_target(LogisticTarget(X, y, np.int64(4)), LogisticTarget(X, y, 4.0))
+    assert _same_target(make_logistic_target(np.int64(3), np.int16(5), np.uint32(7), np.float32(4.0)),
+                        make_logistic_target(3, 5, 7, 4.0))
+    assert _same_target(load_logistic_csv(data, np.float64(25.0)), load_logistic_csv(str(data), 25))
+
+
+def test_number_fields_too_large_for_a_float_name_the_field():
+    big = 10**400
+    for make, args, field in ((make_gaussian_target, (2, 3, big, 0), "sigma"),
+                              (make_bimodal_gmm, (2, big), "weight"),
+                              (make_logistic_target, (2, 5, 0, big), "prior_var"),
+                              (GmmTarget, ([0.5, big], [[1.0], [-1.0]]), "weights entry"),
+                              (GmmTarget, ([0.5, 0.5], [[1.0], [-big]]), "means[1] entry")):
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert str(err.value) == f"{field} must be a number within the float range, got an integer of 1329 bits"
+
+
 def test_dimension_mismatch_raises():
     model = make_gaussian_target(3, 2, 1.0, seed=0)
     with pytest.raises(ValueError, match="dimension"):
@@ -946,6 +1037,7 @@ def test_non_finite_observations_are_rejected_and_named(kind):
 def test_model_validation():
     with pytest.raises(ValueError):
         GaussianLinearModel(np.zeros((2, 2)), np.zeros(3), sigma=1.0)
-    for sigma in (0.0, -1.0, np.inf, np.nan):
+    # 1e308 is finite, but its square, taken at construction, is not
+    for sigma in (0.0, -1.0, np.inf, np.nan, 1e308):
         with pytest.raises(ValueError, match="^sigma must be positive and finite"):
             GaussianLinearModel(np.zeros((2, 2)), np.zeros(2), sigma=sigma)

@@ -8,13 +8,16 @@ and lies outside every module, class and function docstring (found with
 Usage::
 
     python tools/code_lines.py src/islandmc/*.py
+
+At least one path is required, so a glob that matches nothing exits 2
+with the usage line, as does a path that cannot be read as a file.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
-import sys
 import tokenize
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -35,11 +38,17 @@ def code_lines(source):
     return len(lines)
 
 
-def main(paths):
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Count the code lines of Python files.")
+    parser.add_argument("paths", nargs="+", help="Python source files")
+    args = parser.parse_args(argv)
     total = 0
-    for path in paths:
-        with open(path) as fh:
-            n = code_lines(fh.read())
+    for path in args.paths:
+        try:
+            with open(path) as fh:
+                n = code_lines(fh.read())
+        except OSError as exc:
+            parser.error(str(exc))
         total += n
         print(f"{n:8d} {path}")
     print(f"{total:8d} total")
@@ -47,4 +56,4 @@ def main(paths):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    raise SystemExit(main())

@@ -95,8 +95,10 @@ def run_ais(cfg, target, seed):
 
 
 def log_evidence_estimate(log_weights):
-    """Log of the mean importance weight, the AIS evidence estimate."""
+    """Log of the mean importance weight, the AIS evidence estimate; the weights must be a non-empty vector."""
     lw = np.asarray(log_weights, dtype=float)
+    if lw.ndim != 1 or lw.size == 0:
+        raise ValueError(f"log_weights must be a non-empty vector, got shape {lw.shape}")
     return float(logsumexp(lw) - np.log(lw.shape[0]))
 
 

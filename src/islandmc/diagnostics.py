@@ -19,39 +19,32 @@ def autocorrelation(series, max_lag):
     return acov[1:] / var
 
 
-def iact(series, max_lag=None):
+def iact(series):
     """Integrated autocorrelation time 1 + 2 sum of autocorrelations.
 
-    The sum is truncated with the initial-positive-sequence rule: sums
-    of adjacent autocorrelation pairs are accumulated until the first
-    non-positive pair.  The result is clamped below at 1.  A constant
-    series raises ``ValueError``.
+    The sum runs over lags up to ``len(series) - 1`` and is truncated
+    with the initial-positive-sequence rule: sums of adjacent
+    autocorrelation pairs are accumulated until the first non-positive
+    pair.  The result is clamped below at 1.  A constant series raises
+    ``ValueError``.
 
     Parameters
     ----------
     series : sequence of float
         Scalar chain, length at least 2.  Lengths of at least ten times
         the correlation time give usable estimates.
-    max_lag : int, optional
-        Hard cap on summed lags, defaults to ``len(series) - 1``.
     """
     x = np.asarray(series, dtype=float)
     n = x.shape[0]
     if n < 2:
         raise ValueError("series must have length at least 2")
-    if max_lag is None:
-        max_lag = n - 1
-    max_lag = min(int(max_lag), n - 1)
-    rho = autocorrelation(x, max_lag)
+    # rho_0 = 1, rho_1 .. rho_{n-1}, and a 0 that completes an odd n's last pair
+    rho = np.concatenate(([1.0], autocorrelation(x, n - 1), [0.0]))
     # pair sums (rho_0 + rho_1), (rho_2 + rho_3), ... until non-positive
     total = 0.0
-    m = 0
-    while 2 * m <= max_lag:
-        pair = 1.0 if m == 0 else rho[2 * m - 1]
-        if 2 * m + 1 <= max_lag:
-            pair += rho[2 * m]
+    for k in range(0, n, 2):
+        pair = rho[k] + rho[k + 1]
         if pair <= 0.0:
             break
         total += pair
-        m += 1
     return max(1.0, 2.0 * total - 1.0)

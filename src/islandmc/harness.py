@@ -235,7 +235,7 @@ def _run_ais_cell(cfg, n_islands, target, seed):
     into one likelihood block, where BLAS can give a row other last bits
     (it does on the logistic target).
     """
-    runs = [ais_mod.run_ais(cfg, target, islands_mod.island_seed(seed, p)) for p in range(n_islands)]
+    runs = [ais_mod.run_ais(cfg, target, derive_seed(seed, p)) for p in range(n_islands)]
     samples, log_ws, tallies = zip(*runs)
     samples, log_ws = np.concatenate(samples), np.concatenate(log_ws)
     return ais_mod.ais_estimate(samples, log_ws), ais_mod.log_evidence_estimate(log_ws), tallies

@@ -35,11 +35,6 @@ class IslandEnsemble:
         return np.array([r.logz.total for r in self.results])
 
 
-def island_seed(master_seed, index) -> int:
-    """Island ``index``'s seed, hash-split from ``(master_seed, index)``."""
-    return derive_seed(master_seed, index)
-
-
 def _run_mcmc_islands(cfg, target, seeds):
     """One MCMC island per seed, run one after another."""
     results = []
@@ -70,7 +65,7 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
     be positive Python or numpy integers and ``master_seed`` a
     non-negative one; any other value raises ``ValueError`` naming the
     argument.  Island ``p`` runs with the derived seed
-    :func:`island_seed` ``(master_seed, p)``.  SMC and AIS islands
+    :func:`seeds.derive_seed` ``(master_seed, p)``.  SMC and AIS islands
     advance in lockstep through :func:`smc.run_smc_islands`, one stacked
     block pass per stage; MCMC islands run one after another.  With
     ``parallelism == 1`` everything runs in this process.  With
@@ -100,7 +95,7 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
         raise TypeError(
             f"island_cfg must be an SmcConfig, AisConfig or McmcConfig, not {type(island_cfg).__name__}"
         )
-    seeds = [island_seed(master_seed, p) for p in range(n_islands)]
+    seeds = [derive_seed(master_seed, p) for p in range(n_islands)]
     if parallelism == 1:
         results = run(island_cfg, target, seeds)
     else:
@@ -118,8 +113,11 @@ def run_islands(n_islands, island_cfg, target, master_seed, parallelism=1):
 
 
 def _checked_evidence(logz_totals):
-    """The island log evidences as floats; a NaN or +inf one raises."""
+    """The island log evidences as a float vector; an empty or 2-D input raises ``ValueError``,
+    a NaN or +inf evidence :class:`DegenerateWeightsError`."""
     z = np.asarray(logz_totals, dtype=float)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("logz_totals must be a non-empty vector")
     bad = np.flatnonzero(np.isnan(z) | (z == np.inf))
     if bad.size:
         raise DegenerateWeightsError(f"island log evidence is NaN or +inf at islands {bad.tolist()}")
@@ -135,8 +133,6 @@ def island_weights(logz_totals):
     +inf log evidence, :class:`DegenerateWeightsError` is raised.
     """
     z = _checked_evidence(logz_totals)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("logz_totals must be a non-empty vector")
     w = smc_mod._max_shift(z)[1]
     return w / w.sum()
 
@@ -144,7 +140,8 @@ def island_weights(logz_totals):
 def log_mean_evidence(logz_totals):
     """Stable log of the average island evidence, log((1/P) sum Z_p).
 
-    A NaN or +inf island log evidence raises :class:`DegenerateWeightsError`.
+    An empty or 2-D input raises ``ValueError``, a NaN or +inf island log
+    evidence :class:`DegenerateWeightsError`.
     """
     z = _checked_evidence(logz_totals)
     if not np.isfinite(z).any():

@@ -20,49 +20,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class PcnConfig:
-    """Preconditioned Crank-Nicolson settings, each field checked for type and range at construction.
+    """Preconditioned Crank-Nicolson settings, checked for type and range at construction.
+
+    pCN's step has two parts: the scalar ``beta`` and a per-coordinate
+    scaling D of the whitened proposal.  Chains and AIS keep ``beta``
+    and unit D.  SMC under ``SmcConfig.adapt_steps`` tunes both between
+    stages: ``beta`` toward the acceptance rate ``TARGET_ACCEPT`` (see
+    :func:`adapt_step_size`), D from each island's particles (see
+    :func:`estimate_scaling`).
 
     Parameters
     ----------
     beta : int or float, not bool; stored as a float
         Step size in (0, 1].  ``beta = 1`` with unit scaling proposes
         fresh prior draws; ``beta -> 0`` degenerates to the identity.
-    use_scaling : bool or numpy bool
-        Whether samplers should re-estimate the diagonal proposal
-        scaling from the particle population each tempering stage.
-        Standalone chains always use unit scaling.
-    scaling_floor : int or float, not bool; stored as a float
-        Lower bound applied to estimated coordinate variances, positive
-        and finite.
-    target_accept : int or float, not bool; stored as a float
-        Acceptance rate targeted by step-size adaptation.
     """
 
+    TARGET_ACCEPT: ClassVar[float] = 0.234
+
     beta: float = 0.5
-    use_scaling: bool = True
-    scaling_floor: float = 1e-8
-    target_accept: float = 0.234
 
     def __post_init__(self):
-        store_numbers(self, "beta", "scaling_floor", "target_accept")
+        store_numbers(self, "beta")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if not 0.0 < self.scaling_floor < np.inf:
-            raise ValueError("scaling_floor must be positive and finite")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
-        check_bool(self.use_scaling, "use_scaling")
 
 
 @dataclass(frozen=True)
 class HmcConfig:
     """Hamiltonian Monte Carlo settings, each field checked for type and range at construction.
+
+    SMC under ``SmcConfig.adapt_steps`` adapts the step size between
+    stages toward the acceptance rate ``TARGET_ACCEPT`` (see
+    :func:`adapt_step_size`).
 
     Parameters
     ----------
@@ -73,17 +70,16 @@ class HmcConfig:
     mass : int or float, or a sequence of them; not bool
         Diagonal of the mass matrix, a finite positive scalar or
         per-coordinate vector, stored as a float or a tuple of floats.
-    target_accept : int or float, not bool; stored as a float
-        Acceptance rate targeted by step-size adaptation.
     """
+
+    TARGET_ACCEPT: ClassVar[float] = 0.65
 
     step_size: float = 0.1
     leapfrog_steps: int = 10
     mass: float | tuple = 1.0
-    target_accept: float = 0.65
 
     def __post_init__(self):
-        store_numbers(self, "step_size", "target_accept")
+        store_numbers(self, "step_size")
         if not 0.0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")
         check_int(self.leapfrog_steps, "leapfrog_steps", 1, "at least 1")
@@ -91,8 +87,6 @@ class HmcConfig:
                           check_vector(self.mass, "mass", "a number or a vector of at least one number"))
         if not np.all(np.isfinite(mass) & (mass > 0.0)):
             raise ValueError("mass entries must be finite and positive")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must lie in (0, 1)")
         object.__setattr__(self, "mass", float(mass) if mass.ndim == 0 else tuple(mass.tolist()))
 
 
@@ -485,17 +479,21 @@ def adapt_step_size(current, observed_rate, target_rate, iteration):
     return min(max(new, 1e-10), 1e3)
 
 
-def estimate_scaling(population, floor=1e-8):
-    """Diagonal pCN proposal scaling from a particle population.
+# lower bound of the coordinate variances estimate_scaling normalizes
+_SCALING_FLOOR = 1e-8
 
-    Coordinate-wise sample variances (ddof 1), floored below by
-    ``floor`` and normalized so the largest entry is exactly 1.  A
-    ``(P, n, d)`` stack of P populations gives the ``(P, d)`` scalings
-    of its populations, each equal to that of its own ``(n, d)`` block.
+
+def estimate_scaling(population):
+    """Diagonal pCN proposal scaling, the per-coordinate part of pCN's step, from a particle population.
+
+    Coordinate-wise sample variances (ddof 1), floored below by 1e-8
+    and normalized so the largest entry is exactly 1.  A ``(P, n, d)``
+    stack of P populations gives the ``(P, d)`` scalings of its
+    populations, each equal to that of its own ``(n, d)`` block.
     """
     population = np.asarray(population, dtype=float)
     if population.ndim not in (2, 3) or population.shape[-2] < 2:
         raise ValueError("need at least two particles to estimate scaling")
     var = population.var(axis=-2, ddof=1)
-    var = np.maximum(var, floor)
+    var = np.maximum(var, _SCALING_FLOOR)
     return var / var.max(axis=-1, keepdims=True)

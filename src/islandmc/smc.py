@@ -131,13 +131,15 @@ class SmcConfig:
         be finite, strictly increasing, start above 0, and end at
         exactly 1.
         Fixing the schedule keeps the evidence estimate unbiased as
-        long as the kernel settings are fixed too (``adapt_steps=False``
-        and, for pCN, ``use_scaling=False``); estimating either from
-        the current population couples the kernel to the particles it
-        mutates and shifts the mean evidence at order 1/N.
+        long as the kernel is fixed too (``adapt_steps=False``); tuning
+        either from the current population couples the kernel to the
+        particles it mutates and shifts the mean evidence at order 1/N.
     adapt_steps : bool or numpy bool
-        Adapt the kernel step size between stages toward the kernel's
-        target acceptance rate.
+        Tune the kernel between stages: adapt its step size toward the
+        kernel's ``TARGET_ACCEPT`` and, for pCN, estimate the
+        per-coordinate part of its step from each island's resampled
+        particles (:func:`kernels.estimate_scaling`).  With ``False``
+        every stage uses the configured kernel with unit pCN scaling.
     """
 
     n_particles: int
@@ -291,7 +293,10 @@ def next_temperature(loglik, lambda_prev, cfg):
     increment passing.
     """
     block = _block(loglik, "loglik")
-    lam_prev = np.broadcast_to(np.asarray(lambda_prev, dtype=float), block.shape[:1]).tolist()
+    lam_prev = np.asarray(lambda_prev, dtype=float)
+    if lam_prev.ndim > 1 or lam_prev.size not in (1, len(block)):
+        raise ValueError(f"lambda_prev must hold one exponent or {len(block)}, one per row, got shape {lam_prev.shape}")
+    lam_prev = np.broadcast_to(lam_prev, block.shape[:1]).tolist()
     if not all(0.0 <= lam < 1.0 for lam in lam_prev):
         raise ValueError("lambda_prev must lie in [0, 1)")
     target_ess = cfg.ess_fraction * block.shape[1]
@@ -559,19 +564,25 @@ def _weigh(cfg, islands, stage, lams_new, stalled, stage_lw):
     return ancestors
 
 
+def _adapts(cfg):
+    """Whether the stage loop tunes the kernel between stages: SMC under ``adapt_steps``, with sweeps to tune."""
+    return isinstance(cfg, SmcConfig) and cfg.adapt_steps and cfg.mutation_steps > 0
+
+
 def _mutate(cfg, target, pop, islands, stage, lams_new, ancestors):
     """Resample ``pop`` by ``ancestors`` (None for AIS) and sweep it in one :func:`kernels.mutate` call.
 
-    SMC's pCN scaling comes from each island's resampled rows; AIS keeps unit scaling.
+    SMC under ``adapt_steps`` takes the pCN scaling from each island's resampled rows;
+    otherwise, and for AIS, the scaling is unit.
     Returns each island's stage :class:`KernelStats` and the stage's evaluation tally.
     """
     if ancestors is not None:
         ancestors += np.arange(0, ancestors.size, ancestors.shape[1])[:, None]
         pop.take(ancestors.ravel())
     scaling = None
-    if isinstance(cfg, SmcConfig) and isinstance(cfg.kernel, PcnConfig) and cfg.kernel.use_scaling:
+    if _adapts(cfg) and isinstance(cfg.kernel, PcnConfig):
         blocks = pop.theta.reshape(len(islands), -1, pop.theta.shape[1])
-        scaling = kernels.estimate_scaling(blocks, cfg.kernel.scaling_floor)
+        scaling = kernels.estimate_scaling(blocks)
     stage_stats = [KernelStats() for _ in islands]
     stage_counter = EvalCounter()
     kernels.mutate(
@@ -590,7 +601,6 @@ def _settle(cfg, pop, islands, stage, lams_new, stage_stats, stage_counter):
     weights as its evidence, and its rows leave ``pop``.
     """
     n = len(pop.loglik) // len(islands)
-    adapt = isinstance(cfg, SmcConfig) and cfg.adapt_steps and cfg.mutation_steps > 0
     keep = []
     for b, (island, stats, lam_new) in enumerate(zip(islands, stage_stats, lams_new)):
         result = island.result
@@ -598,9 +608,9 @@ def _settle(cfg, pop, islands, stage, lams_new, stage_stats, stage_counter):
         result.epochs.add_likelihood(stage_counter.likelihood // len(islands))
         result.epochs.add_gradient(stage_counter.gradient // len(islands))
         result.kernel_stats.record(stats.proposals, stats.accepts)
-        if adapt:
+        if _adapts(cfg):
             island.step_size = kernels.adapt_step_size(
-                island.step_size, stats.last_rate, cfg.kernel.target_accept, stage - 1
+                island.step_size, stats.last_rate, cfg.kernel.TARGET_ACCEPT, stage - 1
             )
             if isinstance(cfg.kernel, PcnConfig):
                 island.step_size = min(island.step_size, 1.0)

@@ -126,6 +126,12 @@ def _block_height(width):
     return 1 << max((_BLOCK_FLOATS // max(width, 1)).bit_length() - 1, 0)
 
 
+def _check_size(name, *shape):
+    """Raise ``ValueError`` naming ``name`` unless numpy can size a float64 array of ``shape``."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy sizes an array in bytes as an intp
+        raise ValueError(f"{name} is too large: numpy cannot size the float64 arrays of the target")
+
+
 def _regression_data(X, y):
     """``X`` and ``y`` as float arrays, checked to be a finite ``(m, d)`` matrix and ``(m,)`` vector."""
     X = np.asarray(X, dtype=float)
@@ -242,13 +248,14 @@ class GaussianLinearModel(_GaussianPriorTarget):
         Finite observations.
     sigma : int or float, not bool; stored as a float
         Observation noise standard deviation, positive and finite, with
-        a finite square.
+        a square and a reciprocal square that are finite and non-zero.
     """
 
     def __init__(self, X, y, sigma):
         sigma = check_number(sigma, "sigma")
-        if not 0.0 < sigma < math.inf or sigma * sigma == math.inf:
-            raise ValueError(f"sigma must be positive and finite, with a finite square, got {sigma!r}")
+        if not (0.0 < sigma < math.inf and 0.0 < sigma * sigma < math.inf and 1.0 / (sigma * sigma) < math.inf):
+            raise ValueError(f"sigma must be positive and finite, with a square and a reciprocal square that are "
+                             f"finite and non-zero, got {sigma!r}")
         X, y = _regression_data(X, y)
         m, d = X.shape
         self.X = X
@@ -334,7 +341,8 @@ def make_gaussian_target(d, m, sigma, seed, theta_star=None):
 
     Design entries are i.i.d. standard normal and observations are
     ``y = X theta_star + noise``.  ``d`` is a positive int, ``m`` and
-    ``seed`` non-negative ints, none of them bool, and ``sigma`` is as in
+    ``seed`` non-negative ints, none of them bool, small enough that
+    numpy can size the ``(m, d)`` design, and ``sigma`` is as in
     :class:`GaussianLinearModel`.  By default ``theta_star`` is drawn
     from the N(0, I) prior; pass a finite vector of ``d`` int or float
     numbers, not bool, to pin it.
@@ -345,6 +353,8 @@ def make_gaussian_target(d, m, sigma, seed, theta_star=None):
         With ``theta_star`` recorded on the instance.
     """
     d, m, sigma = check_int(d, "d", 1), check_int(m, "m", 0), check_number(sigma, "sigma")
+    _check_size("d", d)
+    _check_size("m", m, d)
     rng = np.random.default_rng(check_seed(seed))
     if theta_star is not None:
         theta_star = np.asarray(check_vector(theta_star, "theta_star"))
@@ -423,10 +433,11 @@ class GmmTarget(_GaussianPriorTarget):
 def make_bimodal_gmm(d, weight=0.2):
     """Two-component mixture weight*N(+1, I) + (1-weight)*N(-1, I).
 
-    ``d`` is a positive int, not bool; ``weight`` an int or float, not
-    bool, in (0, 1).
+    ``d`` is a positive int, not bool, small enough that numpy can size
+    the ``(2, d)`` means; ``weight`` an int or float, not bool, in (0, 1).
     """
     d, weight = check_int(d, "d", 1), check_number(weight, "weight")
+    _check_size("d", 2, d)
     if not 0.0 < weight < 1.0:
         raise ValueError(f"weight must lie in (0, 1), got {weight!r}")
     ones = np.ones(d)
@@ -576,9 +587,12 @@ def make_logistic_target(d, m, seed, prior_var=100.0):
     intercept) and labels are Bernoulli draws under a standard normal
     ground-truth coefficient vector.  ``d`` (counting the intercept) and
     ``m`` are positive ints and ``seed`` a non-negative int, none of them
-    bool; ``prior_var`` is as in :class:`LogisticTarget`.
+    bool, with ``d`` and ``m`` small enough that numpy can size the
+    ``(m, d)`` design; ``prior_var`` is as in :class:`LogisticTarget`.
     """
     d, m = check_int(d, "d", 1, "at least 1 (the intercept)"), check_int(m, "m", 1)
+    _check_size("d", d)
+    _check_size("m", m, d)
     rng = np.random.default_rng(check_seed(seed))
     X = np.hstack([np.ones((m, 1)), rng.standard_normal((m, d - 1))])
     theta_star = rng.standard_normal(d)

@@ -71,7 +71,7 @@ def test_fixed_schedule_evidence_unbiased():
     # fixed schedule AND fixed kernel settings: tuning either from the
     # live population shifts the mean at order 1/N
     cfg = SmcConfig(n_particles=64, mutation_steps=3, schedule=sched,
-                    kernel=PcnConfig(beta=0.5, use_scaling=False), adapt_steps=False)
+                    kernel=PcnConfig(beta=0.5), adapt_steps=False)
     zs = np.array([math.exp(run_smc(cfg, target, seed=s).logz.total) for s in range(400)])
     se = zs.std(ddof=1) / math.sqrt(zs.size)
     z_score = (zs.mean() - z_true) / se
@@ -116,7 +116,7 @@ def test_prior_preserved_at_exponent_zero():
     bound = 4.0 / math.sqrt(k)
     ok = True
     details = []
-    for name, cfg in [("pcn", PcnConfig(beta=0.5, use_scaling=False)),
+    for name, cfg in [("pcn", PcnConfig(beta=0.5)),
                       ("hmc", HmcConfig(step_size=0.3, leapfrog_steps=10))]:
         rng = np.random.default_rng(np.random.SeedSequence((99, 0, 0)))
         pop = Population.initialize(target, rng, k, EvalCounter(),

@@ -41,8 +41,8 @@ def valid_configs(draw):
         {"kind": "logistic", "d": d, "m": max(m, 1), "seed": 2, "prior_var": 4.0},
     ]))
     kernel = draw(st.sampled_from([
-        {"kind": "pcn", "beta": 0.5, "use_scaling": True, "scaling_floor": 1e-8, "target_accept": 0.3},
-        {"kind": "hmc", "step_size": 0.1, "leapfrog_steps": 3, "mass": 1.0, "target_accept": 0.6},
+        {"kind": "pcn", "beta": 0.5},
+        {"kind": "hmc", "step_size": 0.1, "leapfrog_steps": 3, "mass": 1.0},
         {"kind": "hmc", "step_size": 0.1, "leapfrog_steps": 3, "mass": [2.0] * d},
     ]))
     point = {"N": draw(st.integers(2, 64)), "P": draw(SIZE), "M": draw(st.integers(0, 64)),
@@ -67,8 +67,7 @@ KEYS = {
                "prior_var", "csv", "unknown"],
     "method": ["kind", "kernel", "ess_fraction", "max_stages", "resampling", "schedule",
                "adapt_steps", "unknown"],
-    "kernel": ["kind", "beta", "use_scaling", "scaling_floor", "target_accept", "step_size",
-               "leapfrog_steps", "mass", "unknown"],
+    "kernel": ["kind", "beta", "step_size", "leapfrog_steps", "mass", "unknown"],
     "sweep": ["N", "P", "M", "B", "T", "unknown"],
 }
 

@@ -16,7 +16,6 @@ from islandmc.islands import (
     combine_unweighted,
     combine_weighted,
     island_from_json,
-    island_seed,
     island_to_json,
     island_weights,
     log_mean_evidence,
@@ -24,6 +23,7 @@ from islandmc.islands import (
 )
 from islandmc.kernels import HmcConfig, KernelStats, PcnConfig
 from islandmc.mcmc import McmcConfig
+from islandmc.seeds import derive_seed
 from islandmc.smc import (
     DegenerateWeightsError,
     IslandResult,
@@ -52,8 +52,8 @@ def stub_ensemble(sample_sets, logzs):
 
 
 def test_island_seed_deterministic_and_spread():
-    seeds = [island_seed(123, p) for p in range(64)]
-    assert seeds == [island_seed(123, p) for p in range(64)]
+    seeds = [derive_seed(123, p) for p in range(64)]
+    assert seeds == [derive_seed(123, p) for p in range(64)]
     assert len(set(seeds)) == 64
     assert all(s >= 0 for s in seeds)
 
@@ -94,6 +94,19 @@ def test_island_weights_reject_nan_and_pos_inf_evidence():
         w = island_weights([0.0, -np.inf, -1.0])
         assert w[1] == 0.0 and w[0] > w[2] > 0.0
         assert log_mean_evidence([0.0, -np.inf]) == pytest.approx(math.log(0.5), abs=1e-15)
+
+
+def test_evidence_reducers_reject_empty_and_2d_input():
+    # log_mean_evidence returned -inf on an empty vector and raised a bare
+    # TypeError on a 2-D one; the AIS estimate was NaN on an empty vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([], np.zeros(0), [[0.0, 1.0]], np.zeros((2, 1))):
+            for combine in (island_weights, log_mean_evidence):
+                with pytest.raises(ValueError, match="^logz_totals must be a non-empty vector$"):
+                    combine(bad)
+            with pytest.raises(ValueError, match=r"^log_weights must be a non-empty vector, got shape \("):
+                log_evidence_estimate(bad)
 
 
 def test_evidence_helpers_equal_the_max_shift_formulas_bit_for_bit():
@@ -150,7 +163,7 @@ def test_run_islands_single_island_matches_direct_run():
     target = make_gaussian_target(2, 4, 1.0, seed=1)
     cfg = SmcConfig(n_particles=16, mutation_steps=2)
     ens = run_islands(1, cfg, target, master_seed=77)
-    direct = run_smc(cfg, target, island_seed(77, 0))
+    direct = run_smc(cfg, target, derive_seed(77, 0))
     assert np.array_equal(ens.results[0].samples, direct.samples)
     assert ens.results[0].logz == direct.logz
 
@@ -313,7 +326,7 @@ def test_island_json_round_trip_every_island_kind(kind, parallelism):
 # still equal its own one-island run bit for bit
 STACKED_CASES = {
     "pcn_scaling_adapted": (PcnConfig(beta=0.5), {}),
-    "pcn_unit_scaling_fixed_steps": (PcnConfig(beta=0.4, use_scaling=False), {"adapt_steps": False}),
+    "pcn_unit_scaling_fixed_steps": (PcnConfig(beta=0.4), {"adapt_steps": False}),
     "pcn_fixed_schedule": (PcnConfig(beta=0.3), {"schedule": (0.05, 0.3, 1.0)}),
     "pcn_systematic": (PcnConfig(beta=0.5), {"resampling": "systematic"}),
     # at master seed 1 all four islands of this case finish in 9 stages
@@ -337,7 +350,7 @@ def test_stacked_islands_equal_one_island_runs(name):
     if m == 1100:
         assert target._block_rows == 16  # the 4-island stack spans 4 blocks
     ens = run_islands(4, cfg, target, master_seed=master)
-    assert ens.seeds == [island_seed(master, p) for p in range(4)]
+    assert ens.seeds == [derive_seed(master, p) for p in range(4)]
     for seed, got in zip(ens.seeds, ens.results):
         assert_same_island(got, run_smc(cfg, target, seed))
     if "schedule" not in options:
@@ -369,7 +382,7 @@ def test_c9_target_stacked_smc_islands_equal_one_island_runs():
     target = make_logistic_target(15, 690, seed=0)
     assert target._block_rows == 32
     cfg = SmcConfig(n_particles=32, mutation_steps=2, kernel=PcnConfig(beta=0.5))
-    seeds = [island_seed(9, p) for p in range(3)]
+    seeds = [derive_seed(9, p) for p in range(3)]
     for seed, got in zip(seeds, smc.run_smc_islands(cfg, target, seeds)):
         assert_same_island(got, run_smc(cfg, target, seed))
 
@@ -402,7 +415,7 @@ def test_run_islands_runs_ais_islands():
     assert target._block_rows == 16
     cfg = AisConfig(n_samples=16, schedule=(0.0, 0.1, 0.4, 1.0), kernel=PcnConfig(beta=0.5), mutation_steps=2)
     ens = run_islands(3, cfg, target, master_seed=6)
-    assert ens.seeds == [island_seed(6, p) for p in range(3)]
+    assert ens.seeds == [derive_seed(6, p) for p in range(3)]
     estimates = []
     for seed, got in zip(ens.seeds, ens.results):
         samples, log_w, epochs = run_ais(cfg, target, seed)
@@ -439,7 +452,7 @@ def test_stacked_islands_overflow_names_first_unfinished_island():
     with pytest.raises(ScheduleOverflowError) as err:
         run_islands(3, cfg, target, master_seed=5)
     with pytest.raises(ScheduleOverflowError) as want:
-        run_smc(cfg, target, island_seed(5, 0))
+        run_smc(cfg, target, derive_seed(5, 0))
     assert err.value.schedule == want.value.schedule
 
 
@@ -523,7 +536,7 @@ def test_worker_errors_rank_a_failure_as_an_island_finishes_last_in_its_stage():
     errors = []
     for p in range(2):
         with pytest.raises(NumericalDomainError) as err:
-            run_smc(cfg, target, island_seed(102, p))
+            run_smc(cfg, target, derive_seed(102, p))
         errors.append(err.value)
     assert [(e.stage, e.lam) for e in errors] == [(2, 1.0), (2, 0.5)]
     for parallelism in (1, 2):

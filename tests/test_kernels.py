@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -65,8 +64,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PcnConfig(beta=1.5)
     with pytest.raises(ValueError):
-        PcnConfig(target_accept=1.0)
-    with pytest.raises(ValueError):
         HmcConfig(step_size=0.0)
     with pytest.raises(ValueError):
         HmcConfig(leapfrog_steps=0)
@@ -80,15 +77,9 @@ def test_config_validation():
     for value in (np.inf, np.nan):
         with pytest.raises(ValueError, match="^step_size must be positive and finite"):
             HmcConfig(step_size=value)
-        with pytest.raises(ValueError, match="^scaling_floor must be positive and finite"):
-            PcnConfig(scaling_floor=value)
 
 
 def test_kernel_configs_reject_wrong_types_at_construction():
-    for value in ("no", "", 1, 0, None):
-        with pytest.raises(ValueError, match=f"^use_scaling must be true or false, got {re.escape(repr(value))}$"):
-            PcnConfig(use_scaling=value)
-    assert not PcnConfig(use_scaling=np.False_).use_scaling
     # an empty mass used to fail at the first sweep, string masses passed as numbers
     for mass in ([], (), np.array([]), "1", ["1", 2], [1.0, "2"], True, [[1.0, 2.0]]):
         with pytest.raises(ValueError, match="^mass must be a number or a vector of at least one number, got "):
@@ -774,10 +765,10 @@ def test_estimate_scaling_stack_equals_per_block_calls():
     for p, n, d in ((1, 2, 1), (3, 16, 5), (8, 32, 15), (5, 7, 3)):
         stack = rng.standard_normal((p, n, d)) * rng.random(d) * 10.0 + rng.standard_normal(d)
         stack[-1, :, 0] = 2.0  # a constant coordinate hits the floor
-        got = estimate_scaling(stack, floor=1e-6)
+        got = estimate_scaling(stack)
         assert got.shape == (p, d)
         for block, row in zip(stack, got):
-            assert np.array_equal(row, estimate_scaling(block, floor=1e-6))
+            assert np.array_equal(row, estimate_scaling(block))
 
 
 def test_estimate_scaling_needs_two_particles():

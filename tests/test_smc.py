@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from islandmc import smc
+from islandmc import kernels, smc
 from islandmc.ais import AisConfig, make_neal_schedule, run_ais
 from islandmc.kernels import HmcConfig, KernelStats, PcnConfig
 from islandmc.mcmc import McmcConfig
@@ -84,10 +85,8 @@ def test_sampler_configs_name_the_field_of_a_bad_choice_flag_or_kernel_at_constr
 def test_configs_reject_wrongly_typed_fields_at_construction():
     # class -> (its required arguments, the rule of each field)
     configs = {
-        PcnConfig: ({}, {"beta": "number", "scaling_floor": "number", "target_accept": "number",
-                         "use_scaling": "flag"}),
-        HmcConfig: ({}, {"step_size": "number", "leapfrog_steps": "count", "mass": "mass",
-                         "target_accept": "number"}),
+        PcnConfig: ({}, {"beta": "number"}),
+        HmcConfig: ({}, {"step_size": "number", "leapfrog_steps": "count", "mass": "mass"}),
         SmcConfig: ({"n_particles": 8, "mutation_steps": 1},
                     {"n_particles": "count", "mutation_steps": "count", "ess_fraction": "number",
                      "max_stages": "count", "resampling": "choice", "schedule": "ladder", "adapt_steps": "flag"}),
@@ -109,12 +108,48 @@ def test_configs_reject_wrongly_typed_fields_at_construction():
     smc_cfg = SmcConfig(np.int64(8), np.int32(1), ess_fraction=np.float32(0.5), max_stages=np.uint16(9),
                         schedule=np.array([0.5, 1.0]))
     assert smc_cfg == SmcConfig(8, 1, ess_fraction=0.5, max_stages=9, schedule=(0.5, 1.0))
-    hmc = HmcConfig(np.float64(0.1), np.int64(3), np.array([1, 2]), np.float32(0.5))
-    assert hmc == HmcConfig(0.1, 3, [1.0, 2.0], 0.5) and type(hmc.step_size) is float
-    assert PcnConfig(np.float16(0.5), np.True_, np.float64(1e-8), np.float32(0.25)) == PcnConfig(0.5, True, 1e-8, 0.25)
+    hmc = HmcConfig(np.float64(0.1), np.int64(3), np.array([1, 2]))
+    assert hmc == HmcConfig(0.1, 3, [1.0, 2.0]) and type(hmc.step_size) is float
+    assert PcnConfig(np.float16(0.5)) == PcnConfig(0.5)
     ais = AisConfig(np.int64(8), np.array([0.0, 1.0]), mutation_steps=np.int8(2))
     assert ais == AisConfig(8, (0.0, 1.0), mutation_steps=2)
     assert McmcConfig(np.int64(4), np.int64(2), np.int64(1)) == McmcConfig(4, 2, 1)
+
+
+def test_adapt_steps_switches_step_and_scaling_together(monkeypatch):
+    # adapt_steps is the one switch that tunes a pCN kernel between stages:
+    # both its step size and its per-coordinate scaling, or neither
+    target = make_gaussian_target(3, 12, 0.5, seed=2)
+    calls = {"estimate_scaling": 0, "adapt_step_size": 0}
+
+    def spy(name):
+        real = getattr(kernels, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, spy(name))
+    sweeps = []  # each stage's (island step sizes, scaling)
+    real_mutate = kernels.mutate
+
+    def mutate(*args, **kwargs):
+        given = inspect.signature(real_mutate).bind(*args, **kwargs).arguments
+        sweeps.append((given.get("step_size"), given.get("scaling")))
+        return real_mutate(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "mutate", mutate)
+    run_smc(SmcConfig(16, 2, PcnConfig(beta=0.4)), target, seed=3)
+    assert calls["estimate_scaling"] == calls["adapt_step_size"] == len(sweeps) > 1
+    assert all(scaling is not None for _, scaling in sweeps)
+    assert any(steps != [0.4] for steps, _ in sweeps)
+    calls.update(estimate_scaling=0, adapt_step_size=0)
+    sweeps.clear()
+    run_smc(SmcConfig(16, 2, PcnConfig(beta=0.4), adapt_steps=False), target, seed=3)
+    assert calls == {"estimate_scaling": 0, "adapt_step_size": 0} and len(sweeps) > 1
+    assert all(steps == [0.4] and scaling is None for steps, scaling in sweeps)
 
 
 def test_ess_uniform_weights():
@@ -256,6 +291,11 @@ def test_block_next_temperature_rejects_dead_rows_and_finished_islands():
         next_temperature(loglik, [0.0, 0.0], cfg)
     with pytest.raises(ValueError, match="lambda_prev"):
         next_temperature(loglik[:1], [1.0], cfg)
+    # one exponent for all rows, or one per row
+    for lams, shape in (([0.1, 0.2, 0.3], (3,)), ([[0.1, 0.2]], (1, 2)), (np.zeros((2, 1)), (2, 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"lambda_prev must hold one exponent or 2, one per row, got shape {shape}")):
+            next_temperature(np.zeros((2, 4)), lams, cfg)
 
 
 def test_stage_functions_reject_one_island_vectors():

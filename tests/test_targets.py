@@ -1037,7 +1037,8 @@ def test_non_finite_observations_are_rejected_and_named(kind):
 def test_model_validation():
     with pytest.raises(ValueError):
         GaussianLinearModel(np.zeros((2, 2)), np.zeros(3), sigma=1.0)
-    # 1e308 is finite, but its square, taken at construction, is not
-    for sigma in (0.0, -1.0, np.inf, np.nan, 1e308):
+    # 1e308 is finite, but its square, taken at construction, is not; the
+    # square of 1e-200 is zero, and that of 1e-160 has no finite reciprocal
+    for sigma in (0.0, -1.0, np.inf, np.nan, 1e308, 1e-200, 1e-160):
         with pytest.raises(ValueError, match="^sigma must be positive and finite"):
             GaussianLinearModel(np.zeros((2, 2)), np.zeros(2), sigma=sigma)

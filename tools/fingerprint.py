@@ -87,9 +87,12 @@ def _targets(im):
 
 
 def _kernels(im):
+    # a package whose PcnConfig has its own scaling switch, use_scaling, runs
+    # pcn_unit, whose one case turns adaptation off, with that switch off too
+    unit = {"use_scaling": False} if "use_scaling" in {f.name for f in dataclasses.fields(im.PcnConfig)} else {}
     return {
         "pcn": im.PcnConfig(beta=0.5),
-        "pcn_unit": im.PcnConfig(beta=0.4, use_scaling=False),
+        "pcn_unit": im.PcnConfig(beta=0.4, **unit),
         "hmc_unit": im.HmcConfig(step_size=0.2, leapfrog_steps=4),
         "hmc_scalar_mass": im.HmcConfig(step_size=0.2, leapfrog_steps=3, mass=1.7),
         "hmc_vector_mass": im.HmcConfig(step_size=0.2, leapfrog_steps=3, mass=[1.0, 2.0, 0.5, 1.5]),
